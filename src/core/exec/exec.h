@@ -115,7 +115,11 @@ auto parallel_map(std::size_t n, int threads, Fn&& fn)
   }
 
   std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> remaining{workers};
+  // Guarded by done_mu, decremented and broadcast under it: the caller can
+  // only see 0 once the last worker has released done_mu for good, so
+  // returning (and destroying these stack locals) never races a worker
+  // still about to lock or notify them.
+  std::size_t remaining = workers;
   std::mutex done_mu;
   std::condition_variable done_cv;
   std::mutex error_mu;
@@ -131,19 +135,15 @@ auto parallel_map(std::size_t n, int threads, Fn&& fn)
         if (!error) error = std::current_exception();
       }
     }
-    if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(done_mu);
-      done_cv.notify_all();
-    }
+    std::lock_guard<std::mutex> lock(done_mu);
+    if (--remaining == 0) done_cv.notify_all();
   };
 
   for (std::size_t w = 1; w < workers; ++w) shared_pool().submit(body);
   body();  // the calling thread is worker 0
   {
     std::unique_lock<std::mutex> lock(done_mu);
-    done_cv.wait(lock, [&] {
-      return remaining.load(std::memory_order_acquire) == 0;
-    });
+    done_cv.wait(lock, [&] { return remaining == 0; });
   }
   if (error) std::rethrow_exception(error);
   return results;

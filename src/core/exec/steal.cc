@@ -73,7 +73,9 @@ void steal_run(std::size_t n, int threads,
   std::atomic<std::size_t> steals{0};
   std::atomic<std::size_t> stolen_tasks{0};
   std::atomic<std::size_t> attempts{0};
-  std::atomic<std::size_t> remaining{workers};
+  // Guarded by done_mu; see parallel_map for why the last decrement and
+  // its broadcast must happen under the lock.
+  std::size_t remaining = workers;
   std::mutex done_mu;
   std::condition_variable done_cv;
   std::mutex error_mu;
@@ -136,10 +138,8 @@ void steal_run(std::size_t n, int threads,
         for (std::size_t i : grabbed) mine.tasks.push_back(i);
       }
     }
-    if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(done_mu);
-      done_cv.notify_all();
-    }
+    std::lock_guard<std::mutex> lock(done_mu);
+    if (--remaining == 0) done_cv.notify_all();
   };
 
   for (std::size_t w = 1; w < workers; ++w) {
@@ -148,9 +148,7 @@ void steal_run(std::size_t n, int threads,
   body(0);  // the calling thread is worker 0
   {
     std::unique_lock<std::mutex> lock(done_mu);
-    done_cv.wait(lock, [&] {
-      return remaining.load(std::memory_order_acquire) == 0;
-    });
+    done_cv.wait(lock, [&] { return remaining == 0; });
   }
 
   local.steals = steals.load(std::memory_order_relaxed);

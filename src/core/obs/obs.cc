@@ -5,6 +5,25 @@
 
 namespace netclients::obs {
 
+// --------------------------------------------------------------- Counter
+
+std::size_t detail::next_thread_slot() {
+  static std::atomic<std::size_t> next{0};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+std::uint64_t Counter::value() const {
+  std::uint64_t total = 0;
+  for (const Cell& cell : cells_) {
+    total += cell.value.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+void Counter::reset() {
+  for (Cell& cell : cells_) cell.value.store(0, std::memory_order_relaxed);
+}
+
 // ------------------------------------------------------------- Histogram
 
 Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {

@@ -8,10 +8,12 @@
 // src/core/exec): exported totals are byte-identical at any REPRO_THREADS.
 // The rules that make that hold:
 //
-//  * Counters are unsigned-integer atomics. Integer addition is
-//    commutative, so concurrent increments from any interleaving of shards
-//    sum to the same total — counters may be bumped directly from inside a
-//    shard.
+//  * Counters are unsigned-integer atomics, striped into per-thread
+//    cells that `value()` sums. Integer addition is commutative, so
+//    concurrent increments from any interleaving of shards sum to the
+//    same total — counters may be bumped directly from inside a shard,
+//    and on the hot path: threads add into distinct cache lines, so a
+//    bump never contends with another thread's.
 //  * Histograms accumulate a double `sum`, and double addition is NOT
 //    commutative in the last bits — so shards never observe into a shared
 //    histogram directly. Each shard records into its own ShardDelta and
@@ -27,8 +29,10 @@
 // Units ride in the final segment (`_km`, `_ms`, `_seconds`) when the
 // value isn't a plain count.
 
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -41,18 +45,40 @@
 
 namespace netclients::obs {
 
-/// Monotonic counter. Relaxed atomic increments: safe (and deterministic
-/// in total) from concurrent shards.
+namespace detail {
+std::size_t next_thread_slot();  // 0, 1, 2, ... one per call
+}  // namespace detail
+
+/// A small integer fixed for the calling thread's lifetime: threads get
+/// 0, 1, 2, ... in the order they first ask. Spreads per-thread traffic
+/// (counter cells, serve::Service shards) across cache lines; never an
+/// input to anything observable.
+inline std::size_t thread_slot() {
+  thread_local const std::size_t slot = detail::next_thread_slot();
+  return slot;
+}
+
+/// Monotonic counter: a fixed array of cache-line-padded cells, each
+/// thread adding into the cell its thread_slot() picks, so concurrent
+/// shards bump without sharing a line. More threads than cells share
+/// cells, still exactly. Relaxed atomics: safe (and deterministic in
+/// total) from concurrent shards; value() sums the cells.
 class Counter {
  public:
+  static constexpr std::size_t kCells = 16;
+
   void add(std::uint64_t n = 1) {
-    value_.fetch_add(n, std::memory_order_relaxed);
+    cells_[thread_slot() % kCells].value.fetch_add(n,
+                                                   std::memory_order_relaxed);
   }
-  std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
+  std::uint64_t value() const;
+  void reset();
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  struct alignas(64) Cell {
+    std::atomic<std::uint64_t> value{0};
+  };
+  std::array<Cell, kCells> cells_;
 };
 
 /// Last-write-wins scalar. Set from single-threaded contexts (stage

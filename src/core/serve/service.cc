@@ -54,10 +54,7 @@ SnapshotHandle Service::acquire() const {
   // traffic of concurrent readers across cache lines. Which shard a
   // thread lands on never affects answers — all shards point at the same
   // snapshot between publishes.
-  static std::atomic<std::size_t> next_slot{0};
-  thread_local const std::size_t slot =
-      next_slot.fetch_add(1, std::memory_order_relaxed);
-  return acquire(slot);
+  return acquire(obs::thread_slot());
 }
 
 SnapshotHandle Service::acquire(std::size_t shard_hint) const {

@@ -244,7 +244,9 @@ PhaseStats WorkloadDriver::run_phase(
           std::max(options_.publish_pause_us, 0.0) * 1e-6;
       const double duty = std::clamp(options_.publish_duty, 0.001, 1.0);
       std::uint64_t k = 0;
-      while (!readers_done.load(std::memory_order_acquire)) {
+      // At least one publish per churn phase, even when the readers drain
+      // before this thread first runs (an oversubscribed host).
+      do {
         snapshot::EpochRecord next = churn_epochs[k % churn_epochs.size()];
         next.epoch_id = max_id + 1 + static_cast<std::uint32_t>(k);
         const auto publish_start = std::chrono::steady_clock::now();
@@ -258,7 +260,7 @@ PhaseStats WorkloadDriver::run_phase(
           std::this_thread::sleep_for(
               std::chrono::duration<double>(pause_s));
         }
-      }
+      } while (!readers_done.load(std::memory_order_acquire));
       publishes = k;
     });
   }

@@ -50,13 +50,8 @@ void put_u64(std::string& out, std::uint64_t v) {
 void put_f64(std::string& out, double v) {
   put_u64(out, std::bit_cast<std::uint64_t>(v));
 }
-void put_varint(std::string& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<char>(v | 0x80));
-    v >>= 7;
-  }
-  out.push_back(static_cast<char>(v));
-}
+using detail::get_varint;
+using detail::put_varint;
 
 /// Bounded little-endian reader over a section payload. Every accessor
 /// sets ok=false instead of reading past the end; callers check `ok`
@@ -104,18 +99,14 @@ struct Cursor {
   }
   double f64() { return std::bit_cast<double>(u64()); }
   std::uint64_t varint() {
-    std::uint64_t v = 0;
-    for (int shift = 0; shift < 64; shift += 7) {
-      if (at_end()) {
-        ok = false;
-        return 0;
-      }
-      const unsigned char byte = *p++;
-      v |= std::uint64_t{byte & 0x7F} << shift;
-      if (!(byte & 0x80)) return v;
+    std::string_view rest(reinterpret_cast<const char*>(p), remaining());
+    const std::optional<std::uint64_t> v = get_varint(rest);
+    if (!v) {
+      ok = false;
+      return 0;
     }
-    ok = false;  // > 10 bytes: not a valid LEB128 u64
-    return 0;
+    p = end - rest.size();
+    return *v;
   }
 };
 
@@ -410,6 +401,34 @@ struct Pending {
 };
 
 }  // namespace
+
+namespace detail {
+
+void put_varint(std::string& out, std::uint64_t v) {
+  while (v >= 0x80) {
+    out.push_back(static_cast<char>(v | 0x80));
+    v >>= 7;
+  }
+  out.push_back(static_cast<char>(v));
+}
+
+std::optional<std::uint64_t> get_varint(std::string_view& bytes) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    const auto byte = static_cast<unsigned char>(bytes[i]);
+    // The 10th byte carries only bit 63, and ends the encoding.
+    if (i == 9 && byte > 1) return std::nullopt;
+    v |= std::uint64_t(byte & 0x7F) << (7 * i);
+    if (!(byte & 0x80)) {
+      if (byte == 0 && i > 0) return std::nullopt;  // over-long
+      bytes.remove_prefix(i + 1);
+      return v;
+    }
+  }
+  return std::nullopt;  // truncated
+}
+
+}  // namespace detail
 
 const PrefixEntry* EpochRecord::covering(net::Ipv4Addr addr) const {
   auto it = std::upper_bound(

@@ -199,6 +199,19 @@ std::optional<SnapshotFile> decode(std::string_view bytes);
 /// well-formed v1 snapshot, else a description of the first problem.
 std::string validate(std::string_view bytes);
 
+namespace detail {
+
+/// The LEB128 u64 codec of the keyed-section payloads. `get_varint` reads
+/// one value from the front of `bytes` and advances past it; it returns
+/// nullopt for a truncated encoding, one that overflows 64 bits (a 10th
+/// byte above 1), or an over-long one (a zero final byte after a
+/// continuation, e.g. 0x80 0x00) — every value has exactly one accepted
+/// encoding, the one put_varint writes.
+void put_varint(std::string& out, std::uint64_t v);
+std::optional<std::uint64_t> get_varint(std::string_view& bytes);
+
+}  // namespace detail
+
 /// File wrappers. `write` returns false (after printing to stderr) when
 /// the file cannot be written; `read` additionally returns nullopt when
 /// the file cannot be opened; `validate_file` reports open failures as

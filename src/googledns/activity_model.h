@@ -16,6 +16,11 @@ namespace netclients::googledns {
 /// across its independent cache pools and lazily samples cache occupancy
 /// from the implied renewal process — the trick that lets a laptop stand in
 /// for the Internet without simulating billions of queries (see DESIGN.md).
+///
+/// Concurrency: the front end calls in from its PoP shards, so
+/// implementations must allow concurrent calls that target *distinct
+/// PoPs*; calls for the same PoP are never concurrent. That lets an
+/// implementation keep per-PoP memo state without locks.
 class ClientActivityModel {
  public:
   virtual ~ClientActivityModel() = default;

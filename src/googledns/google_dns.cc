@@ -67,7 +67,13 @@ GooglePublicDns::GooglePublicDns(const anycast::PopTable* pops,
       catchment_(catchment),
       upstream_(upstream),
       config_(config),
-      activity_(activity) {}
+      activity_(activity),
+      states_(pops->size()) {
+  for (PopState& state : states_) {
+    state.pools.assign(static_cast<std::size_t>(config_.pools_per_pop),
+                       dnssrv::DnsCache(config_.pool_capacity));
+  }
+}
 
 const dns::DnsName& GooglePublicDns::myaddr_name() {
   static const dns::DnsName name =
@@ -80,35 +86,18 @@ PopId GooglePublicDns::pop_for(net::LatLon location, std::uint64_t route_key,
   return catchment_->pop_for(location, route_key, bias);
 }
 
-dnssrv::DnsCache& GooglePublicDns::pool(PopId pop, int index) {
-  // Lock covers only set creation; the returned cache is thread-confined
-  // to the shard probing this PoP.
-  std::lock_guard<std::mutex> lock(pools_mu_);
-  PoolSet& set = pop_pools_[pop];
-  if (set.pools.empty()) {
-    set.pools.reserve(static_cast<std::size_t>(config_.pools_per_pop));
-    for (int i = 0; i < config_.pools_per_pop; ++i) {
-      set.pools.push_back(
-          std::make_unique<dnssrv::DnsCache>(config_.pool_capacity));
-    }
-  }
-  return *set.pools[static_cast<std::size_t>(index)];
-}
-
-dnssrv::TokenBucket& GooglePublicDns::limiter(int vp_id, Transport transport,
-                                              const dns::DnsName& domain) {
+dnssrv::TokenBucket& GooglePublicDns::limiter(
+    PopState& state, int vp_id, Transport transport,
+    const dns::DnsName& domain) const {
   const std::uint64_t key = net::hash_combine(
       domain.hash(), (static_cast<std::uint64_t>(vp_id) << 1) |
                          (transport == Transport::kTcp ? 1u : 0u));
-  // Lock covers only creation: each (vantage, transport, domain) flow is
-  // driven by exactly one PoP shard, so the bucket itself needs no lock.
-  std::lock_guard<std::mutex> lock(limiters_mu_);
-  auto it = limiters_.find(key);
-  if (it == limiters_.end()) {
+  auto it = state.limiters.find(key);
+  if (it == state.limiters.end()) {
     const double qps = transport == Transport::kTcp
                            ? config_.tcp_qps_limit
                            : config_.udp_repeated_qps_limit;
-    it = limiters_.try_emplace(key, qps, qps).first;
+    it = state.limiters.try_emplace(key, qps, qps).first;
   }
   return it->second;
 }
@@ -169,6 +158,7 @@ std::optional<std::uint8_t> GooglePublicDns::upstream_scope(
 
 void GooglePublicDns::client_query(PopId pop, const dns::DnsName& domain,
                                    net::Ipv4Addr client, net::SimTime now) {
+  PopState& pop_state = states_.at(static_cast<std::size_t>(pop));
   // Google forwards the client's /24 as the ECS source (rarely more
   // specific, per [34]) and caches under the scope the authoritative
   // returns.
@@ -188,7 +178,7 @@ void GooglePublicDns::client_query(PopId pop, const dns::DnsName& domain,
   entry.scope_length = answer->scope_length;
   entry.original_ttl = answer->ttl;
   entry.expires_at = now + answer->ttl;
-  pool(pop, pool_index).insert(key, entry);
+  pop_state.pools[static_cast<std::size_t>(pool_index)].insert(key, entry);
 }
 
 bool GooglePublicDns::analytic_present(PopId pop, int pool_index,
@@ -246,11 +236,12 @@ ProbeResult GooglePublicDns::probe(PopId pop, const dns::DnsName& domain,
                                    net::Prefix query_scope, net::SimTime now,
                                    Transport transport, int vp_id,
                                    int attempt, int retry) {
+  PopState& pop_state = states_.at(static_cast<std::size_t>(pop));
   ProbeResult result;
   result.pop = pop;
   result.rtt_seconds = config_.rtt_for(transport);
   ProbeMetrics::get().sent.add();
-  if (!limiter(vp_id, transport, domain).allow(now)) {
+  if (!limiter(pop_state, vp_id, transport, domain).allow(now)) {
     ProbeMetrics::get().rate_limited.add();
     result.status = ProbeStatus::kRateLimited;
     result.rate_limited = true;
@@ -319,29 +310,17 @@ ProbeResult GooglePublicDns::probe(PopId pop, const dns::DnsName& domain,
   // a cached entry answers a query only when the entry's scope block
   // contains the query's source prefix — so if the scope drifted to be
   // more specific than our (previously discovered) query scope, we miss.
-  std::uint8_t entry_scope = 0;
-  {
-    const std::uint64_t memo_key = net::stable_seed(
-        domain.hash(), std::uint64_t{query_scope.base().value()},
-        std::uint64_t{query_scope.length()});
-    bool found = false;
-    {
-      std::shared_lock<std::shared_mutex> lock(scope_mu_);
-      auto it = scope_memo_.find(memo_key);
-      if (it != scope_memo_.end()) {
-        entry_scope = it->second;
-        found = true;
-      }
-    }
-    if (!found) {
-      // The scope is a pure function of (domain, block, epoch): concurrent
-      // shards that race here compute the same value.
-      auto scope_now = upstream_scope(domain, query_scope);
-      entry_scope = scope_now ? *scope_now : 255;
-      std::unique_lock<std::shared_mutex> lock(scope_mu_);
-      scope_memo_.emplace(memo_key, entry_scope);
-    }
+  const std::uint64_t memo_key = net::stable_seed(
+      domain.hash(), std::uint64_t{query_scope.base().value()},
+      std::uint64_t{query_scope.length()});
+  auto memo = pop_state.scope_memo.find(memo_key);
+  if (memo == pop_state.scope_memo.end()) {
+    memo = pop_state.scope_memo
+               .emplace(memo_key,
+                        upstream_scope(domain, query_scope).value_or(255))
+               .first;
   }
+  const std::uint8_t entry_scope = memo->second;
   if (entry_scope == 0) ProbeMetrics::get().scope_zero.add();
   if (entry_scope > query_scope.length()) {
     ProbeMetrics::get().scope_drift_miss.add();
@@ -359,7 +338,9 @@ ProbeResult GooglePublicDns::probe(PopId pop, const dns::DnsName& domain,
 
   // Explicit (event-driven) pool contents take precedence: exact state.
   dnssrv::CacheKey key{domain, dns::RecordType::kA, entry_block};
-  if (const dnssrv::CacheEntry* entry = pool(pop, pool_index).lookup(key, now)) {
+  dnssrv::DnsCache& pool =
+      pop_state.pools[static_cast<std::size_t>(pool_index)];
+  if (const dnssrv::CacheEntry* entry = pool.lookup(key, now)) {
     ProbeMetrics::get().hit_explicit.add();
     result.cache_hit = true;
     result.return_scope = entry->scope_length;
@@ -389,10 +370,9 @@ ProbeResult GooglePublicDns::probe(PopId pop, const dns::DnsName& domain,
 }
 
 std::size_t GooglePublicDns::explicit_entries() const {
-  std::lock_guard<std::mutex> lock(pools_mu_);
   std::size_t total = 0;
-  for (const auto& [pop, set] : pop_pools_) {
-    for (const auto& p : set.pools) total += p->size();
+  for (const PopState& pop_state : states_) {
+    for (const dnssrv::DnsCache& p : pop_state.pools) total += p.size();
   }
   return total;
 }

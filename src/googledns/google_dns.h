@@ -1,10 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -127,13 +124,13 @@ struct ProbeResult {
 /// independent cache pools, honoring client-supplied ECS prefixes and
 /// answering non-recursive (RD=0) queries strictly from cache.
 ///
-/// Concurrency discipline (see DESIGN.md "Concurrency model"): `probe` and
-/// `client_query` may be called concurrently as long as concurrent callers
-/// target *distinct PoPs* — each PoP's cache pools and each vantage point's
-/// token buckets are thread-confined to that PoP's shard. The shared
-/// lookup tables (pool-set / limiter creation, the scope memo) are guarded
-/// internally, and every memoized value is a pure function of its key, so
-/// results never depend on interleaving.
+/// Concurrency discipline (see DESIGN.md "Concurrency model"): `probe`,
+/// `client_query` and `handle` may be called concurrently as long as
+/// concurrent calls target *distinct PoPs*. Everything the front end
+/// mutates — cache pools, token-bucket flows, the scope memo — lives in
+/// that PoP's own state, created up front for every PopTable entry, so
+/// concurrent calls for different PoPs share only read-only data and take
+/// no locks. A PoP id outside the table throws std::out_of_range.
 ///
 /// Two occupancy sources compose:
 ///  * an explicit per-pool DnsCache populated by `client_query` — exact,
@@ -191,7 +188,8 @@ class GooglePublicDns {
       dns::WireArena& arena, int vp_id = 0,
       const anycast::RouteBias& bias = {});
 
-  /// Total explicit cache entries across all pools (diagnostics).
+  /// Total explicit cache entries across all pools (diagnostics; not
+  /// while calls are in flight).
   std::size_t explicit_entries() const;
 
   const anycast::PopTable& pops() const { return *pops_; }
@@ -202,16 +200,22 @@ class GooglePublicDns {
   static const dns::DnsName& myaddr_name();
 
  private:
-  struct PoolSet {
-    std::vector<std::unique_ptr<dnssrv::DnsCache>> pools;
+  /// Everything the front end mutates on behalf of one PoP. Padded to a
+  /// cache line so shards probing neighbouring PoPs never share one.
+  struct alignas(64) PopState {
+    std::vector<dnssrv::DnsCache> pools;
+    /// One limiter per (vantage, transport, domain loop): the prober runs a
+    /// separate query loop per domain, each its own flow; Google's limits
+    /// apply per flow. Each loop's timestamps are monotone.
+    std::unordered_map<std::uint64_t, dnssrv::TokenBucket> limiters;
+    /// The upstream's current scope per (domain, block) at the configured
+    /// epoch (255: unknown zone); probes revisit each dozens of times.
+    std::unordered_map<std::uint64_t, std::uint8_t> scope_memo;
   };
 
-  dnssrv::DnsCache& pool(anycast::PopId pop, int index);
-  /// One limiter per (vantage, transport, domain loop): the prober runs a
-  /// separate query loop per domain, each its own flow; Google's limits
-  /// apply per flow. Each loop's timestamps are monotone.
-  dnssrv::TokenBucket& limiter(int vp_id, Transport transport,
-                               const dns::DnsName& domain);
+  dnssrv::TokenBucket& limiter(PopState& state, int vp_id,
+                               Transport transport,
+                               const dns::DnsName& domain) const;
 
   /// Upstream fetches, routed per `config_.upstream_mode`: either a full
   /// RFC 1035 round trip (encode into a thread_local arena, handle_wire,
@@ -235,19 +239,10 @@ class GooglePublicDns {
   const dnssrv::AuthoritativeServer* upstream_;
   GoogleDnsConfig config_;
   const ClientActivityModel* activity_;
-  // Creation of a PoP's pool set / a flow's limiter is locked; the created
-  // objects themselves are thread-confined to their PoP's shard
-  // (unordered_map never invalidates references to values).
-  mutable std::mutex pools_mu_;
-  std::unordered_map<anycast::PopId, PoolSet> pop_pools_;
-  std::mutex limiters_mu_;
-  std::unordered_map<std::uint64_t, dnssrv::TokenBucket> limiters_;
-  // Scope assignments are pure functions of (domain, block) at a fixed
-  // epoch; the campaign probes each combination dozens of times, from
-  // every PoP shard — reads dominate, so a shared_mutex. A lost race
-  // recomputes the same value.
-  std::shared_mutex scope_mu_;
-  std::unordered_map<std::uint64_t, std::uint8_t> scope_memo_;
+  // Indexed by PopId, always through at(): an id outside the table
+  // (kNoPop from an all-inactive catchment, a stray RouteBias alternate)
+  // must throw in every build, never reach another PoP's state.
+  std::vector<PopState> states_;
 };
 
 }  // namespace netclients::googledns

@@ -1,7 +1,6 @@
 #include "sim/activity.h"
 
 #include <cmath>
-#include <mutex>
 #include <numbers>
 
 #include "net/rng.h"
@@ -21,7 +20,8 @@ double phase_of(const Slash24Block& block, double peak_local_hour) {
 
 }  // namespace
 
-WorldActivityModel::WorldActivityModel(const World* world) : world_(world) {
+WorldActivityModel::WorldActivityModel(const World* world)
+    : world_(world), memo_(world->pops().size()) {
   const auto& domains = world_->domains();
   for (std::size_t d = 0; d < domains.size(); ++d) {
     domain_index_.emplace(domains[d].name, static_cast<int>(d));
@@ -37,17 +37,14 @@ const WorldActivityModel::RateParts& WorldActivityModel::parts(
     anycast::PopId pop, const dns::DnsName& domain,
     net::Prefix scope_block) const {
   static const RateParts kZero{};
+  auto& memo = memo_.at(static_cast<std::size_t>(pop)).rates;
   const int d = domain_index(domain);
   if (d < 0) return kZero;
   const std::uint64_t key = net::stable_seed(
       0x4A7Eu, static_cast<std::uint64_t>(pop), static_cast<std::uint64_t>(d),
       std::uint64_t{scope_block.base().value()},
       std::uint64_t{scope_block.length()});
-  {
-    std::shared_lock<std::shared_mutex> lock(memo_mu_);
-    auto it = memo_.find(key);
-    if (it != memo_.end()) return it->second;
-  }
+  if (auto it = memo.find(key); it != memo.end()) return it->second;
 
   RateParts parts;
   const double peak = world_->config().diurnal_peak_local_hour;
@@ -64,8 +61,7 @@ const WorldActivityModel::RateParts& WorldActivityModel::parts(
       parts.hsin += human * std::sin(phase);
     }
   }
-  std::unique_lock<std::shared_mutex> lock(memo_mu_);
-  return memo_.emplace(key, parts).first->second;
+  return memo.emplace(key, parts).first->second;
 }
 
 double WorldActivityModel::arrival_rate(anycast::PopId pop,

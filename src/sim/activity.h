@@ -1,8 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <shared_mutex>
 #include <unordered_map>
+#include <vector>
 
 #include "googledns/activity_model.h"
 #include "sim/world.h"
@@ -16,7 +16,10 @@ namespace netclients::sim {
 ///
 /// Rates are memoized per (pop, domain, block) — the probing campaign
 /// revisits each combination dozens of times (redundant queries × loop
-/// iterations).
+/// iterations). The memo is split into one map per PoP, so calls may run
+/// concurrently as long as concurrent calls target *distinct PoPs* (the
+/// front end's own contract); a PoP id outside the world's PoP table
+/// throws std::out_of_range.
 class WorldActivityModel final : public googledns::ClientActivityModel {
  public:
   explicit WorldActivityModel(const World* world);
@@ -47,10 +50,13 @@ class WorldActivityModel final : public googledns::ClientActivityModel {
 
   const World* world_;
   std::unordered_map<dns::DnsName, int> domain_index_;
-  // Shared across concurrent PoP shards; each value is a pure function of
-  // its key, so a lost insertion race recomputes the same parts.
-  mutable std::shared_mutex memo_mu_;
-  mutable std::unordered_map<std::uint64_t, RateParts> memo_;
+  // One map per PoP, indexed by PopId and padded to a cache line so
+  // shards of neighbouring PoPs never share one; each value is a pure
+  // function of its key.
+  struct alignas(64) PopMemo {
+    std::unordered_map<std::uint64_t, RateParts> rates;
+  };
+  mutable std::vector<PopMemo> memo_;
 };
 
 }  // namespace netclients::sim

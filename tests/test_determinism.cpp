@@ -16,6 +16,7 @@
 #include "core/cacheprobe/cacheprobe.h"
 #include "core/chromium/chromium.h"
 #include "core/exec/exec.h"
+#include "core/exec/steal.h"
 #include "core/obs/export.h"
 #include "core/obs/obs.h"
 #include "roots/root_server.h"
@@ -95,6 +96,20 @@ TEST(Exec, ParallelMapPropagatesExceptions) {
                                     return i;
                                   }),
                std::runtime_error);
+}
+
+TEST(Exec, BackToBackFanOutsNeverOutliveTheirCaller) {
+  // The caller's completion mutex and condition variable live on its
+  // stack, so the last worker must be done with them before the caller
+  // can see the fan-out finish and return. Thousands of trivial fan-outs
+  // in a row give tsan many chances to catch a worker that is not.
+  for (int i = 0; i < 5000; ++i) {
+    const auto mapped =
+        exec::parallel_map(4, 4, [](std::size_t j) { return j; });
+    ASSERT_EQ(mapped.back(), 3u);
+    const auto stolen = exec::steal_map(4, 4, [](std::size_t j) { return j; });
+    ASSERT_EQ(stolen.back(), 3u);
+  }
 }
 
 // --------------------------------------------- truncation-bugfix regression

@@ -215,7 +215,9 @@ TEST_P(TraceFuzz, MutatedTraceFilesNeverCrashTolerantReader) {
     roots::TraceFile::ReadStats stats;
     if (roots::TraceFile::read_tolerant(path, &loaded, &stats)) {
       EXPECT_EQ(stats.records_read, loaded.size());
-      if (stats.records_skipped > 0) EXPECT_TRUE(stats.truncated);
+      if (stats.records_skipped > 0) {
+        EXPECT_TRUE(stats.truncated);
+      }
     }
     // The strict reader must also never crash on the same mutant.
     std::vector<roots::TraceRecord> strict;

@@ -1,13 +1,18 @@
-// Tests for the Google Public DNS model: RD=0 cache-snooping semantics,
-// ECS scope matching, pool redundancy, rate limiting, the o-o.myaddr
-// service, and consistency between the explicit (event-driven) cache and
-// the analytic occupancy model.
+// Tests for the Google Public DNS model (labels: determinism, tsan): RD=0
+// cache-snooping semantics, ECS scope matching, pool redundancy, rate
+// limiting, the o-o.myaddr service, consistency between the explicit
+// (event-driven) cache and the analytic occupancy model, and the per-PoP
+// concurrency contract.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
+#include "core/obs/obs.h"
 #include "dns/packet.h"
 #include "dns/wire.h"
 #include "googledns/google_dns.h"
@@ -385,6 +390,128 @@ TEST(GoogleDns, HandleWireByteIdenticalToStructuredPath) {
                                          transport, arena, 1);
     EXPECT_EQ(expected, std::vector<std::uint8_t>(got.begin(), got.end()));
   }
+}
+
+// One PoP's probe stream: client fills, then UDP probes fast enough to
+// trip the repeated-query limit and TCP probes with scopes discovered one
+// epoch before the probing epoch, so some have drifted.
+std::vector<ProbeResult> probe_one_pop(Fixture& f, anycast::PopId pop) {
+  std::vector<ProbeResult> results;
+  net::Rng rng(net::stable_seed(0xD15C, static_cast<std::uint64_t>(pop)));
+  for (int i = 0; i < 300; ++i) {
+    const net::Ipv4Addr client(static_cast<std::uint32_t>(rng()));
+    const net::Prefix block = net::Prefix::slash24_of(client);
+    const net::Prefix query = block.widen_to(*f.auth.scope_for(
+        f.domain, block, f.gdns->config().epoch - 1));
+    const double t = 10.0 + i * 0.01;
+    if (i % 3 == 0) f.gdns->client_query(pop, f.domain, client, t);
+    for (int attempt = 0; attempt < 3; ++attempt) {
+      const Transport transport =
+          attempt == 0 ? Transport::kUdp : Transport::kTcp;
+      results.push_back(f.gdns->probe(pop, f.domain, query, t + 0.001 * attempt,
+                                      transport, pop, attempt));
+    }
+  }
+  return results;
+}
+
+TEST(GoogleDns, ConcurrentDistinctPopsMatchSerial) {
+  // PoP state is partitioned, so four threads each driving their own PoP
+  // must observe exactly what one thread driving the PoPs in turn does.
+  constexpr anycast::PopId kPops = 4;
+  const auto limited = [] {
+    return obs::Registry::global()
+        .counter("googledns.probe.rate_limited")
+        .value();
+  };
+  const auto analytic = [] {
+    return obs::Registry::global()
+        .counter("googledns.probe.hit_analytic")
+        .value();
+  };
+  const auto drifted = [] {
+    return obs::Registry::global()
+        .counter("googledns.probe.scope_drift_miss")
+        .value();
+  };
+  Fixture serial(0.05, 16, 24, 0.5), concurrent(0.05, 16, 24, 0.5);
+  const auto limited0 = limited(), analytic0 = analytic(),
+             drifted0 = drifted();
+  std::vector<std::vector<ProbeResult>> expected;
+  for (anycast::PopId pop = 0; pop < kPops; ++pop) {
+    expected.push_back(probe_one_pop(serial, pop));
+  }
+  // The stream exercises all three per-PoP paths.
+  EXPECT_GT(limited(), limited0);
+  EXPECT_GT(analytic(), analytic0);
+  EXPECT_GT(drifted(), drifted0);
+
+  std::vector<std::vector<ProbeResult>> got(kPops);
+  std::vector<std::thread> threads;
+  for (anycast::PopId pop = 0; pop < kPops; ++pop) {
+    threads.emplace_back([&, pop] {
+      got[static_cast<std::size_t>(pop)] = probe_one_pop(concurrent, pop);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (std::size_t p = 0; p < expected.size(); ++p) {
+    ASSERT_EQ(got[p].size(), expected[p].size());
+    for (std::size_t i = 0; i < expected[p].size(); ++i) {
+      const ProbeResult& a = expected[p][i];
+      const ProbeResult& b = got[p][i];
+      ASSERT_EQ(a.status, b.status) << "pop " << p << " probe " << i;
+      EXPECT_EQ(a.rate_limited, b.rate_limited);
+      EXPECT_EQ(a.cache_hit, b.cache_hit);
+      EXPECT_EQ(a.return_scope, b.return_scope);
+      EXPECT_EQ(a.remaining_ttl, b.remaining_ttl);
+      EXPECT_EQ(a.pop, b.pop);
+    }
+  }
+  EXPECT_EQ(concurrent.gdns->explicit_entries(),
+            serial.gdns->explicit_entries());
+}
+
+TEST(GoogleDns, OutOfRangePopIdIsRejected) {
+  // kNoPop is what an all-inactive catchment returns; a RouteBias
+  // alternate can hold any id. Either must throw before touching any
+  // state or counter — never alias or invent a PoP's caches.
+  Fixture f(10.0);
+  const anycast::PopId past_end = static_cast<anycast::PopId>(f.pops.size());
+  obs::Counter& sent =
+      obs::Registry::global().counter("googledns.probe.sent");
+  obs::Counter& client_sent =
+      obs::Registry::global().counter("googledns.client_query.sent");
+  const auto sent0 = sent.value();
+  const auto client_sent0 = client_sent.value();
+  const net::Ipv4Addr client = *net::Ipv4Addr::parse("100.64.5.9");
+  for (const anycast::PopId pop : {anycast::kNoPop, past_end}) {
+    EXPECT_THROW(f.gdns->probe(pop, f.domain, net::Prefix::slash24_of(client),
+                               1.0, Transport::kTcp, 0, 0),
+                 std::out_of_range);
+    EXPECT_THROW(f.gdns->client_query(pop, f.domain, client, 1.0),
+                 std::out_of_range);
+
+    anycast::RouteBias misroute;
+    misroute.misroute_probability = 1.0;
+    misroute.alternates = {pop};
+    const auto snoop = dns::make_query(
+        1, f.domain, dns::RecordType::kA, false,
+        dns::EcsOption::for_query(net::Prefix::slash24_of(client)));
+    const auto recurse = dns::make_query(
+        2, f.domain, dns::RecordType::kA, true,
+        dns::EcsOption::for_query(net::Prefix::slash24_of(client)));
+    const auto myaddr = dns::make_query(3, GooglePublicDns::myaddr_name(),
+                                        dns::RecordType::kTxt, true);
+    for (const dns::DnsMessage& query : {snoop, recurse, myaddr}) {
+      EXPECT_THROW(f.gdns->handle(query, {39.0, -77.5}, 7, 1.0,
+                                  Transport::kUdp, 0, misroute),
+                   std::out_of_range);
+    }
+  }
+  EXPECT_EQ(sent.value(), sent0);
+  EXPECT_EQ(client_sent.value(), client_sent0);
+  EXPECT_EQ(f.gdns->explicit_entries(), 0u);
 }
 
 TEST(GoogleDns, ExplicitEntriesCountsCacheContents) {

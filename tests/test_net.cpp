@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "net/geo.h"
@@ -31,8 +32,13 @@ TEST(Ipv4Addr, ParsesBoundaryValues) {
 }
 
 struct BadAddrCase {
+  const char* name;
   const char* text;
 };
+// gtest_discover_tests names each case after this print. Without it gtest
+// dumps the struct's bytes, i.e. string addresses that change every run.
+void PrintTo(const BadAddrCase& c, std::ostream* os) { *os << c.name; }
+
 class Ipv4ParseRejects : public ::testing::TestWithParam<BadAddrCase> {};
 
 TEST_P(Ipv4ParseRejects, Rejects) {
@@ -42,11 +48,16 @@ TEST_P(Ipv4ParseRejects, Rejects) {
 
 INSTANTIATE_TEST_SUITE_P(
     Malformed, Ipv4ParseRejects,
-    ::testing::Values(BadAddrCase{""}, BadAddrCase{"1.2.3"},
-                      BadAddrCase{"1.2.3.4.5"}, BadAddrCase{"256.1.1.1"},
-                      BadAddrCase{"1.2.3.4 "}, BadAddrCase{" 1.2.3.4"},
-                      BadAddrCase{"1..3.4"}, BadAddrCase{"a.b.c.d"},
-                      BadAddrCase{"1.2.3.-4"}, BadAddrCase{"1.2.3.4x"}));
+    ::testing::Values(BadAddrCase{"empty", ""},
+                      BadAddrCase{"three_octets", "1.2.3"},
+                      BadAddrCase{"five_octets", "1.2.3.4.5"},
+                      BadAddrCase{"octet_over_255", "256.1.1.1"},
+                      BadAddrCase{"trailing_space", "1.2.3.4 "},
+                      BadAddrCase{"leading_space", " 1.2.3.4"},
+                      BadAddrCase{"empty_octet", "1..3.4"},
+                      BadAddrCase{"letters", "a.b.c.d"},
+                      BadAddrCase{"negative_octet", "1.2.3.-4"},
+                      BadAddrCase{"trailing_garbage", "1.2.3.4x"}));
 
 TEST(Ipv4Addr, Slash24Index) {
   EXPECT_EQ(Ipv4Addr::parse("10.1.2.3")->slash24_index(),

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/exec/exec.h"
@@ -32,6 +33,31 @@ TEST(Obs, CounterAccumulatesAndResets) {
   EXPECT_EQ(&registry.counter("test.counter"), &c);  // stable identity
   registry.reset();
   EXPECT_EQ(c.value(), 0u);
+}
+
+TEST(Obs, CounterCellsSumExactlyPastTheirCount) {
+  // More threads than cells: every cell gets hit, several are shared, and
+  // the sum must still be exact. Each thread adds a distinct amount, so a
+  // lost or double-counted cell cannot cancel out.
+  Registry registry;
+  Counter& c = registry.counter("test.cells");
+  constexpr std::uint64_t kThreads = 2 * Counter::kCells + 3;
+  constexpr std::uint64_t kAdds = 1000;
+  std::vector<std::thread> threads;
+  for (std::uint64_t t = 1; t <= kThreads; ++t) {
+    threads.emplace_back([&c, t] {
+      for (std::uint64_t i = 0; i < kAdds; ++i) c.add(t);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(c.value(), kAdds * kThreads * (kThreads + 1) / 2);
+
+  // reset() clears every cell, not just the calling thread's: the cells
+  // other threads filled would otherwise survive into the sum.
+  c.reset();
+  EXPECT_EQ(c.value(), 0u);
+  c.add(7);
+  EXPECT_EQ(c.value(), 7u);
 }
 
 TEST(Obs, GaugeKeepsLastValue) {

@@ -4,7 +4,8 @@
 // round-trips, byte-identical encodes regardless of REPRO_THREADS, the
 // tolerant reader's skip-and-count behaviour under truncation and
 // per-section corruption (it must never crash and must keep every intact
-// epoch), the strict validate() gate, snapshot-handle lookup determinism
+// epoch), the strict validate() gate, one canonical encoding per varint
+// value, snapshot-handle lookup determinism
 // across thread counts, and epoch-diff churn analytics. (The serving
 // tier itself — handle lifetime, concurrent publish/read — lives in
 // test_serve.)
@@ -14,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <optional>
 #include <string>
@@ -216,6 +218,46 @@ TEST_F(SnapshotSuite, ValidateAcceptsGoodRejectsCorrupt) {
   EXPECT_FALSE(snapshot::validate(std::string_view(bytes()).substr(
                    0, bytes().size() - 3))
                    .empty());
+}
+
+// ------------------------------------------------------------------ varint
+
+std::optional<std::uint64_t> read_varint(std::string bytes,
+                                         std::size_t* left = nullptr) {
+  std::string_view view(bytes);
+  const auto value = snapshot::detail::get_varint(view);
+  if (left) *left = view.size();
+  return value;
+}
+
+TEST(SnapshotVarint, Uint64MaxRoundTrips) {
+  // Nine full 7-bit groups, then a 10th byte carrying only bit 63.
+  std::string bytes;
+  snapshot::detail::put_varint(bytes, UINT64_MAX);
+  EXPECT_EQ(bytes, std::string(9, '\xFF') + '\x01');
+  bytes += '\x2A';  // the next value must stay unread
+  std::size_t left = 0;
+  EXPECT_EQ(read_varint(bytes, &left), UINT64_MAX);
+  EXPECT_EQ(left, 1u);
+}
+
+TEST(SnapshotVarint, RejectsATenthByteAboveOne) {
+  // 0x02 in the 10th byte is bit 64, past what a u64 holds; shifting it
+  // in would silently drop it. A continuation bit there would start an
+  // 11th byte.
+  EXPECT_FALSE(read_varint(std::string(9, '\xFF') + '\x02'));
+  EXPECT_FALSE(read_varint(std::string(9, '\xFF') + '\x81' + '\x00'));
+}
+
+TEST(SnapshotVarint, RejectsOverlongEncodings) {
+  // A zero final byte after a continuation adds nothing: 0x80 0x00 is a
+  // second spelling of 0, 0xFF 0x00 of 127. One value, one encoding.
+  EXPECT_FALSE(read_varint(std::string("\x80\x00", 2)));
+  EXPECT_FALSE(read_varint(std::string("\xFF\x00", 2)));
+  EXPECT_FALSE(read_varint(std::string("\x80", 1)));  // truncated
+  EXPECT_EQ(read_varint(std::string("\x00", 1)), 0u);
+  EXPECT_EQ(read_varint("\x7F"), 127u);
+  EXPECT_EQ(read_varint("\x80\x01"), 128u);
 }
 
 // ----------------------------------------------------------- serving index
