@@ -1,18 +1,30 @@
 // Microbenchmarks (google-benchmark) for the hot data structures under
 // the measurement pipelines: prefix-trie longest-prefix match, DNS wire
 // codec, resolver cache operations, anycast catchment scoring, the
-// count-min sketch, and a full Google-DNS probe.
+// count-min sketch, a full Google-DNS probe, and the DITL capture's
+// per-record kernels (name parsing, CRC-32, corpus encoding). Each
+// case's real time per iteration is also exported as the gauge
+// `bench.micro.ns_per_op.<case>` (a `/` in the case name becomes `.`).
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <string>
+#include <vector>
 
 #include "anycast/catchment.h"
 #include "core/chromium/sketch.h"
 #include "core/obs/export.h"
+#include "core/obs/obs.h"
+#include "dns/name.h"
 #include "dns/wire.h"
 #include "dnssrv/cache.h"
 #include "googledns/google_dns.h"
+#include "net/crc32.h"
 #include "net/prefix_trie.h"
 #include "net/rng.h"
+#include "roots/corpus.h"
 
 using namespace netclients;
 
@@ -121,6 +133,86 @@ void BM_GoogleDnsProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_GoogleDnsProbe);
 
+/// Chromium-probe-shaped names: one label of 7-15 random lowercase
+/// letters, mixed case so parsing also lowercases.
+std::vector<std::string> signature_names(std::size_t count) {
+  net::Rng rng(7);
+  std::vector<std::string> names(count);
+  for (auto& name : names) {
+    name.resize(7 + rng.below(9));
+    for (auto& c : name) {
+      c = static_cast<char>((rng.below(2) ? 'a' : 'A') + rng.below(26));
+    }
+  }
+  return names;
+}
+
+void BM_DnsNameParse(benchmark::State& state) {
+  const auto names = signature_names(1024);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dns::DnsName::parse(names[i++ % names.size()]));
+  }
+}
+BENCHMARK(BM_DnsNameParse);
+
+void BM_Crc32OneMiB(benchmark::State& state) {
+  net::Rng rng(8);
+  std::string bytes(std::size_t{1} << 20, '\0');
+  for (auto& c : bytes) c = static_cast<char>(rng.below(256));
+  for (auto _ : state) benchmark::DoNotOptimize(net::crc32(bytes));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Crc32OneMiB);
+
+/// One record per iteration through CorpusWriter::add, including the
+/// amortized write of each 65,536-record member to a scratch directory.
+void BM_CorpusWriterAdd(benchmark::State& state, roots::CorpusFormat format) {
+  const auto names = signature_names(1024);
+  net::Rng rng(9);
+  std::vector<roots::TraceRecord> records(names.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    records[i].source = net::Ipv4Addr(static_cast<std::uint32_t>(rng()));
+    records[i].qname = *dns::DnsName::parse(names[i]);
+    records[i].timestamp = rng.uniform(0.0, 172800.0);
+    records[i].root_letter = "jhmakd"[rng.below(6)];
+  }
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "netclients_bench_micro";
+  std::filesystem::create_directories(dir);
+  {
+    roots::CorpusWriter writer((dir / "corpus.manifest").string(),
+                               {format, std::uint64_t{1} << 16});
+    std::size_t i = 0;
+    for (auto _ : state) writer.add(records[i++ % records.size()]);
+    if (!writer.finish()) state.SkipWithError("corpus write failed");
+  }
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK_CAPTURE(BM_CorpusWriterAdd, ncd1, roots::CorpusFormat::kNcd1);
+BENCHMARK_CAPTURE(BM_CorpusWriterAdd, ncp1, roots::CorpusFormat::kNcp1);
+
+/// Prints as usual and records each run's real time per iteration as a
+/// gauge, so the --metrics-out export carries the per-operation costs.
+class GaugeReporter : public benchmark::ConsoleReporter {
+ public:
+  GaugeReporter() : ConsoleReporter(OO_None) {}
+
+  void ReportRuns(const std::vector<Run>& runs) override {
+    ConsoleReporter::ReportRuns(runs);
+    for (const Run& run : runs) {
+      if (run.error_occurred || run.run_type != Run::RT_Iteration) continue;
+      std::string name = run.benchmark_name();
+      std::replace(name.begin(), name.end(), '/', '.');
+      const double ns = run.GetAdjustedRealTime() /
+                        benchmark::GetTimeUnitMultiplier(run.time_unit) *
+                        1e9;
+      obs::Registry::global().gauge("bench.micro.ns_per_op." + name).set(ns);
+    }
+  }
+};
+
 }  // namespace
 
 // Expanded BENCHMARK_MAIN: the metrics guard must strip --metrics-out
@@ -129,7 +221,8 @@ int main(int argc, char** argv) {
   obs::MetricsOutGuard metrics_out(&argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
+  GaugeReporter reporter;
+  benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   return 0;
 }

@@ -100,6 +100,7 @@ bool write_csv(const std::string& path,
   };
   emit(header);
   for (const auto& row : rows) emit(row);
+  out.close();  // flushes the buffered tail; a failed flush fails here
   return static_cast<bool>(out);
 }
 

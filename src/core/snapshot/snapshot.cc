@@ -936,8 +936,11 @@ EpochRecord make_epoch(const ChromiumResult& result, const sim::World& world,
 bool write(const std::string& path, const std::vector<EpochRecord>& epochs) {
   const std::string bytes = encode(epochs);
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out || !out.write(bytes.data(),
-                         static_cast<std::streamsize>(bytes.size()))) {
+  if (out) {
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    out.close();  // flushes the buffered tail; a failed flush fails here
+  }
+  if (!out) {
     std::fprintf(stderr, "snapshot: cannot write %s\n", path.c_str());
     return false;
   }

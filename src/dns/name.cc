@@ -1,44 +1,50 @@
 #include "dns/name.h"
 
-#include <cctype>
+#include <algorithm>
 
 #include "net/rng.h"
 
 namespace netclients::dns {
 namespace {
 
-bool valid_label_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '-' || c == '_';
-}
+constexpr std::uint64_t kNameHashSeed = 0x5851f42d4c957f2dULL;
 
 }  // namespace
-
-char canonical_lower(char c) {
-  return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-}
 
 std::optional<DnsName> DnsName::parse(std::string_view text) {
   if (text == "." || text.empty()) return DnsName{};
   if (text.back() == '.') text.remove_suffix(1);
-  std::vector<std::string> labels;
+  // Each dot becomes a length octet, plus one for the first label and one
+  // for the root terminator.
+  if (text.size() + 2 > 255) return std::nullopt;
+  DnsName name;
+  name.labels_.reserve(
+      static_cast<std::size_t>(std::count(text.begin(), text.end(), '.')) +
+      1);
+  std::uint64_t h = kNameHashSeed;
   std::size_t start = 0;
-  while (start <= text.size()) {
-    std::size_t dot = text.find('.', start);
-    std::string_view label = dot == std::string_view::npos
-                                 ? text.substr(start)
-                                 : text.substr(start, dot - start);
-    if (label.empty() || label.size() > 63) return std::nullopt;
-    std::string canonical;
-    canonical.reserve(label.size());
-    for (char c : label) {
-      if (!valid_label_char(c)) return std::nullopt;
-      canonical.push_back(canonical_lower(c));
+  while (true) {
+    const std::size_t dot = text.find('.', start);
+    const std::size_t end = dot == std::string_view::npos ? text.size() : dot;
+    const std::size_t length = end - start;
+    if (length == 0 || length > 63) return std::nullopt;
+    std::string& label = name.labels_.emplace_back(length, '\0');
+    // Validate, lowercase and hash each byte in one pass; the label hash is
+    // net::stable_hash of the canonical label (FNV-1a, then mix64).
+    std::uint64_t label_hash = 0xcbf29ce484222325ULL;
+    for (std::size_t i = 0; i < length; ++i) {
+      const std::uint16_t entry =
+          detail::kNameBytes[static_cast<unsigned char>(text[start + i])];
+      if (!(entry & detail::kLabelByte)) return std::nullopt;
+      label[i] = static_cast<char>(entry & 0xFF);
+      label_hash = (label_hash ^ (entry & 0xFF)) * 0x100000001b3ULL;
     }
-    labels.push_back(std::move(canonical));
+    h = net::hash_combine(h, net::mix64(label_hash));
     if (dot == std::string_view::npos) break;
     start = dot + 1;
   }
-  return from_labels(std::move(labels));
+  name.hash_ = h;
+  return name;
 }
 
 std::optional<DnsName> DnsName::from_labels(std::vector<std::string> labels) {
@@ -51,7 +57,7 @@ std::optional<DnsName> DnsName::from_labels(std::vector<std::string> labels) {
   if (wire > 255) return std::nullopt;
   DnsName name;
   name.labels_ = std::move(labels);
-  std::uint64_t h = 0x5851f42d4c957f2dULL;
+  std::uint64_t h = kNameHashSeed;
   for (const auto& label : name.labels_) {
     h = net::hash_combine(h, net::stable_hash(label));
   }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <compare>
 #include <cstdint>
 #include <optional>
@@ -9,11 +10,35 @@
 
 namespace netclients::dns {
 
+namespace detail {
+
+/// One entry per byte value: the byte's canonical form in the low 8 bits
+/// (ASCII A-Z lowered, every other byte unchanged), plus kLabelByte when
+/// the byte may appear in a presentation-format label ([A-Za-z0-9_-]).
+inline constexpr std::uint16_t kLabelByte = 0x100;
+inline constexpr auto kNameBytes = [] {
+  std::array<std::uint16_t, 256> table{};
+  for (unsigned b = 0; b < 256; ++b) {
+    const bool upper = b >= 'A' && b <= 'Z';
+    const bool valid = upper || (b >= 'a' && b <= 'z') ||
+                       (b >= '0' && b <= '9') || b == '-' || b == '_';
+    table[b] = static_cast<std::uint16_t>((upper ? b + ('a' - 'A') : b) |
+                                          (valid ? kLabelByte : 0));
+  }
+  return table;
+}();
+
+}  // namespace detail
+
 /// The per-byte canonicalization applied to every label octet when a name
-/// is materialized (ASCII lowercase; other bytes pass through). Exposed so
-/// the zero-copy NameView can hash/compare raw packet bytes exactly as the
-/// owning DnsName would after construction.
-char canonical_lower(char c);
+/// is materialized: ASCII lowercase, every other byte (including bytes
+/// 0x80-0xFF) passed through. A table lookup, so it never consults the C
+/// library locale. Exposed so the zero-copy NameView can hash/compare raw
+/// packet bytes exactly as the owning DnsName would after construction.
+inline char canonical_lower(char c) {
+  return static_cast<char>(
+      detail::kNameBytes[static_cast<unsigned char>(c)] & 0xFF);
+}
 
 /// A DNS domain name: an ordered list of labels, stored lowercase (DNS name
 /// comparison is case-insensitive; we canonicalize on construction).

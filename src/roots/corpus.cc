@@ -2,9 +2,6 @@
 
 #include <charconv>
 #include <cstdio>
-#include <fstream>
-#include <numeric>
-#include <sstream>
 
 #include "core/obs/obs.h"
 #include "net/crc32.h"
@@ -126,11 +123,7 @@ std::optional<CorpusManifest> CorpusManifest::decode(std::string_view text) {
 }
 
 bool CorpusManifest::write(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  const std::string text = encode();
-  out.write(text.data(), static_cast<std::streamsize>(text.size()));
-  return static_cast<bool>(out);
+  return write_file(path, encode());
 }
 
 std::optional<CorpusManifest> CorpusManifest::read(const std::string& path) {
@@ -142,14 +135,16 @@ std::optional<CorpusManifest> CorpusManifest::read(const std::string& path) {
 // --------------------------------------------------------------- writer
 
 CorpusWriter::CorpusWriter(std::string manifest_path, Options options)
-    : manifest_path_(std::move(manifest_path)), options_(options) {
+    : manifest_path_(std::move(manifest_path)),
+      options_(options),
+      member_(options.format) {
   split_manifest_path(manifest_path_, &dir_, &stem_);
 }
 
 void CorpusWriter::add(const TraceRecord& record) {
-  pending_.push_back(record);
+  if (!member_.add(record)) failed_ = true;
   if (options_.records_per_member > 0 &&
-      pending_.size() >= options_.records_per_member) {
+      member_.records() >= options_.records_per_member) {
     if (!flush_member()) failed_ = true;
   }
 }
@@ -159,24 +154,19 @@ void CorpusWriter::rotate() {
 }
 
 bool CorpusWriter::flush_member() {
-  if (pending_.empty()) return true;
+  if (member_.records() == 0) return true;
   char suffix[16];
   std::snprintf(suffix, sizeof(suffix), "%03zu", manifest_.members.size());
   CorpusMember member;
   member.format = options_.format;
   member.file = stem_ + "." + suffix + "." +
                 std::string(corpus_format_name(options_.format));
-  const std::string path = dir_ + member.file;
-  const bool ok = options_.format == CorpusFormat::kNcp1
-                      ? write_packet_trace(path, pending_)
-                      : TraceFile::write(path, pending_);
-  member.records = pending_.size();
-  pending_.clear();
+  member.records = member_.records();
+  member.bytes = member_.bytes().size();
+  member.crc = net::crc32(member_.bytes());
+  const bool ok = write_file(dir_ + member.file, member_.bytes());
+  member_.clear();
   if (!ok) return false;
-  auto bytes = FileBytes::open(path, FileBytes::Backing::kBuffer);
-  if (!bytes) return false;
-  member.bytes = bytes->size();
-  member.crc = net::crc32(std::string_view(bytes->data(), bytes->size()));
   manifest_.members.push_back(std::move(member));
   return true;
 }

@@ -30,11 +30,10 @@
 
 #include "roots/packet_trace.h"
 #include "roots/trace.h"
+#include "roots/trace_image.h"
 #include "roots/trace_view.h"
 
 namespace netclients::roots {
-
-enum class CorpusFormat : std::uint8_t { kNcd1 = 0, kNcp1 = 1 };
 
 std::string_view corpus_format_name(CorpusFormat format);
 
@@ -72,6 +71,11 @@ struct CorpusManifest {
 /// `corpus.000.ncd1` / `corpus.001.ncp1` / ... (stem shared with the
 /// manifest). Deterministic: the member split depends only on the record
 /// stream and `records_per_member`.
+///
+/// `add` encodes each record straight into the open member's file image
+/// (a `TraceImage`), so the writer holds that member's bytes and no
+/// records. A member is written once, when it closes; its manifest size
+/// and CRC come from the image in memory, not from re-reading the file.
 class CorpusWriter {
  public:
   struct Options {
@@ -82,12 +86,12 @@ class CorpusWriter {
 
   CorpusWriter(std::string manifest_path, Options options);
 
-  /// Buffers one record, rotating the member file when full.
+  /// Encodes one record into the open member, closing it when full.
   void add(const TraceRecord& record);
 
   /// Forces a member boundary after the records added so far (no-op when
-  /// nothing is pending). Lets callers control the split exactly instead
-  /// of relying on the rotation threshold.
+  /// the open member is empty). Lets callers control the split exactly
+  /// instead of relying on the rotation threshold.
   void rotate();
 
   /// Flushes the final member and writes the manifest. Returns false on
@@ -103,7 +107,7 @@ class CorpusWriter {
   std::string dir_;   // manifest directory (with trailing '/' when non-empty)
   std::string stem_;  // manifest filename minus extension
   Options options_;
-  std::vector<TraceRecord> pending_;
+  TraceImage member_;  // the open member's file bytes
   CorpusManifest manifest_;
   bool failed_ = false;
 };

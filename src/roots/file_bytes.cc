@@ -92,4 +92,12 @@ void FileBytes::release() {
   mapped_ = false;
 }
 
+bool write_file(const std::string& path, std::string_view bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) return false;
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  out.close();
+  return static_cast<bool>(out);
+}
+
 }  // namespace netclients::roots

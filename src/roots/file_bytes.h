@@ -4,11 +4,13 @@
 // available (MADV_SEQUENTIAL — these files are scanned front to back),
 // falling back to a single slurp into a private buffer. Extracted from
 // TraceView so the record-framed (NCD1) and packet-framed (NCP1) views
-// share one open/release implementation.
+// share one open/release implementation. `write_file` is the write side:
+// the trace and corpus writers build a file in memory and write it once.
 
 #include <cstddef>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -51,5 +53,10 @@ class FileBytes {
   bool mapped_ = false;
   std::vector<char> buffer_;  // owns the bytes for the buffer backing
 };
+
+/// Writes `bytes` as the whole content of `path`. Returns false when the
+/// file cannot be opened or any byte fails to reach it — the stream is
+/// closed, so a failed final flush (a full disk) counts too.
+bool write_file(const std::string& path, std::string_view bytes);
 
 }  // namespace netclients::roots

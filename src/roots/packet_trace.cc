@@ -1,21 +1,13 @@
 #include "roots/packet_trace.h"
 
 #include <cstring>
-#include <fstream>
-#include <limits>
 
-#include "dns/message.h"
-#include "dns/packet.h"
+#include "roots/trace_image.h"
 
 namespace netclients::roots {
 namespace {
 
 constexpr char kMagic[4] = {'N', 'C', 'P', '1'};
-
-template <typename T>
-void put(std::ofstream& out, T value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(value));
-}
 
 }  // namespace
 
@@ -50,27 +42,11 @@ TraceFile::ReadStats PacketTraceView::validate() const {
 
 bool write_packet_trace(const std::string& path,
                         const std::vector<TraceRecord>& records) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out.write(kMagic, sizeof(kMagic));
-  put(out, static_cast<std::uint64_t>(records.size()));
-  dns::WireArena arena;  // recycled across records: one allocation plateau
-  std::uint64_t index = 0;
+  TraceImage image(CorpusFormat::kNcp1);
   for (const auto& rec : records) {
-    const dns::DnsMessage query = dns::make_query(
-        static_cast<std::uint16_t>(index), rec.qname, rec.qtype,
-        /*recursion_desired=*/false);
-    const auto wire = dns::encode_into(query, arena);
-    if (wire.size() > std::numeric_limits<std::uint16_t>::max()) return false;
-    put(out, rec.source.value());
-    put(out, static_cast<std::uint8_t>(rec.root_letter));
-    put(out, rec.timestamp);
-    put(out, static_cast<std::uint16_t>(wire.size()));
-    out.write(reinterpret_cast<const char*>(wire.data()),
-              static_cast<std::streamsize>(wire.size()));
-    ++index;
+    if (!image.add(rec)) return false;
   }
-  return static_cast<bool>(out);
+  return write_file(path, image.bytes());
 }
 
 }  // namespace netclients::roots

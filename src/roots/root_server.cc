@@ -117,20 +117,26 @@ std::vector<char> RootSystem::usable_ditl_letters() const {
   return out;
 }
 
-char RootSystem::pick_letter(std::uint64_t resolver_key,
-                             std::uint64_t nonce) const {
+RootSystem::LetterPreference RootSystem::letter_preference(
+    std::uint64_t resolver_key) const {
   // Resolvers strongly prefer 2-3 nearby letters (RTT-based selection) but
   // occasionally try others. Preference order is a stable per-resolver
   // permutation; the choice among the top entries is per-query.
   net::Rng pref(net::stable_seed(seed_ ^ 0x1e77e5u, resolver_key));
-  const std::size_t n = roots_.size();
-  std::size_t first = pref.below(n);
-  std::size_t second = pref.below(n);
-  std::size_t third = pref.below(n);
-  net::Rng rng(net::stable_seed(seed_ ^ 0x9013u, resolver_key, nonce));
+  LetterPreference preference;
+  preference.resolver_key = resolver_key;
+  for (char& letter : preference.letters) {
+    letter = roots_[pref.below(roots_.size())].config().letter;
+  }
+  return preference;
+}
+
+char RootSystem::pick_letter(const LetterPreference& preference,
+                             std::uint64_t nonce) const {
+  net::Rng rng(
+      net::stable_seed(seed_ ^ 0x9013u, preference.resolver_key, nonce));
   const double u = rng.uniform();
-  std::size_t index = u < 0.60 ? first : (u < 0.90 ? second : third);
-  return roots_[index].config().letter;
+  return preference.letters[u < 0.60 ? 0 : (u < 0.90 ? 1 : 2)];
 }
 
 std::vector<TraceRecord> RootSystem::ditl_trace() const {

@@ -68,9 +68,23 @@ class RootSystem {
   /// Letters usable for the DNS-logs technique.
   std::vector<char> usable_ditl_letters() const;
 
+  /// A resolver's stable letter preference: the three letters it favours,
+  /// most-preferred first (repeats allowed).
+  struct LetterPreference {
+    std::uint64_t resolver_key = 0;
+    std::array<char, 3> letters{};
+  };
+
   /// A resolver's root queries spread over letters (real resolvers rotate
-  /// by RTT; we model a stable per-resolver preference distribution).
-  char pick_letter(std::uint64_t resolver_key, std::uint64_t nonce) const;
+  /// by RTT; we model a stable per-resolver preference distribution). The
+  /// preference depends on the resolver alone, so a caller issuing many
+  /// queries for one resolver computes it once and picks per query.
+  LetterPreference letter_preference(std::uint64_t resolver_key) const;
+  char pick_letter(const LetterPreference& preference,
+                   std::uint64_t nonce) const;
+  char pick_letter(std::uint64_t resolver_key, std::uint64_t nonce) const {
+    return pick_letter(letter_preference(resolver_key), nonce);
+  }
 
   /// Concatenated trace of the usable letters — the DNS-logs input.
   std::vector<TraceRecord> ditl_trace() const;

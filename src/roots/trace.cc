@@ -1,40 +1,18 @@
 #include "roots/trace.h"
 
 #include <algorithm>
-#include <fstream>
 
+#include "roots/file_bytes.h"
+#include "roots/trace_image.h"
 #include "roots/trace_view.h"
 
 namespace netclients::roots {
-namespace {
-
-constexpr char kMagic[4] = {'N', 'C', 'D', '1'};
-
-template <typename T>
-void put(std::ofstream& out, T value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(value));
-}
-
-}  // namespace
 
 bool TraceFile::write(const std::string& path,
                       const std::vector<TraceRecord>& records) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out.write(kMagic, sizeof(kMagic));
-  put(out, static_cast<std::uint64_t>(records.size()));
-  for (const auto& rec : records) {
-    put(out, rec.source.value());
-    put(out, rec.root_letter);
-    put(out, static_cast<std::uint16_t>(rec.qtype));
-    put(out, rec.timestamp);
-    put(out, static_cast<std::uint8_t>(rec.qname.labels().size()));
-    for (const auto& label : rec.qname.labels()) {
-      put(out, static_cast<std::uint8_t>(label.size()));
-      out.write(label.data(), static_cast<std::streamsize>(label.size()));
-    }
-  }
-  return static_cast<bool>(out);
+  TraceImage image(CorpusFormat::kNcd1);
+  for (const auto& rec : records) image.add(rec);
+  return write_file(path, image.bytes());
 }
 
 namespace {

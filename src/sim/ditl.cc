@@ -19,6 +19,13 @@ std::string random_signature_name(net::Rng& rng) {
   return name;
 }
 
+/// Advances `rng` by exactly the draws random_signature_name would make,
+/// without building the name.
+void skip_signature_name(net::Rng& rng) {
+  const std::size_t len = 7 + rng.below(9);
+  for (std::size_t i = 0; i < len; ++i) rng();
+}
+
 std::string random_word(net::Rng& rng, std::size_t min_len,
                         std::size_t max_len) {
   const std::size_t len = min_len + rng.below(max_len - min_len + 1);
@@ -92,14 +99,19 @@ DitlStats generate_ditl(
     usable[static_cast<std::size_t>(letter - 'a')] = true;
   }
 
-  auto emit = [&](std::uint32_t source, const std::string& label_or_name,
-                  bool has_tld, net::Rng& rng, std::uint64_t nonce,
-                  bool is_chromium) {
-    const char letter = roots.pick_letter(source, nonce);
-    if (!usable[static_cast<std::size_t>(letter - 'a')]) {
-      ++stats.suppressed;
-      return;
-    }
+  // The letter of every record is picked before its name is built: a
+  // record on a letter outside the capture is counted and skipped, and
+  // only advances the source's RNG by the draws its name would have used,
+  // so the stream of captured records does not depend on this shortcut.
+  auto captured = [&](char letter) {
+    if (usable[static_cast<std::size_t>(letter - 'a')]) return true;
+    ++stats.suppressed;
+    return false;
+  };
+
+  auto emit = [&](std::uint32_t source, char letter,
+                  const std::string& label_or_name, bool has_tld,
+                  net::Rng& rng, bool is_chromium) {
     roots::TraceRecord rec;
     rec.source = net::Ipv4Addr(source);
     rec.root_letter = letter;
@@ -121,12 +133,18 @@ DitlStats generate_ditl(
   for (std::size_t si = 0; si < sources.size(); ++si) {
     const ProbeSource& s = sources[si];
     net::Rng rng(net::stable_seed(options.seed, 0xC4A0u, s.address));
+    const auto preference = roots.letter_preference(s.address);
     const double expected = (s.chromium_per_day + s.junk_signature_per_day) *
                             options.days * options.sample_rate;
     const std::uint64_t n = rng.poisson(expected);
     for (std::uint64_t i = 0; i < n; ++i) {
-      const std::string name = random_signature_name(rng);
-      emit(s.address, name, /*has_tld=*/false, rng, i, /*is_chromium=*/true);
+      const char letter = roots.pick_letter(preference, i);
+      if (!captured(letter)) {
+        skip_signature_name(rng);
+        continue;
+      }
+      emit(s.address, letter, random_signature_name(rng), /*has_tld=*/false,
+           rng, /*is_chromium=*/true);
     }
   }
 
@@ -144,13 +162,16 @@ DitlStats generate_ditl(
     for (const ResolverEndpoint& ep : world.resolver_endpoints()) {
       net::Rng rng(net::stable_seed(options.seed, 0x7090u,
                                     ep.address.value()));
+      const auto preference = roots.letter_preference(ep.address.value());
       const double expected = ep.served_users *
                               options.typo_queries_per_user_per_day *
                               options.days * options.sample_rate;
       const std::uint64_t n = rng.poisson(expected);
       for (std::uint64_t i = 0; i < n; ++i) {
         const std::string& word = vocabulary[zipf.sample(rng)];
-        emit(ep.address.value(), word, /*has_tld=*/false, rng, i, false);
+        const char letter = roots.pick_letter(preference, i);
+        if (!captured(letter)) continue;
+        emit(ep.address.value(), letter, word, /*has_tld=*/false, rng, false);
       }
     }
 
@@ -159,14 +180,20 @@ DitlStats generate_ditl(
     for (const ResolverEndpoint& ep : world.resolver_endpoints()) {
       net::Rng rng(net::stable_seed(options.seed, 0x1E61u,
                                     ep.address.value()));
+      const auto preference = roots.letter_preference(ep.address.value());
       const double expected = ep.served_users *
                               options.legit_tld_queries_per_user_per_day *
                               options.days * options.sample_rate;
       const std::uint64_t n = rng.poisson(expected);
       for (std::uint64_t i = 0; i < n; ++i) {
-        const std::string name = vocabulary[zipf.sample(rng)] + "." +
-                                 tlds[rng.below(tlds.size())];
-        emit(ep.address.value(), name, /*has_tld=*/true, rng, i, false);
+        // The TLD is drawn before the word: the captured records, and so
+        // the corpus bytes, depend on this order.
+        const std::size_t tld = rng.below(tlds.size());
+        const std::size_t word = zipf.sample(rng);
+        const char letter = roots.pick_letter(preference, i);
+        if (!captured(letter)) continue;
+        emit(ep.address.value(), letter, vocabulary[word] + "." + tlds[tld],
+             /*has_tld=*/true, rng, false);
       }
     }
   }
@@ -187,7 +214,9 @@ DitlStats generate_ditl(
             for (std::uint64_t i = 0; i < occurrences; ++i) {
               const ResolverEndpoint& ep =
                   endpoints[rng.below(endpoints.size())];
-              emit(ep.address.value(), name, /*has_tld=*/false, rng, i,
+              const char letter = roots.pick_letter(ep.address.value(), i);
+              if (!captured(letter)) continue;
+              emit(ep.address.value(), letter, name, /*has_tld=*/false, rng,
                    false);
             }
           }

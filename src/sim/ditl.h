@@ -34,7 +34,9 @@ struct DitlStats {
 };
 
 /// Streams the captured queries of the usable DITL root letters to `sink`,
-/// in arbitrary order. Sources are:
+/// in a fixed order: signature probes source by source, then typo junk,
+/// legitimate TLD queries and DGA names. Corpus member boundaries, NCP1
+/// query ids and so every corpus byte depend on that order. Sources are:
 ///   * Chromium interception probes (3 random 7-15 lowercase labels per
 ///     browser start / network change [35]) from every resolver endpoint,
 ///     every recursing block-level forwarder, and Google's per-PoP egress;
@@ -45,6 +47,13 @@ struct DitlStats {
 ///   * signature-shaped junk from `junk_emitter` hosts (IoT checks,
 ///     headless browsers) — the false-ish positives that make DNS logs
 ///     see /24s the CDN resolver view never does.
+///
+/// Each record's root letter is chosen before its name is built (one
+/// `RootSystem::letter_preference` per source, then one pick per query).
+/// A record whose letter is not usable is only counted in `suppressed`:
+/// it builds nothing and advances its source's RNG by exactly the draws
+/// its name would have used, so every captured record is the one a
+/// generator building all names would emit.
 ///
 /// Deterministic for a given (world, options); re-invoking replays the
 /// identical stream, which the two-pass Chromium pipeline relies on.

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 
 #include "core/compare/compare.h"
@@ -212,6 +213,13 @@ TEST(Report, WriteCsv) {
   EXPECT_EQ(line, "1,2");
   in.close();
   std::remove(path.c_str());
+}
+
+TEST(Report, WriteCsvReportsAFullDisk) {
+  // /dev/full accepts the open and fails every write with ENOSPC; two
+  // short rows only reach the device at the final flush.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  EXPECT_FALSE(write_csv("/dev/full", {"a", "b"}, {{"1", "2"}}));
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <numeric>
@@ -213,7 +214,117 @@ TEST(CorpusManifest, RejectsDamage) {
                    .has_value());  // non-numeric
 }
 
+TEST(CorpusManifest, WriteReportsAFullDisk) {
+  // /dev/full accepts the open and fails every write with ENOSPC; a
+  // manifest is small enough to sit in the stream buffer until the close.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  roots::CorpusManifest manifest;
+  manifest.members.push_back(
+      {"a.000.ncd1", roots::CorpusFormat::kNcd1, 1, 28, 0x12345678});
+  EXPECT_FALSE(manifest.write("/dev/full"));
+}
+
 // ---------------------------------------------------------- the corpus
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+TEST(Corpus, WriterMembersEqualSingleFileWriters) {
+  // Each member file is exactly what the single-file writer of its format
+  // makes of the member's records, whatever cuts the members: a rotation
+  // threshold, no threshold, explicit rotate() calls, or both. The
+  // manifest's size and CRC describe the bytes on disk.
+  const auto& f = fixture();
+  ASSERT_GE(f.records.size(), 40u);
+  const std::vector<roots::TraceRecord> records(f.records.begin(),
+                                                f.records.begin() + 40);
+  struct Cut {
+    const char* name;
+    std::uint64_t records_per_member;
+    std::vector<std::size_t> rotate_after;  // record counts
+  };
+  const std::string reference_path = "corpus_bytes_reference.bin";
+  const std::vector<Cut> cuts = {{"per1", 1, {}},
+                                 {"per7", 7, {}},
+                                 {"whole", 0, {}},
+                                 {"rotated", 0, {10, 23}},
+                                 {"per7_rotated", 7, {3, 14}}};
+  for (const auto format :
+       {roots::CorpusFormat::kNcd1, roots::CorpusFormat::kNcp1}) {
+    const std::string format_name(roots::corpus_format_name(format));
+    for (const Cut& cut : cuts) {
+      SCOPED_TRACE(format_name + " " + cut.name);
+      const std::string manifest_path =
+          "corpus_bytes_" + format_name + "_" + cut.name + ".manifest";
+      roots::CorpusWriter writer(manifest_path,
+                                 {format, cut.records_per_member});
+      std::vector<std::vector<roots::TraceRecord>> expected(1);
+      auto close_member = [&] {
+        if (!expected.back().empty()) expected.emplace_back();
+      };
+      for (std::size_t i = 0; i < records.size(); ++i) {
+        writer.add(records[i]);
+        expected.back().push_back(records[i]);
+        if (cut.records_per_member > 0 &&
+            expected.back().size() >= cut.records_per_member) {
+          close_member();
+        }
+        for (const std::size_t after : cut.rotate_after) {
+          if (after == i + 1) {
+            writer.rotate();
+            close_member();
+          }
+        }
+      }
+      if (expected.back().empty()) expected.pop_back();
+      ASSERT_TRUE(writer.finish());
+
+      const auto manifest = roots::CorpusManifest::read(manifest_path);
+      ASSERT_TRUE(manifest.has_value());
+      EXPECT_EQ(manifest->members, writer.manifest().members);
+      ASSERT_EQ(manifest->members.size(), expected.size());
+      for (std::size_t m = 0; m < expected.size(); ++m) {
+        const roots::CorpusMember& member = manifest->members[m];
+        ASSERT_TRUE(format == roots::CorpusFormat::kNcp1
+                        ? roots::write_packet_trace(reference_path,
+                                                    expected[m])
+                        : roots::TraceFile::write(reference_path,
+                                                  expected[m]));
+        const std::string bytes = read_file(member.file);
+        EXPECT_EQ(bytes, read_file(reference_path)) << member.file;
+        EXPECT_EQ(member.format, format);
+        EXPECT_EQ(member.records, expected[m].size());
+        EXPECT_EQ(member.bytes, bytes.size());
+        EXPECT_EQ(member.crc, net::crc32(bytes));
+        std::filesystem::remove(member.file);
+      }
+      std::filesystem::remove(manifest_path);
+    }
+  }
+  std::filesystem::remove(reference_path);
+}
+
+TEST(Corpus, WriterReportsAFullDiskMember) {
+  // A member file that cannot be written fails finish(), stays out of the
+  // manifest, and no manifest is written.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const std::filesystem::path dir = "corpus_full_disk";
+  std::filesystem::create_directories(dir);
+  std::filesystem::remove(dir / "c.000.ncd1");
+  std::filesystem::remove(dir / "c.manifest");
+  std::filesystem::create_symlink("/dev/full", dir / "c.000.ncd1");
+  roots::CorpusWriter writer((dir / "c.manifest").string(), {});
+  roots::TraceRecord rec;
+  rec.qname = *dns::DnsName::parse("sdhfjssf");
+  writer.add(rec);
+  EXPECT_FALSE(writer.finish());
+  EXPECT_TRUE(writer.manifest().members.empty());
+  EXPECT_FALSE(std::filesystem::exists(dir / "c.manifest"));
+  std::filesystem::remove_all(dir);
+}
 
 TEST(Corpus, WriteCorpusSplitsNearEqually) {
   const auto& f = fixture();

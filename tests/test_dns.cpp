@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <span>
+#include <string>
+#include <vector>
 
 #include "dns/message.h"
 #include "dns/name.h"
@@ -76,6 +79,67 @@ TEST(DnsName, RejectsNamesOver255Octets) {
     big.append(63, 'a');
   }
   EXPECT_FALSE(DnsName::parse(big).has_value());
+}
+
+bool is_label_byte(unsigned char b) {
+  return (b >= 'A' && b <= 'Z') || (b >= 'a' && b <= 'z') ||
+         (b >= '0' && b <= '9') || b == '-' || b == '_';
+}
+
+/// `parse` result checks shared by the byte sweep: the labels are the
+/// lowercased input and the hash is the one from_labels computes.
+void expect_parsed_as(const std::optional<DnsName>& name,
+                      const std::vector<std::string>& labels) {
+  ASSERT_TRUE(name.has_value());
+  std::vector<std::string> lowered = labels;
+  for (auto& label : lowered) {
+    for (auto& c : label) {
+      if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+    }
+  }
+  EXPECT_EQ(name->labels(), lowered);
+  const auto rebuilt = DnsName::from_labels(labels);
+  ASSERT_TRUE(rebuilt.has_value());
+  EXPECT_EQ(name->hash(), rebuilt->hash());
+  EXPECT_EQ(*name, *rebuilt);
+}
+
+TEST(DnsName, AcceptsExactlyTheLabelBytes) {
+  for (int value = 0; value < 256; ++value) {
+    if (value == '.') continue;
+    const char c = static_cast<char>(value);
+    const bool valid = is_label_byte(static_cast<unsigned char>(value));
+    const std::string alone(1, c);
+    const std::string inside = std::string("a") + c + "b";
+    const std::string dotted = std::string("x.a") + c + "b.com";
+    EXPECT_EQ(DnsName::parse(alone).has_value(), valid) << "byte " << value;
+    EXPECT_EQ(DnsName::parse(inside).has_value(), valid) << "byte " << value;
+    EXPECT_EQ(DnsName::parse(dotted).has_value(), valid) << "byte " << value;
+    if (valid) {
+      expect_parsed_as(DnsName::parse(alone), {alone});
+      expect_parsed_as(DnsName::parse(inside), {inside});
+      expect_parsed_as(DnsName::parse(dotted), {"x", inside, "com"});
+    }
+  }
+}
+
+TEST(DnsName, LabelAndNameLengthLimits) {
+  const std::string label63(63, 'a');
+  expect_parsed_as(DnsName::parse(label63), {label63});
+  EXPECT_FALSE(DnsName::parse(std::string(64, 'a')).has_value());
+  EXPECT_FALSE(DnsName::parse("x." + std::string(64, 'a')).has_value());
+  // Three 63-byte labels plus one of 61 (or 62) bytes: 4 length octets +
+  // 250 (or 251) label bytes + the root terminator = 255 (or 256).
+  const std::string three = label63 + "." + label63 + "." + label63 + ".";
+  const std::string last61(61, 'B');
+  const auto at_limit = DnsName::parse(three + last61);
+  expect_parsed_as(at_limit, {label63, label63, label63, last61});
+  EXPECT_EQ(at_limit->wire_length(), 255u);
+  EXPECT_TRUE(DnsName::parse(three + last61 + ".").has_value());
+  EXPECT_FALSE(DnsName::parse(three + std::string(62, 'b')).has_value());
+  EXPECT_FALSE(DnsName::from_labels({label63, label63, label63,
+                                     std::string(62, 'b')})
+                   .has_value());
 }
 
 // --------------------------------------------------------------------- ECS

@@ -1,11 +1,14 @@
 // Unit + property tests for the net substrate: addresses, prefixes, the
-// radix trie, disjoint prefix sets, geodesy, and the deterministic RNG.
+// radix trie, disjoint prefix sets, geodesy, the deterministic RNG, and
+// the shared CRC-32.
 
 #include <gtest/gtest.h>
 
 #include <ostream>
 #include <set>
+#include <string>
 
+#include "net/crc32.h"
 #include "net/geo.h"
 #include "net/ipv4.h"
 #include "net/prefix.h"
@@ -392,6 +395,42 @@ TEST(Rng, StableHashIsStable) {
   // platforms.
   EXPECT_EQ(stable_hash("www.google.com"), stable_hash("www.google.com"));
   EXPECT_NE(stable_hash("a"), stable_hash("b"));
+}
+
+// ------------------------------------------------------------------- crc32
+
+/// The textbook byte-at-a-time CRC-32 (reflected 0xEDB88320), kept here
+/// as the reference the sliced implementation must equal.
+std::uint32_t bytewise_crc32(std::string_view bytes) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const unsigned char byte : bytes) {
+    crc ^= byte;
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, KnownAnswers) {
+  EXPECT_EQ(crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(crc32(""), 0u);
+  EXPECT_EQ(bytewise_crc32("123456789"), 0xCBF43926u);
+}
+
+TEST(Crc32, EveryLengthAndAlignmentMatchesBytewise) {
+  // Lengths 0-64 cover an empty input, a tail alone, and one to eight
+  // 8-byte steps with every tail; offsets 0-7 cover every load alignment.
+  Rng rng(0xC3C);
+  std::string buffer(8 + 64, '\0');
+  for (char& c : buffer) c = static_cast<char>(rng.below(256));
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 64; ++length) {
+      const std::string_view bytes(buffer.data() + offset, length);
+      EXPECT_EQ(crc32(bytes), bytewise_crc32(bytes))
+          << "offset " << offset << " length " << length;
+    }
+  }
 }
 
 // -------------------------------------------------------------------- zipf

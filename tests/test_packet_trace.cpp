@@ -231,5 +231,14 @@ TEST(PacketTrace, FuzzedFramesNeverCrash) {
   std::filesystem::remove(fuzz_path);
 }
 
+TEST(PacketTrace, WriteReportsAFullDisk) {
+  // /dev/full accepts the open and fails every write with ENOSPC; a short
+  // trace only reaches the device at the final flush.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  std::vector<roots::TraceRecord> records(3);
+  for (auto& rec : records) rec.qname = *dns::DnsName::parse("sdhfjssf");
+  EXPECT_FALSE(roots::write_packet_trace("/dev/full", records));
+}
+
 }  // namespace
 }  // namespace netclients::core

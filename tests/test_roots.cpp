@@ -110,6 +110,20 @@ TEST(RootSystem, PickLetterStablePerResolverAndSpread) {
   EXPECT_GE(population.size(), 10u);
 }
 
+TEST(RootSystem, SplitPickLetterEqualsTwoArgumentForm) {
+  const RootSystem system = RootSystem::ditl_2020(7);
+  for (std::uint64_t key = 0; key < 64; ++key) {
+    const std::uint64_t resolver = net::mix64(key);  // spread the keys
+    const auto preference = system.letter_preference(resolver);
+    EXPECT_EQ(preference.resolver_key, resolver);
+    for (std::uint64_t nonce = 0; nonce < 64; ++nonce) {
+      EXPECT_EQ(system.pick_letter(preference, nonce),
+                system.pick_letter(resolver, nonce))
+          << "resolver " << resolver << " nonce " << nonce;
+    }
+  }
+}
+
 TEST(TraceFile, RoundTrip) {
   std::vector<TraceRecord> records;
   for (int i = 0; i < 100; ++i) {
@@ -239,6 +253,16 @@ TEST(TraceFile, TolerantReadSurvivesCorruptLabelLength) {
   EXPECT_EQ(loaded[0], records[0]);
   EXPECT_EQ(stats.records_skipped, 2u);
   std::filesystem::remove(path);
+}
+
+TEST(TraceFile, WriteReportsAFullDisk) {
+  // /dev/full accepts the open and fails every write with ENOSPC. A small
+  // trace stays in the stream buffer until the final flush, so only a
+  // writer that checks after closing sees the failure.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  std::vector<TraceRecord> records(3);
+  for (auto& rec : records) rec.qname = *dns::DnsName::parse("sdhfjssf");
+  EXPECT_FALSE(TraceFile::write("/dev/full", records));
 }
 
 }  // namespace

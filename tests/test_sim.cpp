@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <set>
 #include <unordered_set>
+
+#include "net/rng.h"
 
 #include "roots/root_server.h"
 #include "sim/activity.h"
@@ -292,6 +295,36 @@ TEST(Ditl, OnlyUsableLettersEmitted) {
         EXPECT_TRUE(usable.contains(rec.root_letter));
       });
   EXPECT_GT(stats.suppressed, 0u) << "some traffic lands on other letters";
+}
+
+TEST(Ditl, StreamDigestAndStatsArePinned) {
+  // Corpus bytes (member boundaries, NCP1 query ids) follow the record
+  // stream exactly, so its order and content are pinned, not just its
+  // statistics: a generator change that reorders or re-draws records fails
+  // here even when every distributional test still passes.
+  const World& w = small_world();
+  const roots::RootSystem roots = roots::RootSystem::ditl_2020(1);
+  DitlOptions options;
+  options.sample_rate = 0.005;
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  auto fold = [&digest](std::uint64_t word) {
+    digest = net::hash_combine(digest, word);
+  };
+  std::uint64_t records = 0;
+  const DitlStats stats =
+      generate_ditl(w, roots, options, [&](const roots::TraceRecord& rec) {
+        ++records;
+        fold(rec.source.value());
+        fold(static_cast<std::uint64_t>(rec.root_letter));
+        fold(static_cast<std::uint64_t>(rec.qtype));
+        fold(std::bit_cast<std::uint64_t>(rec.timestamp));
+        fold(net::stable_hash(rec.qname.to_string()));
+      });
+  EXPECT_EQ(records, stats.chromium_probes + stats.background);
+  EXPECT_EQ(stats.chromium_probes, 136763u);
+  EXPECT_EQ(stats.background, 5864u);
+  EXPECT_EQ(stats.suppressed, 121718u);
+  EXPECT_EQ(digest, 15267730526279523413ULL);
 }
 
 }  // namespace

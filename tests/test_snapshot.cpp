@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <optional>
 #include <string>
 #include <vector>
@@ -347,6 +348,13 @@ TEST_F(SnapshotSuite, DiffOfAnEpochWithItselfIsEmpty) {
   EXPECT_EQ(d.persisting, epochs()[0].prefixes.size());
   EXPECT_EQ(d.mean_rank_drift, 0.0);
   EXPECT_EQ(d.normalized_rank_drift, 0.0);
+}
+
+TEST(SnapshotFile, WriteReportsAFullDisk) {
+  // /dev/full accepts the open and fails every write with ENOSPC; a small
+  // snapshot only reaches the device at the final flush.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  EXPECT_FALSE(snapshot::write("/dev/full", {}));
 }
 
 }  // namespace
