@@ -1,8 +1,9 @@
 // Microbenchmarks (google-benchmark) for the hot data structures under
 // the measurement pipelines: prefix-trie longest-prefix match, DNS wire
 // codec, resolver cache operations, anycast catchment scoring, the
-// count-min sketch, a full Google-DNS probe, and the DITL capture's
-// per-record kernels (name parsing, CRC-32, corpus encoding). Each
+// count-min sketch, the campaign's probe path (a warm Google-DNS probe
+// and an event-engine batch drain), and the DITL capture's per-record
+// kernels (name parsing, CRC-32, corpus encoding). Each
 // case's real time per iteration is also exported as the gauge
 // `bench.micro.ns_per_op.<case>` (a `/` in the case name becomes `.`).
 
@@ -15,6 +16,7 @@
 
 #include "anycast/catchment.h"
 #include "core/chromium/sketch.h"
+#include "core/engine/engine.h"
 #include "core/obs/export.h"
 #include "core/obs/obs.h"
 #include "dns/name.h"
@@ -25,6 +27,7 @@
 #include "net/prefix_trie.h"
 #include "net/rng.h"
 #include "roots/corpus.h"
+#include "sim/domains.h"
 
 using namespace netclients;
 
@@ -107,31 +110,110 @@ void BM_SketchAddEstimate(benchmark::State& state) {
 }
 BENCHMARK(BM_SketchAddEstimate);
 
-void BM_GoogleDnsProbe(benchmark::State& state) {
-  static const auto pops = anycast::PopTable::google_default();
-  static const anycast::CatchmentModel catchment(&pops, 7);
-  static dnssrv::AuthoritativeServer auth = [] {
-    dnssrv::AuthoritativeServer a;
+/// A flat client-activity rate, so probes exercise the analytic
+/// occupancy draw the campaign pays for.
+class FixedRateActivity final : public googledns::ClientActivityModel {
+ public:
+  explicit FixedRateActivity(double rate) : rate_(rate) {}
+  double arrival_rate(anycast::PopId, const dns::DnsName&,
+                      net::Prefix) const override {
+    return rate_;
+  }
+
+ private:
+  double rate_;
+};
+
+/// The campaign's probe substrate at its smallest: one ECS zone scoping
+/// every /24 to itself, served by the default PoP table.
+struct ProbeSubstrate {
+  ProbeSubstrate()
+      : pops(anycast::PopTable::google_default()),
+        catchment(&pops, 7),
+        activity(0.002) {
     dnssrv::ZoneConfig zone;
-    zone.name = *dns::DnsName::parse("www.google.com");
-    zone.min_scope = 20;
+    zone.name = name;
+    zone.min_scope = 24;
     zone.max_scope = 24;
-    a.add_zone(zone);
-    return a;
-  }();
-  googledns::GooglePublicDns gdns(&pops, &catchment, &auth);
-  const auto name = *dns::DnsName::parse("www.google.com");
-  net::Rng rng(6);
+    auth.add_zone(zone);
+    for (std::uint32_t i = 0; i < 4096; ++i) {
+      scopes.push_back(net::Prefix::from_slash24_index((10u << 16) + i));
+    }
+  }
+
+  const dns::DnsName name = *dns::DnsName::parse("www.google.com");
+  anycast::PopTable pops;
+  anycast::CatchmentModel catchment;
+  dnssrv::AuthoritativeServer auth;
+  FixedRateActivity activity;
+  std::vector<net::Prefix> scopes;
+};
+
+/// One PoP and one domain over a sweep of /24 scopes with the scope memo
+/// warm: the steady-state cost of one campaign probe (flow limiter, memo
+/// hit, explicit-pool lookup, analytic occupancy draw).
+void BM_GoogleDnsProbe(benchmark::State& state) {
+  static const ProbeSubstrate substrate;
+  googledns::GooglePublicDns gdns(&substrate.pops, &substrate.catchment,
+                                  &substrate.auth, {}, &substrate.activity);
   double t = 0;
+  const auto probe = [&](net::Prefix scope) {
+    t += 0.001;  // one flow at 1,000 qps, under the TCP limit
+    return gdns.probe(0, substrate.name, scope, t,
+                      googledns::Transport::kTcp, 0, 0);
+  };
+  for (const net::Prefix& scope : substrate.scopes) probe(scope);
+  std::size_t i = 0;
   for (auto _ : state) {
-    const net::Prefix scope(
-        net::Ipv4Addr(static_cast<std::uint32_t>(rng())), 22);
-    t += 0.01;
-    benchmark::DoNotOptimize(gdns.probe(0, name, scope, t,
-                                        googledns::Transport::kTcp, 0, 0));
+    benchmark::DoNotOptimize(
+        probe(substrate.scopes[i++ % substrate.scopes.size()]));
   }
 }
 BENCHMARK(BM_GoogleDnsProbe);
+
+/// One op = a batch of 256 campaign-shaped chains (5 redundant attempts,
+/// up to 3 loops) submitted to the event engine at window 64 and drained:
+/// the pending queue, the decision plane and the completion timeline.
+void BM_EventProberDrain(benchmark::State& state) {
+  static const ProbeSubstrate substrate;
+  constexpr std::size_t kBatch = 256;
+  constexpr double kRate = 50;  // the campaign's prefixes/s per domain
+  constexpr int kLoops = 3;
+  googledns::GooglePublicDns gdns(&substrate.pops, &substrate.catchment,
+                                  &substrate.auth, {}, &substrate.activity);
+  std::vector<sim::DomainInfo> domains(1);
+  domains[0].name = substrate.name;
+  core::engine::ProberContext context;
+  context.dns = &gdns;
+  context.domains = &domains;
+  context.pop = 0;
+  std::uint64_t resolved = 0;
+  const auto prober = core::engine::make_prober(
+      context, core::engine::EngineOptions{},
+      [&](const core::engine::ProbeOutcome&) { ++resolved; });
+  core::engine::ProbeRequest request;
+  request.domain_indices = {0};
+  request.redundancy = 5;
+  request.attempt_spacing_seconds = 0.002;
+  request.attempt_loop_stride = 131;
+  request.max_loops = kLoops;
+  request.loop_stride_seconds = kBatch / kRate;
+  double base = 0;  // each batch starts after the last one's final loop
+  for (auto _ : state) {
+    for (std::size_t j = 0; j < kBatch; ++j) {
+      request.tag = j;
+      request.scope = substrate.scopes[j];
+      request.schedule_time = base + static_cast<double>(j) / kRate;
+      prober->submit(request);
+    }
+    prober->drain();
+    base += kLoops * request.loop_stride_seconds;
+  }
+  benchmark::DoNotOptimize(resolved);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kBatch));
+}
+BENCHMARK(BM_EventProberDrain);
 
 /// Chromium-probe-shaped names: one label of 7-15 random lowercase
 /// letters, mixed case so parsing also lowercases.

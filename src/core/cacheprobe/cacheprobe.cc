@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "core/engine/engine.h"
 #include "core/exec/exec.h"
@@ -354,6 +355,46 @@ CalibrationResult calibrate(const ProbeEnvironment& env,
   return result;
 }
 
+namespace {
+
+/// One probed PoP's assigned candidate scopes, one list per domain.
+using PopAssignment = std::vector<std::vector<net::Prefix>>;
+
+/// Assigns each probed PoP the candidates MaxMind places possibly within
+/// its service radius (location + reported error radius). Sharded per PoP;
+/// element i belongs to pops.probed_pops[i].
+std::vector<PopAssignment> assign_candidates(
+    const ProbeEnvironment& env, const CacheProbeOptions& options,
+    const PopDiscoveryResult& pops, const CalibrationResult& calibration,
+    const std::vector<std::vector<ProbeCandidate>>& candidates_by_domain) {
+  return exec::parallel_map(
+      pops.probed_pops.size(), options.threads, [&](std::size_t i) {
+        const PopId pop = pops.probed_pops[i].first;
+        const net::LatLon pop_location =
+            env.google_dns->pops().site(pop).location;
+        const double radius =
+            !options.use_max_radius_everywhere &&
+                    calibration.service_radius_km.contains(pop)
+                ? calibration.service_radius_km.at(pop)
+                : options.default_service_radius_km;
+        PopAssignment assigned(candidates_by_domain.size());
+        for (std::size_t d = 0; d < candidates_by_domain.size(); ++d) {
+          for (const ProbeCandidate& candidate : candidates_by_domain[d]) {
+            const auto rec =
+                env.geodb->lookup(candidate.scope.first_slash24_index());
+            if (!rec) continue;  // not geolocatable: not assigned anywhere
+            if (net::haversine_km(rec->location, pop_location) <=
+                radius + rec->error_radius_km) {
+              assigned[d].push_back(candidate.scope);
+            }
+          }
+        }
+        return assigned;
+      });
+}
+
+}  // namespace
+
 CampaignResult run_campaign(
     const ProbeEnvironment& env, const CacheProbeOptions& options,
     const PopDiscoveryResult& pops, const CalibrationResult& calibration,
@@ -376,26 +417,42 @@ CampaignResult run_campaign(
   }
   const auto& candidates_by_domain = *scopes_by_domain;
 
+  const std::vector<PopAssignment> assignments = assign_candidates(
+      env, options, pops, calibration, candidates_by_domain);
+
   // One shard per PoP — the paper's own fan-out unit (22 PoPs probed at
   // once). Probe outcomes are pure functions of (entry, time) oracles, a
   // PoP's cache pools and its VP's rate-limiter flows are confined to its
-  // shard, so shard results are independent of interleaving. Within a
-  // shard the probe engine pipelines each domain's chain list; outcomes
-  // land in a tag-indexed slot array and the post-drain walk emits hits in
-  // (loop, submission) order — the exact sequence the blocking prober
-  // recorded them in — so results are byte-identical at any window size.
+  // shard, so shard results are independent of interleaving — and of the
+  // order shards run in. Per-PoP work is heavy-tailed, so shards start
+  // largest-first (total assigned candidates, ties by PoP index): the
+  // heaviest PoPs never start last and set the makespan. Within a shard
+  // the probe engine pipelines each domain's chain list; outcomes land in
+  // a tag-indexed slot array and the post-drain walk emits hits in (loop,
+  // submission) order — the exact sequence the blocking prober recorded
+  // them in — so results are byte-identical at any window size.
+  std::vector<std::size_t> load(assignments.size(), 0);
+  for (std::size_t i = 0; i < assignments.size(); ++i) {
+    for (const auto& assigned : assignments[i]) load[i] += assigned.size();
+  }
+  std::vector<std::size_t> order(assignments.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return load[a] > load[b];
+                   });
   const ProbePolicy& policy = options.probe;
   struct PopShard {
     std::vector<CacheHit> hits;
     std::uint64_t probes_sent = 0;
     std::uint64_t rate_limited = 0;
-    std::uint64_t assigned = 0;
     resilience::RetryStats retry_stats;
     engine::EngineStats engine_stats;
     obs::ShardDelta metrics;  // merged in PoP order below
   };
-  std::vector<PopShard> shards = exec::parallel_map(
-      pops.probed_pops.size(), options.threads, [&](std::size_t i) {
+  std::vector<PopShard> by_rank = exec::parallel_map(
+      order.size(), options.threads, [&](std::size_t rank) {
+        const std::size_t i = order[rank];
         const auto& [pop, vp_id] = pops.probed_pops[i];
         PopShard shard;
         std::vector<engine::ProbeOutcome> outcomes;
@@ -404,27 +461,8 @@ CampaignResult run_campaign(
             [&](const engine::ProbeOutcome& outcome) {
               outcomes[outcome.tag] = outcome;
             });
-        const net::LatLon pop_location =
-            env.google_dns->pops().site(pop).location;
-        const double radius =
-            !options.use_max_radius_everywhere &&
-                    calibration.service_radius_km.contains(pop)
-                ? calibration.service_radius_km.at(pop)
-                : options.default_service_radius_km;
         for (std::size_t d = 0; d < env.domains.size(); ++d) {
-          // Assign this PoP the candidates MaxMind places possibly within
-          // its service radius (location + reported error radius).
-          std::vector<net::Prefix> assigned;
-          for (const ProbeCandidate& candidate : candidates_by_domain[d]) {
-            const auto rec =
-                env.geodb->lookup(candidate.scope.first_slash24_index());
-            if (!rec) continue;  // not geolocatable: not assigned anywhere
-            if (net::haversine_km(rec->location, pop_location) <=
-                radius + rec->error_radius_km) {
-              assigned.push_back(candidate.scope);
-            }
-          }
-          shard.assigned += assigned.size();
+          const std::vector<net::Prefix>& assigned = assignments[i][d];
           shard.metrics.observe(
               CampaignMetrics::get().assigned_per_pop_domain,
               static_cast<double>(assigned.size()));
@@ -482,19 +520,23 @@ CampaignResult run_campaign(
         shard.engine_stats = prober->engine_stats();
         return shard;
       });
+  std::vector<PopShard> shards(by_rank.size());
+  for (std::size_t rank = 0; rank < by_rank.size(); ++rank) {
+    shards[order[rank]] = std::move(by_rank[rank]);
+  }
 
   // Ordered merge in PoP order — the exact sequence a serial run visits,
   // so hit vectors and prefix-set insertions are byte-identical for any
   // thread count. The retry merge is explicitly shard-order independent
   // (commutative integer sums — see RetryStats::merge_shards).
-  std::uint64_t total_assigned = 0;
+  const std::uint64_t total_assigned =
+      std::accumulate(load.begin(), load.end(), std::uint64_t{0});
   std::vector<resilience::RetryStats> shard_stats;
   shard_stats.reserve(shards.size());
   engine::EngineStats engine_stats;
   for (PopShard& shard : shards) {
     result.probes_sent += shard.probes_sent;
     result.rate_limited += shard.rate_limited;
-    total_assigned += shard.assigned;
     shard_stats.push_back(shard.retry_stats);
     engine_stats.merge(shard.engine_stats);
     shard.metrics.merge();

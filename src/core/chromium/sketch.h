@@ -3,7 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
+#include <memory>
+#include <new>
+#include <stdexcept>
 #include <vector>
 
 #include "net/rng.h"
@@ -22,14 +26,33 @@ namespace netclients::core {
 /// never accepted.
 class CountMinSketch {
  public:
+  /// Throws std::invalid_argument for width 0 or depth < 1: a zero-width
+  /// row has no cell to hash into, and a sketch with no rows would
+  /// estimate every key at UINT32_MAX (rejecting every Chromium match).
   CountMinSketch(std::size_t width, int depth, std::uint64_t seed)
       : width_(width),
-        rows_(static_cast<std::size_t>(depth)),
+        rows_(depth < 1 ? 0 : static_cast<std::size_t>(depth)),
         // Power-of-two widths (the default) reduce the per-row slot to a
         // mask; the 64-bit divide otherwise rivals the cache miss itself
         // on the scan's hot path. mask_ = 0 selects the modulo fallback.
         mask_((width & (width - 1)) == 0 ? width - 1 : 0) {
-    counters_.assign(width_ * rows_, 0);
+    if (width_ == 0) {
+      throw std::invalid_argument("CountMinSketch: width must be >= 1");
+    }
+    if (rows_ == 0) {
+      throw std::invalid_argument("CountMinSketch: depth must be >= 1");
+    }
+    if (width_ > std::numeric_limits<std::size_t>::max() / rows_) {
+      throw std::invalid_argument("CountMinSketch: width * depth overflows");
+    }
+    cells_ = width_ * rows_;
+    // calloc, not a zero-filling vector: at the default 64 MiB glibc maps
+    // fresh zero pages, so nothing is written here and pass 1's workers
+    // first-touch the pages in parallel instead of this thread memsetting
+    // them serially.
+    counters_.reset(static_cast<std::uint32_t*>(
+        std::calloc(cells_, sizeof(std::uint32_t))));
+    if (!counters_) throw std::bad_alloc();
     seeds_.reserve(rows_);
     net::Rng rng(seed);
     for (std::size_t r = 0; r < rows_; ++r) seeds_.push_back(rng());
@@ -89,11 +112,9 @@ class CountMinSketch {
     return false;
   }
 
-  void clear() { std::fill(counters_.begin(), counters_.end(), 0u); }
+  void clear() { std::fill_n(counters_.get(), cells_, 0u); }
 
-  std::size_t memory_bytes() const {
-    return counters_.size() * sizeof(std::uint32_t);
-  }
+  std::size_t memory_bytes() const { return cells_ * sizeof(std::uint32_t); }
 
  private:
   std::size_t slot(std::size_t row, std::uint64_t key) const {
@@ -102,10 +123,15 @@ class CountMinSketch {
            static_cast<std::size_t>(mask_ ? (h & mask_) : (h % width_));
   }
 
+  struct FreeDeleter {
+    void operator()(std::uint32_t* p) const { std::free(p); }
+  };
+
   std::size_t width_;
   std::size_t rows_;
   std::uint64_t mask_;
-  std::vector<std::uint32_t> counters_;
+  std::size_t cells_ = 0;
+  std::unique_ptr<std::uint32_t[], FreeDeleter> counters_;
   std::vector<std::uint64_t> seeds_;
 };
 

@@ -1,8 +1,7 @@
 #include "core/engine/engine.h"
 
 #include <algorithm>
-#include <queue>
-#include <tuple>
+#include <deque>
 #include <utility>
 
 #include "core/engine/timeline.h"
@@ -287,6 +286,13 @@ class SyncProber final : public ProberBase {
 /// at `issue + latency`, in (virtual_deadline, sequence) order. Requeues
 /// enter the pending queue at their parent's evaluation (the outcome is
 /// known then) but may not issue before the parent's virtual completion.
+///
+/// The pending queue is one FIFO per loop index, popped from the lowest
+/// non-empty loop. Each FIFO is sorted by sequence without any compare:
+/// loop-0 chains arrive from submissions in sequence order, and loop L+1
+/// chains are requeues of loop-L evaluations, which themselves ran in
+/// sequence order. So the lowest non-empty FIFO's front is the (loop,
+/// sequence) minimum, for any interleaving of submit and drain.
 class EventProber final : public ProberBase {
  public:
   EventProber(const ProberContext& context, int window,
@@ -295,7 +301,7 @@ class EventProber final : public ProberBase {
         window_(std::max(1, window)) {}
 
   void submit(const ProbeRequest& request) override {
-    pending_.push(Chain{request, 0, next_chain_seq_++, 0, 0});
+    push_pending(Chain{request, 0, next_chain_seq_++, 0, 0});
   }
 
   void drain() override {
@@ -320,21 +326,25 @@ class EventProber final : public ProberBase {
     double not_before = 0;
     std::uint64_t rate_limited = 0;
   };
-  struct PendingAfter {
-    bool operator()(const Chain& a, const Chain& b) const {
-      return std::tie(a.loop, a.seq) > std::tie(b.loop, b.seq);
-    }
-  };
   struct Completion {
     bool resolved = false;
     ProbeOutcome outcome;
   };
 
+  void push_pending(Chain chain) {
+    const auto loop = static_cast<std::size_t>(chain.loop);
+    if (loop >= pending_.size()) pending_.resize(loop + 1);
+    pending_[loop].push_back(std::move(chain));
+  }
+
   void refill() {
-    while (in_flight_ < window_ && !pending_.empty()) {
-      Chain chain = pending_.top();
-      pending_.pop();
-      issue(std::move(chain));
+    std::size_t loop = 0;
+    while (in_flight_ < window_) {
+      while (loop < pending_.size() && pending_[loop].empty()) ++loop;
+      if (loop == pending_.size()) return;
+      Chain chain = std::move(pending_[loop].front());
+      pending_[loop].pop_front();
+      issue(std::move(chain));  // may requeue into loop + 1, never lower
     }
   }
 
@@ -379,13 +389,14 @@ class EventProber final : public ProberBase {
       if (evaluation.hard_failure) evaluator_.note_requeued();
       ++chain.loop;
       chain.not_before = deadline;
-      pending_.push(std::move(chain));
+      push_pending(std::move(chain));
     }
     events_.push(deadline, std::move(completion));
   }
 
   const int window_;
-  std::priority_queue<Chain, std::vector<Chain>, PendingAfter> pending_;
+  /// Indexed by loop; each FIFO is in sequence order (see above).
+  std::vector<std::deque<Chain>> pending_;
   Timeline<Completion> events_;
   int in_flight_ = 0;
   double clock_ = 0;

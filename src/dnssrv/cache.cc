@@ -27,7 +27,7 @@ struct CacheMetrics {
 
 }  // namespace
 
-const CacheEntry* DnsCache::lookup(const CacheKey& key, net::SimTime now) {
+const CacheEntry* DnsCache::lookup(const CacheKeyRef& key, net::SimTime now) {
   auto it = map_.find(key);
   if (it == map_.end()) {
     ++misses_;

@@ -24,12 +24,39 @@ struct CacheKey {
   friend bool operator==(const CacheKey&, const CacheKey&) = default;
 };
 
+/// A borrowed CacheKey: the same (name, type, scope) triple with the name
+/// by reference, so a lookup on the probe path copies no labels.
+struct CacheKeyRef {
+  const dns::DnsName& name;
+  dns::RecordType type = dns::RecordType::kA;
+  net::Prefix scope;
+};
+
+/// Transparent hashing so the cache accepts both owning CacheKey and
+/// borrowed CacheKeyRef probes (equal triples hash equally).
 struct CacheKeyHash {
-  std::size_t operator()(const CacheKey& key) const noexcept {
+  using is_transparent = void;
+  std::size_t operator()(const CacheKeyRef& key) const noexcept {
     std::uint64_t h = std::hash<dns::DnsName>{}(key.name);
     h = net::hash_combine(h, static_cast<std::uint64_t>(key.type));
     h = net::hash_combine(h, std::hash<net::Prefix>{}(key.scope));
     return static_cast<std::size_t>(h);
+  }
+  std::size_t operator()(const CacheKey& key) const noexcept {
+    return (*this)(CacheKeyRef{key.name, key.type, key.scope});
+  }
+};
+
+struct CacheKeyEq {
+  using is_transparent = void;
+  bool operator()(const CacheKey& a, const CacheKey& b) const {
+    return a == b;
+  }
+  bool operator()(const CacheKeyRef& a, const CacheKey& b) const {
+    return a.type == b.type && a.scope == b.scope && a.name == b.name;
+  }
+  bool operator()(const CacheKey& a, const CacheKeyRef& b) const {
+    return (*this)(b, a);
   }
 };
 
@@ -55,7 +82,10 @@ class DnsCache {
 
   /// Returns the live entry or nullptr; expired entries are dropped on
   /// access. A successful lookup refreshes LRU position.
-  const CacheEntry* lookup(const CacheKey& key, net::SimTime now);
+  const CacheEntry* lookup(const CacheKeyRef& key, net::SimTime now);
+  const CacheEntry* lookup(const CacheKey& key, net::SimTime now) {
+    return lookup(CacheKeyRef{key.name, key.type, key.scope}, now);
+  }
 
   /// Inserts/overwrites; evicts the least-recently-used entry when full.
   void insert(const CacheKey& key, CacheEntry entry);
@@ -76,7 +106,7 @@ class DnsCache {
 
   std::size_t capacity_;
   LruList lru_;  // front = most recent
-  std::unordered_map<CacheKey, Slot, CacheKeyHash> map_;
+  std::unordered_map<CacheKey, Slot, CacheKeyHash, CacheKeyEq> map_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;

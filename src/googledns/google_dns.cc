@@ -299,28 +299,31 @@ ProbeResult GooglePublicDns::probe(PopId pop, const dns::DnsName& domain,
                        std::uint64_t{query_scope.base().value()}) %
       static_cast<std::uint64_t>(config_.pools_per_pop));
 
-  const dnssrv::ZoneConfig* zone = upstream_->zone(domain);
-  if (!zone) {
-    ProbeMetrics::get().unknown_zone.add();
-    return result;  // unknown zone: nothing could be cached
-  }
-
   // The scope the authoritative *currently* assigns to this block. Client
   // queries landing here were cached under that scope's block. RFC 7871:
   // a cached entry answers a query only when the entry's scope block
   // contains the query's source prefix — so if the scope drifted to be
   // more specific than our (previously discovered) query scope, we miss.
+  // The memo holds the zone too, so a known zone is looked up once per
+  // (domain, scope), not once per probe.
   const std::uint64_t memo_key = net::stable_seed(
       domain.hash(), std::uint64_t{query_scope.base().value()},
       std::uint64_t{query_scope.length()});
   auto memo = pop_state.scope_memo.find(memo_key);
   if (memo == pop_state.scope_memo.end()) {
+    const dnssrv::ZoneConfig* zone = upstream_->zone(domain);
+    if (!zone) {
+      ProbeMetrics::get().unknown_zone.add();
+      return result;  // unknown zone: nothing could be cached
+    }
     memo = pop_state.scope_memo
                .emplace(memo_key,
-                        upstream_scope(domain, query_scope).value_or(255))
+                        ScopeMemo{zone, upstream_scope(domain, query_scope)
+                                            .value_or(255)})
                .first;
   }
-  const std::uint8_t entry_scope = memo->second;
+  const dnssrv::ZoneConfig& zone = *memo->second.zone;
+  const std::uint8_t entry_scope = memo->second.scope;
   if (entry_scope == 0) ProbeMetrics::get().scope_zero.add();
   if (entry_scope > query_scope.length()) {
     ProbeMetrics::get().scope_drift_miss.add();
@@ -337,10 +340,11 @@ ProbeResult GooglePublicDns::probe(PopId pop, const dns::DnsName& domain,
   }
 
   // Explicit (event-driven) pool contents take precedence: exact state.
-  dnssrv::CacheKey key{domain, dns::RecordType::kA, entry_block};
   dnssrv::DnsCache& pool =
       pop_state.pools[static_cast<std::size_t>(pool_index)];
-  if (const dnssrv::CacheEntry* entry = pool.lookup(key, now)) {
+  if (const dnssrv::CacheEntry* entry = pool.lookup(
+          dnssrv::CacheKeyRef{domain, dns::RecordType::kA, entry_block},
+          now)) {
     ProbeMetrics::get().hit_explicit.add();
     result.cache_hit = true;
     result.return_scope = entry->scope_length;
@@ -357,12 +361,12 @@ ProbeResult GooglePublicDns::probe(PopId pop, const dns::DnsName& domain,
         static_cast<double>(config_.pools_per_pop);
     double age = 0;
     if (analytic_present(pop, pool_index, domain, entry_block,
-                         zone->ttl_seconds, rate, now, &age)) {
+                         zone.ttl_seconds, rate, now, &age)) {
       ProbeMetrics::get().hit_analytic.add();
       result.cache_hit = true;
       result.return_scope = entry_scope;
       result.remaining_ttl = static_cast<std::uint32_t>(
-          std::max(0.0, zone->ttl_seconds - age));
+          std::max(0.0, zone.ttl_seconds - age));
     }
   }
   if (!result.cache_hit) ProbeMetrics::get().miss.add();

@@ -200,6 +200,12 @@ class GooglePublicDns {
   static const dns::DnsName& myaddr_name();
 
  private:
+  struct ScopeMemo {
+    const dnssrv::ZoneConfig* zone = nullptr;
+    /// 255 when the upstream gave no scope.
+    std::uint8_t scope = 0;
+  };
+
   /// Everything the front end mutates on behalf of one PoP. Padded to a
   /// cache line so shards probing neighbouring PoPs never share one.
   struct alignas(64) PopState {
@@ -208,9 +214,10 @@ class GooglePublicDns {
     /// separate query loop per domain, each its own flow; Google's limits
     /// apply per flow. Each loop's timestamps are monotone.
     std::unordered_map<std::uint64_t, dnssrv::TokenBucket> limiters;
-    /// The upstream's current scope per (domain, block) at the configured
-    /// epoch (255: unknown zone); probes revisit each dozens of times.
-    std::unordered_map<std::uint64_t, std::uint8_t> scope_memo;
+    /// The zone and the upstream's current scope per (domain, block) at
+    /// the configured epoch; probes revisit each dozens of times. Only
+    /// known zones are memoized, so a zone added later is still seen.
+    std::unordered_map<std::uint64_t, ScopeMemo> scope_memo;
   };
 
   dnssrv::TokenBucket& limiter(PopState& state, int vp_id,

@@ -38,13 +38,15 @@ const WorldActivityModel::RateParts& WorldActivityModel::parts(
     net::Prefix scope_block) const {
   static const RateParts kZero{};
   auto& memo = memo_.at(static_cast<std::size_t>(pop)).rates;
-  const int d = domain_index(domain);
-  if (d < 0) return kZero;
+  // Keyed by the name's precomputed hash, so a memo hit never touches the
+  // DnsName-keyed index map; only a fill resolves the domain's index.
   const std::uint64_t key = net::stable_seed(
-      0x4A7Eu, static_cast<std::uint64_t>(pop), static_cast<std::uint64_t>(d),
+      0x4A7Eu, static_cast<std::uint64_t>(pop), domain.hash(),
       std::uint64_t{scope_block.base().value()},
       std::uint64_t{scope_block.length()});
   if (auto it = memo.find(key); it != memo.end()) return it->second;
+  const int d = domain_index(domain);
+  if (d < 0) return kZero;
 
   RateParts parts;
   const double peak = world_->config().diurnal_peak_local_hour;

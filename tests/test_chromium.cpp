@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <filesystem>
+#include <stdexcept>
 
 #include "core/chromium/chromium.h"
 #include "core/chromium/sketch.h"
@@ -83,6 +84,24 @@ TEST(Sketch, ClearResets) {
   EXPECT_EQ(sketch.estimate(42), 0u);
 }
 
+TEST(Sketch, RejectsSizesItCannotHold) {
+  // Width 0 used to mask every key to an out-of-bounds cell; depth 0 made
+  // every estimate UINT32_MAX; a negative depth wrapped to a huge row count.
+  EXPECT_THROW(CountMinSketch(0, 4, 1), std::invalid_argument);
+  EXPECT_THROW(CountMinSketch(1 << 8, 0, 1), std::invalid_argument);
+  EXPECT_THROW(CountMinSketch(1 << 8, -1, 1), std::invalid_argument);
+  const CountMinSketch smallest(1, 1, 1);
+  EXPECT_EQ(smallest.memory_bytes(), sizeof(std::uint32_t));
+  EXPECT_EQ(smallest.estimate(42), 0u);
+}
+
+TEST(Sketch, MemoryBytesIsWidthTimesDepthCells) {
+  const CountMinSketch pow2(1 << 10, 4, 1);
+  EXPECT_EQ(pow2.memory_bytes(), (std::size_t{1} << 10) * 4 * 4);
+  const CountMinSketch odd(1000, 3, 1);  // modulo slot fallback
+  EXPECT_EQ(odd.memory_bytes(), std::size_t{1000} * 3 * 4);
+}
+
 // ----------------------------------------------------------------- counter
 
 roots::TraceRecord record(std::uint32_t source, const char* qname,
@@ -110,6 +129,21 @@ TEST(Counter, CountsUniqueSignatureNamesPerSource) {
   EXPECT_EQ(result.rejected_collisions, 0u);
   EXPECT_DOUBLE_EQ(result.probes_by_resolver.at(0x0A000001), 2.0);
   EXPECT_DOUBLE_EQ(result.probes_by_resolver.at(0x0A000002), 1.0);
+}
+
+TEST(Counter, RejectsUnusableSketchOptions) {
+  // A zero-width sketch used to crash the scan; a zero-depth one silently
+  // rejected every match as a collision. Both now fail loudly up front.
+  const std::vector<roots::TraceRecord> trace = {
+      record(0x0A000001, "qwertzuiop", 10)};
+  ChromiumOptions zero_width;
+  zero_width.sketch_width = 0;
+  EXPECT_THROW(ChromiumCounter(zero_width).process(trace),
+               std::invalid_argument);
+  ChromiumOptions zero_depth;
+  zero_depth.sketch_depth = 0;
+  EXPECT_THROW(ChromiumCounter(zero_depth).process(trace),
+               std::invalid_argument);
 }
 
 TEST(Counter, CollisionThresholdRejectsRepeatedNames) {

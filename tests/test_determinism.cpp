@@ -204,11 +204,15 @@ void expect_identical(const RunArtifacts& serial, const RunArtifacts& mt) {
 }
 
 TEST(Determinism, CampaignIdenticalAcrossThreadCounts) {
+  // 3 is odd on purpose: the campaign starts its PoP shards largest-first,
+  // so an odd worker count splits the heavy shards unevenly.
   for (const std::uint64_t seed : {0xCAFEull, 0xBEEFull}) {
     const RunArtifacts serial = run_pipeline(seed, 1);
-    const RunArtifacts mt = run_pipeline(seed, 8);
     ASSERT_FALSE(serial.hits.empty());
-    expect_identical(serial, mt);
+    for (const int threads : {3, 8}) {
+      SCOPED_TRACE(::testing::Message() << threads << " threads");
+      expect_identical(serial, run_pipeline(seed, threads));
+    }
   }
 }
 

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "core/obs/obs.h"
 #include "dns/packet.h"
 #include "dns/wire.h"
 #include "dnssrv/authoritative.h"
@@ -315,6 +320,56 @@ TEST(DnsCache, CountsHitsAndMisses) {
   cache.lookup(key_for("z.example", "9.0.0.0/24"), 1);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
+}
+
+TEST(DnsCache, BorrowedKeyLookupMatchesOwnedKey) {
+  // The probe path looks up through a CacheKeyRef; it must behave exactly
+  // like an owned-key lookup: hits, misses, expiry (the expired entry
+  // erased), LRU order after a hit, and every counter.
+  const char* const kCacheCounters[] = {
+      "dnssrv.cache.hit", "dnssrv.cache.miss", "dnssrv.cache.expired",
+      "dnssrv.cache.insert", "dnssrv.cache.evicted"};
+  const auto run = [&](bool borrowed) {
+    std::vector<std::uint64_t> before;
+    for (const char* name : kCacheCounters) {
+      before.push_back(obs::Registry::global().counter(name).value());
+    }
+    DnsCache cache(2);
+    std::ostringstream trace;
+    const auto lookup = [&](const CacheKey& key, net::SimTime now) {
+      const CacheEntry* entry =
+          borrowed ? cache.lookup(CacheKeyRef{key.name, key.type, key.scope},
+                                  now)
+                   : cache.lookup(key, now);
+      trace << (entry ? static_cast<int>(entry->remaining_ttl(now)) : -1)
+            << ':' << cache.size() << ' ';
+    };
+    const CacheKey a = key_for("a.example", "1.0.0.0/24");
+    const CacheKey b = key_for("b.example", "2.0.0.0/24");
+    const CacheKey c = key_for("c.example", "3.0.0.0/24");
+    cache.insert(a, entry_expiring(1000));
+    cache.insert(b, entry_expiring(50));
+    lookup(a, 1);                                   // hit
+    lookup(key_for("a.example", "1.0.0.0/16"), 1);  // scope differs: miss
+    lookup(b, 60);                                  // expired: erased
+    cache.insert(b, entry_expiring(1000));          // LRU: b, a
+    lookup(a, 70);                                  // hit; LRU: a, b
+    cache.insert(c, entry_expiring(1000));          // evicts b
+    lookup(b, 80);
+    lookup(a, 80);
+    lookup(c, 80);
+    trace << "| " << cache.hits() << ' ' << cache.misses() << ' '
+          << cache.evictions();
+    for (std::size_t i = 0; i < before.size(); ++i) {
+      trace << ' '
+            << obs::Registry::global().counter(kCacheCounters[i]).value() -
+                   before[i];
+    }
+    return trace.str();
+  };
+  const std::string owned = run(false);
+  EXPECT_EQ(owned, "999:2 -1:2 -1:1 930:2 -1:2 920:2 920:2 | 4 3 1 4 3 1 4 1");
+  EXPECT_EQ(run(true), owned);
 }
 
 // ------------------------------------------------------------ token bucket

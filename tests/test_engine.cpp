@@ -2,7 +2,7 @@
 // byte-identical campaigns to the legacy-sync adapter at any in-flight
 // window and any thread count — under faults, breaker trips and UDP→TCP
 // escalation included — while compressing the modeled wall clock by the
-// pipelining factor.
+// pipelining factor. The engine's own campaign timeline is pinned too.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 #include <string>
 
 #include "core/engine/engine.h"
+#include "core/obs/obs.h"
 #include "core/scenario/scenario.h"
 
 namespace netclients::core {
@@ -51,7 +52,7 @@ struct RunConfig {
   int breaker_threshold = 8;
 };
 
-CampaignResult run_campaign(const RunConfig& cfg) {
+Scenario build_scenario(const RunConfig& cfg) {
   googledns::GoogleDnsConfig config;
   config.faults = cfg.faults;
   CacheProbeOptions options;
@@ -62,13 +63,48 @@ CampaignResult run_campaign(const RunConfig& cfg) {
   options.probe.breaker.failure_threshold = cfg.breaker_threshold;
   options.probe.engine.mode = cfg.mode;
   options.probe.engine.window = cfg.window;
-  const Scenario scenario = ScenarioBuilder()
-                                .scale_denominator(kScale)
-                                .google_config(config)
-                                .probe_options(options)
-                                .threads(cfg.threads)
-                                .build();
-  return scenario.campaign().run().result;
+  return ScenarioBuilder()
+      .scale_denominator(kScale)
+      .google_config(config)
+      .probe_options(options)
+      .threads(cfg.threads)
+      .build();
+}
+
+CampaignResult run_campaign(const RunConfig& cfg) {
+  return build_scenario(cfg).campaign().run().result;
+}
+
+// The campaign stage's engine timeline as exported: the virtual-seconds
+// gauge, the event-loop counters and the in-flight peak gauge.
+struct CampaignTimeline {
+  double virtual_seconds = 0;
+  std::uint64_t evaluations = 0;
+  std::uint64_t window_stalls = 0;
+  std::uint64_t breaker_drained = 0;
+  double peak_in_flight = 0;
+};
+
+CampaignTimeline campaign_timeline(const RunConfig& cfg) {
+  const Scenario scenario = build_scenario(cfg);
+  const CampaignArtifacts probed =
+      scenario.campaign().run(kStagePops | kStageCalibration);
+  // Calibration publishes into the same engine metrics; isolate the
+  // campaign's share.
+  obs::Registry::global().reset();
+  scenario.campaign().run(kStageCampaign, probed);
+  const obs::Snapshot snapshot = obs::Registry::global().snapshot();
+  CampaignTimeline out;
+  for (const auto& [name, value] : snapshot.counters) {
+    if (name == "engine.evaluations") out.evaluations = value;
+    if (name == "engine.window.stalls") out.window_stalls = value;
+    if (name == "engine.breaker.drained") out.breaker_drained = value;
+  }
+  for (const auto& [name, value] : snapshot.gauges) {
+    if (name == "engine.campaign.virtual_seconds") out.virtual_seconds = value;
+    if (name == "engine.inflight.peak") out.peak_in_flight = value;
+  }
+  return out;
 }
 
 TEST(Engine, MatchesSyncFaultFree) {
@@ -163,6 +199,50 @@ TEST(Engine, EscalationUnderFaultMatchesSync) {
   cfg.mode = EngineOptions::Mode::kEvent;
   const CampaignResult event_result = run_campaign(cfg);
   EXPECT_EQ(fingerprint(event_result), fingerprint(sync_result));
+}
+
+TEST(Engine, CampaignTimelinePinned) {
+  // The parity tests above compare outcomes only; this pins the timing
+  // plane itself. Any change to the pending queue's pop order, the issue
+  // clock or the window accounting moves at least one of these values.
+  enum class Substrate { kClean, kLossy, kTripping };
+  struct Expected {
+    Substrate substrate;
+    int window;
+    CampaignTimeline timeline;
+  };
+  const Expected cases[] = {
+      {Substrate::kClean, 1, {1345.7499999999989, 52357, 52335, 0, 1}},
+      {Substrate::kClean, 4, {336.92000000000013, 52357, 52267, 0, 4}},
+      {Substrate::kClean, 64, {46.390000000000001, 52357, 37144, 0, 64}},
+      {Substrate::kLossy, 1, {52335.242372464032, 52361, 52339, 0, 1}},
+      {Substrate::kLossy, 4, {13108.376325000967, 52361, 52272, 0, 4}},
+      {Substrate::kLossy, 64, {926.07290045764887, 52361, 49710, 0, 64}},
+      {Substrate::kTripping, 64, {50.019999999999996, 52532, 19180, 52507, 64}},
+  };
+  for (const Expected& expected : cases) {
+    RunConfig cfg;
+    if (expected.substrate == Substrate::kLossy) {
+      cfg.faults.timeout_probability = 0.3;
+      cfg.faults.servfail_probability = 0.1;
+    } else if (expected.substrate == Substrate::kTripping) {
+      // BreakerDrainMatchesSync's hair-trigger breaker.
+      cfg.faults.timeout_probability = 0.9;
+      cfg.retry_attempts = 1;
+      cfg.breaker_threshold = 2;
+    }
+    cfg.window = expected.window;
+    cfg.threads = 2;
+    const CampaignTimeline got = campaign_timeline(cfg);
+    SCOPED_TRACE(::testing::Message()
+                 << "substrate=" << static_cast<int>(expected.substrate)
+                 << " window=" << expected.window);
+    EXPECT_DOUBLE_EQ(got.virtual_seconds, expected.timeline.virtual_seconds);
+    EXPECT_EQ(got.evaluations, expected.timeline.evaluations);
+    EXPECT_EQ(got.window_stalls, expected.timeline.window_stalls);
+    EXPECT_EQ(got.breaker_drained, expected.timeline.breaker_drained);
+    EXPECT_EQ(got.peak_in_flight, expected.timeline.peak_in_flight);
+  }
 }
 
 TEST(Engine, EventEngineCompressesVirtualTime) {

@@ -179,6 +179,36 @@ TEST(GoogleDns, UnknownDomainNeverHits) {
   EXPECT_FALSE(probe.cache_hit);
 }
 
+TEST(GoogleDns, UnknownZoneCountedPerProbeAndSeenOnceAdded) {
+  // The scope memo holds only known zones: every probe of an unknown
+  // domain counts, and a zone added later is seen by the next probe.
+  Fixture f(10.0);  // analytic activity everywhere
+  auto& registry = obs::Registry::global();
+  obs::Counter& unknown = registry.counter("googledns.probe.unknown_zone");
+  obs::Counter& sent = registry.counter("googledns.probe.sent");
+  const std::uint64_t unknown_before = unknown.value();
+  const std::uint64_t sent_before = sent.value();
+  const auto name = *dns::DnsName::parse("late.example.com");
+  const auto scope = *net::Prefix::parse("10.1.2.0/24");
+  for (double t : {50.0, 51.0}) {
+    EXPECT_FALSE(
+        f.gdns->probe(0, name, scope, t, Transport::kTcp, 0, 0).cache_hit);
+  }
+  EXPECT_EQ(unknown.value() - unknown_before, 2u);
+  EXPECT_EQ(sent.value() - sent_before, 2u);
+
+  dnssrv::ZoneConfig zone;
+  zone.name = name;
+  zone.ttl_seconds = 300;
+  zone.min_scope = 24;
+  zone.max_scope = 24;
+  f.auth.add_zone(zone);
+  EXPECT_TRUE(
+      f.gdns->probe(0, name, scope, 52.0, Transport::kTcp, 0, 0).cache_hit);
+  EXPECT_EQ(unknown.value() - unknown_before, 2u);
+  EXPECT_EQ(sent.value() - sent_before, 3u);
+}
+
 TEST(GoogleDns, AnalyticHighRateHits) {
   Fixture f(10.0);  // 10 qps per (pop, block): cache effectively always warm
   int hits = 0;
