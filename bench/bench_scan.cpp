@@ -1,14 +1,15 @@
-// Trace-ingestion benchmark: generate a sampled DITL capture, persist it
-// to the NCD1 binary format, then scan it back through the ingestion
-// paths — the materializing reader (read_tolerant + process), the
-// zero-copy TraceView (process_view), and the sharded multi-file corpus
-// under the work-stealing scheduler (process_corpus) — and report
-// records/sec for each.
+// Trace-ingestion benchmark: generate a sampled DITL capture, write it as
+// the `--scale` preset's NCD1 corpus (1 member at paper scale, 4 or 16 at
+// the internet presets), then time the Chromium scan over it — open plus
+// `process_corpus` under the work-stealing scheduler — and report
+// records/sec. At the internet presets the same records are also written
+// as a one-member corpus, the single-file baseline the multi-member scan
+// is compared against at equal threads.
 //
 // The bench *checks* the parity contract before it times anything: the
-// view scan must be byte-identical to the materializing scan, and the
-// corpus scan byte-identical to both, at threads 1/2/8; any mismatch is
-// a hard failure (exit 1).
+// preset's corpus, scanned at threads 1/2/8, must be byte-identical to the
+// 1-thread scan of the one-member corpus; any mismatch is a hard failure
+// (exit 1).
 //
 // With an internet preset the bench first streams the planned world
 // through the bounded-memory WorldStreamer and hard-fails if the arena
@@ -16,15 +17,12 @@
 // /24s without 10M-block allocations" claim, enforced.
 //
 // Output: a throughput table on stdout, rows in
-// bench_out/scan_throughput.csv (CI uploads + gates it), and gauges
-// `chromium.scan.view_records_per_sec` /
-// `chromium.scan.materialize_records_per_sec` / `chromium.scan.speedup` /
-// `chromium.scan.corpus_records_per_sec` / `chromium.scan.corpus_speedup` /
-// `chromium.scan.steal_ratio` (plus `bench.stream.*` at internet scale)
-// via --metrics-out. `--require-speedup=X` (CI passes 1.0) exits 1 when
-// the view path is less than X times the materializing throughput — and,
-// at internet scale, when the multi-file corpus scan is less than X times
-// the single-file view scan at equal threads.
+// bench_out/scan_throughput.csv (CI uploads it), and gauges
+// `chromium.scan.corpus_records_per_sec` / `chromium.scan.steal_ratio`
+// (plus `chromium.scan.corpus_speedup` and `bench.stream.*` at the
+// internet presets) via --metrics-out. `--require-speedup=X` (CI passes
+// 1.0 at internet-lite) exits 1 when, at an internet preset, the
+// multi-member corpus scan is less than X times the one-member scan.
 //
 // Run:  build/bench/bench_scan [--scale=paper|internet-lite|internet]
 //                              [--reps=3] [--require-speedup=0]
@@ -33,14 +31,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "common.h"
 #include "core/exec/steal.h"
 #include "roots/corpus.h"
-#include "roots/trace.h"
-#include "roots/trace_view.h"
 #include "sim/stream.h"
 
 using namespace netclients;
@@ -155,7 +152,7 @@ int main(int argc, char** argv) {
     if (const int rc = run_stream_phase(spec); rc != 0) return rc;
   }
 
-  // ---- 1. Capture a sampled DITL to disk -------------------------------
+  // ---- 1. Capture a sampled DITL as corpora ---------------------------
   const core::Scenario scenario =
       core::ScenarioBuilder()
           .scale_denominator(bench::scale_denominator())
@@ -174,123 +171,96 @@ int main(int argc, char** argv) {
                          records.push_back(rec);
                        });
   }
-  const std::string path = bench::out_path("scan.trace");
-  {
-    obs::StageSpan span("scan.bench.write");
-    if (!roots::TraceFile::write(path, records)) {
-      std::fprintf(stderr, "[scan] cannot write %s\n", path.c_str());
-      return 1;
-    }
-  }
-  const auto view = roots::TraceView::open(path);
-  if (!view) {
-    std::fprintf(stderr, "[scan] cannot open %s\n", path.c_str());
-    return 1;
-  }
-  std::fprintf(stderr, "[scan] %zu records, %zu payload bytes (%s)\n",
-               records.size(), view->payload_bytes(),
-               view->mapped() ? "mmap" : "buffered");
-
-  // The same records sharded across the corpus (1 member in the paper
-  // preset, so the corpus machinery is always exercised).
+  // The preset's corpus (1 member at paper scale), and at the internet
+  // presets the one-member baseline of the same records.
   const std::string manifest_path = bench::out_path("scan.manifest");
+  const std::string single_path = bench::out_path("scan_single.manifest");
   {
     obs::StageSpan span("scan.bench.corpus_write");
-    if (!roots::write_corpus(manifest_path, records, spec.corpus_files)) {
+    if (!roots::write_corpus(manifest_path, records, spec.corpus_files) ||
+        (spec.internet() && !roots::write_corpus(single_path, records, 1))) {
       std::fprintf(stderr, "[scan] cannot write corpus %s\n",
                    manifest_path.c_str());
       return 1;
     }
   }
+  const std::string& baseline_path =
+      spec.internet() ? single_path : manifest_path;
   const auto corpus = roots::CorpusView::open(manifest_path);
-  if (!corpus || corpus->stats().members_skipped != 0) {
+  const auto baseline = roots::CorpusView::open(baseline_path);
+  if (!corpus || corpus->stats().members_skipped != 0 || !baseline ||
+      baseline->stats().members_skipped != 0) {
     std::fprintf(stderr, "[scan] corpus open failed for %s\n",
                  manifest_path.c_str());
     return 1;
   }
-  std::fprintf(stderr, "[scan] corpus: %zu member file(s), %llu records\n",
+  std::fprintf(stderr,
+               "[scan] corpus: %zu member file(s), %llu records, %llu "
+               "payload bytes\n",
                corpus->members().size(),
-               static_cast<unsigned long long>(corpus->declared_records()));
+               static_cast<unsigned long long>(corpus->declared_records()),
+               static_cast<unsigned long long>(corpus->payload_bytes()));
 
   core::ChromiumOptions options;
   options.sample_rate = ditl.sample_rate;
 
   // ---- 2. Parity checks (before timing) --------------------------------
-  // The acceptance contract: the multi-file work-stealing scan must be
-  // byte-identical to the single-file view scan (and both to the
-  // materializing reference) at every thread count, regardless of steal
-  // interleaving.
+  // The acceptance contract: the multi-member work-stealing scan must be
+  // byte-identical to the serial one-member scan at every thread count,
+  // regardless of steal interleaving.
+  core::ChromiumOptions serial = options;
+  serial.threads = 1;
   const core::ChromiumResult reference =
-      core::ChromiumCounter(options).process(records);
+      core::ChromiumCounter(serial).process_corpus(*baseline);
   for (const int threads : {1, 2, 8}) {
     core::ChromiumOptions check = options;
     check.threads = threads;
-    const core::ChromiumCounter counter(check);
-    if (!identical(counter.process_view(*view), reference)) {
+    if (!identical(core::ChromiumCounter(check).process_corpus(*corpus),
+                   reference)) {
       std::fprintf(stderr,
-                   "[scan] FAIL: process_view differs from process() at "
-                   "threads=%d\n",
-                   threads);
-      return 1;
-    }
-    if (!identical(counter.process_corpus(*corpus), reference)) {
-      std::fprintf(stderr,
-                   "[scan] FAIL: process_corpus differs from process() at "
-                   "threads=%d\n",
-                   threads);
+                   "[scan] FAIL: the %zu-member corpus scan differs from "
+                   "the one-member scan at threads=%d\n",
+                   corpus->members().size(), threads);
       return 1;
     }
   }
 
-  // ---- 3. Throughput: file -> ChromiumResult through each path ---------
+  // ---- 3. Throughput: manifest -> ChromiumResult, best of --reps -------
   const core::ChromiumCounter counter(options);
-  const auto n = static_cast<double>(records.size());
-  double materialize_seconds = 1e30;
-  double view_seconds = 1e30;
-  double corpus_seconds = 1e30;
-  core::exec::StealTelemetry steal;
   std::uint64_t sink = 0;  // keeps the timed results observable
+  // Best rep of open + scan for one corpus, with that rep's scheduler
+  // telemetry.
+  struct Best {
+    double seconds = 1e30;
+    core::exec::StealTelemetry steal;
+  };
+  const auto time_rep = [&](const std::string& path, Best* best) {
+    const auto start = std::chrono::steady_clock::now();
+    const auto timed = roots::CorpusView::open(path);
+    if (!timed) return false;
+    core::exec::StealTelemetry steal;
+    sink += counter.process_corpus(*timed, &steal).signature_matches;
+    const double seconds = seconds_since(start);
+    if (seconds < best->seconds) *best = Best{seconds, steal};
+    return true;
+  };
+  // The two corpora alternate rep by rep, so host drift hits both alike.
+  Best corpus_best;
+  Best single_best;
   for (int rep = 0; rep < reps; ++rep) {
-    {
-      const auto start = std::chrono::steady_clock::now();
-      std::vector<roots::TraceRecord> loaded;
-      roots::TraceFile::ReadStats stats;
-      if (!roots::TraceFile::read_tolerant(path, &loaded, &stats)) return 1;
-      const core::ChromiumResult result = counter.process(loaded);
-      materialize_seconds = std::min(materialize_seconds,
-                                     seconds_since(start));
-      sink += result.signature_matches;
-    }
-    {
-      const auto start = std::chrono::steady_clock::now();
-      const auto timed_view = roots::TraceView::open(path);
-      if (!timed_view) return 1;
-      const core::ChromiumResult result = counter.process_view(*timed_view);
-      view_seconds = std::min(view_seconds, seconds_since(start));
-      sink += result.signature_matches;
-    }
-    {
-      const auto start = std::chrono::steady_clock::now();
-      const auto timed_corpus = roots::CorpusView::open(manifest_path);
-      if (!timed_corpus) return 1;
-      core::exec::StealTelemetry rep_steal;
-      const core::ChromiumResult result =
-          counter.process_corpus(*timed_corpus, &rep_steal);
-      const double seconds = seconds_since(start);
-      if (seconds < corpus_seconds) {
-        corpus_seconds = seconds;
-        steal = rep_steal;
-      }
-      sink += result.signature_matches;
+    if (!time_rep(manifest_path, &corpus_best) ||
+        (spec.internet() && !time_rep(single_path, &single_best))) {
+      std::fprintf(stderr, "[scan] corpus reopen failed\n");
+      return 1;
     }
   }
-  const double materialize_rps =
-      materialize_seconds > 0 ? n / materialize_seconds : 0;
-  const double view_rps = view_seconds > 0 ? n / view_seconds : 0;
-  const double corpus_rps = corpus_seconds > 0 ? n / corpus_seconds : 0;
-  const double speedup =
-      materialize_rps > 0 ? view_rps / materialize_rps : 0;
-  const double corpus_speedup = view_rps > 0 ? corpus_rps / view_rps : 0;
+  const auto n = static_cast<double>(records.size());
+  const double corpus_seconds = corpus_best.seconds;
+  const double corpus_rps = n / corpus_seconds;
+  const double single_seconds = spec.internet() ? single_best.seconds : 0;
+  const double single_rps = spec.internet() ? n / single_seconds : 0;
+  const double corpus_speedup = single_rps > 0 ? corpus_rps / single_rps : 0;
+  const core::exec::StealTelemetry& steal = corpus_best.steal;
   const double steal_ratio =
       steal.tasks > 0
           ? static_cast<double>(steal.stolen_tasks) / steal.tasks
@@ -299,69 +269,59 @@ int main(int argc, char** argv) {
   std::printf("trace scan throughput (%zu records, %zu corpus file(s), "
               "best of %d)\n",
               records.size(), corpus->members().size(), reps);
-  std::printf("  %-12s %10s %16s\n", "path", "seconds", "records/sec");
-  std::printf("  %-12s %10.3f %16.0f\n", "materialize", materialize_seconds,
-              materialize_rps);
-  std::printf("  %-12s %10.3f %16.0f\n", "view", view_seconds, view_rps);
-  std::printf("  %-12s %10.3f %16.0f\n", "corpus", corpus_seconds,
+  std::printf("  %-12s %10s %16s\n", "corpus", "seconds", "records/sec");
+  std::printf("  %-12s %10.3f %16.0f\n", spec.name.c_str(), corpus_seconds,
               corpus_rps);
-  std::printf("  view/materialize speedup: %.1fx, corpus/view: %.2fx  "
-              "(checksum %llu)\n",
-              speedup, corpus_speedup,
-              static_cast<unsigned long long>(sink));
+  if (spec.internet()) {
+    std::printf("  %-12s %10.3f %16.0f\n", "one-member", single_seconds,
+                single_rps);
+    std::printf("  corpus/one-member speedup: %.2fx\n", corpus_speedup);
+  }
   std::printf("  steal scheduler: %zu tasks over %zu workers, %zu "
-              "steal(s) moved %zu task(s) (ratio %.3f)\n",
+              "steal(s) moved %zu task(s) (ratio %.3f, checksum %llu)\n",
               steal.tasks, steal.workers, steal.steals, steal.stolen_tasks,
-              steal_ratio);
+              steal_ratio, static_cast<unsigned long long>(sink));
 
-  obs::Registry::global()
-      .gauge("chromium.scan.materialize_records_per_sec")
-      .set(materialize_rps);
-  obs::Registry::global()
-      .gauge("chromium.scan.view_records_per_sec")
-      .set(view_rps);
-  obs::Registry::global()
-      .gauge("chromium.scan.corpus_records_per_sec")
-      .set(corpus_rps);
-  obs::Registry::global().gauge("chromium.scan.speedup").set(speedup);
-  obs::Registry::global()
-      .gauge("chromium.scan.corpus_speedup")
-      .set(corpus_speedup);
-  obs::Registry::global().gauge("chromium.scan.steal_ratio").set(steal_ratio);
+  obs::Registry& registry = obs::Registry::global();
+  registry.gauge("chromium.scan.corpus_records_per_sec").set(corpus_rps);
+  registry.gauge("chromium.scan.steal_ratio").set(steal_ratio);
+  if (spec.internet()) {
+    registry.gauge("chromium.scan.corpus_speedup").set(corpus_speedup);
+  }
 
   if (std::FILE* csv =
           std::fopen(bench::out_path("scan_throughput.csv").c_str(), "w")) {
     std::fprintf(csv,
                  "path,scale,files,records,payload_bytes,seconds,"
                  "records_per_sec\n");
-    std::fprintf(csv, "materialize,%s,1,%zu,%zu,%.6f,%.0f\n",
-                 spec.name.c_str(), records.size(), view->payload_bytes(),
-                 materialize_seconds, materialize_rps);
-    std::fprintf(csv, "view,%s,1,%zu,%zu,%.6f,%.0f\n", spec.name.c_str(),
-                 records.size(), view->payload_bytes(), view_seconds,
-                 view_rps);
     std::fprintf(csv, "corpus,%s,%zu,%zu,%llu,%.6f,%.0f\n", spec.name.c_str(),
                  corpus->members().size(), records.size(),
                  static_cast<unsigned long long>(corpus->payload_bytes()),
                  corpus_seconds, corpus_rps);
+    if (spec.internet()) {
+      std::fprintf(csv, "one_member,%s,1,%zu,%llu,%.6f,%.0f\n",
+                   spec.name.c_str(), records.size(),
+                   static_cast<unsigned long long>(baseline->payload_bytes()),
+                   single_seconds, single_rps);
+    }
     std::fclose(csv);
   }
-  // The CSV (and, in CI, the manifest) are the artifacts, not the capture.
-  std::remove(path.c_str());
-
-  if (require_speedup > 0 && speedup < require_speedup) {
-    std::fprintf(stderr,
-                 "[scan] FAIL: view path %.2fx materializing, below the "
-                 "required %.2fx\n",
-                 speedup, require_speedup);
-    return 1;
+  // The CSV and the preset's corpus are the artifacts, not the baseline.
+  if (spec.internet()) {
+    for (const auto& member : baseline->members()) {
+      std::filesystem::remove(
+          std::filesystem::path(single_path).parent_path() /
+          member.meta.file);
+    }
+    std::filesystem::remove(single_path);
   }
+
   if (require_speedup > 0 && spec.internet() &&
       corpus_speedup < require_speedup) {
     std::fprintf(stderr,
-                 "[scan] FAIL: corpus path %.2fx the single-file view, "
-                 "below the required %.2fx\n",
-                 corpus_speedup, require_speedup);
+                 "[scan] FAIL: the %zu-member corpus scan is %.2fx the "
+                 "one-member scan, below the required %.2fx\n",
+                 corpus->members().size(), corpus_speedup, require_speedup);
     return 1;
   }
   return 0;

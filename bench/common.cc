@@ -5,11 +5,13 @@
 #include <cstring>
 #include <filesystem>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 
 #include "core/exec/exec.h"
 #include "core/obs/obs.h"
+#include "roots/corpus.h"
 
 namespace netclients::bench {
 
@@ -151,14 +153,33 @@ Pipelines PipelineBuilder::build() const {
         roots::RootSystem::ditl_2020(p.world().config().seed);
     sim::DitlOptions ditl;
     ditl.sample_rate = 1.0 / ditl_sample_denominator();
-    core::ChromiumOptions chromium_options;
-    chromium_options.sample_rate = ditl.sample_rate;
-    chromium_options.threads = threads;
-    core::ChromiumCounter counter(chromium_options);
-    p.chromium = counter.process(
-        [&](const std::function<void(const roots::TraceRecord&)>& emit) {
-          sim::generate_ditl(p.world(), root_system, ditl, emit);
-        });
+    // Generated once into an NCD1 corpus (the shape DITL arrives in: many
+    // capture files), scanned in place, then removed.
+    const std::string manifest = out_path("ditl.manifest");
+    roots::CorpusWriter writer(
+        manifest, {roots::CorpusFormat::kNcd1, std::uint64_t{1} << 18});
+    sim::generate_ditl(p.world(), root_system, ditl,
+                       [&](const roots::TraceRecord& rec) { writer.add(rec); });
+    std::optional<roots::CorpusView> corpus;
+    if (writer.finish()) corpus = roots::CorpusView::open(manifest);
+    const bool scanned = corpus && corpus->stats().members_skipped == 0;
+    if (scanned) {
+      core::ChromiumOptions chromium_options;
+      chromium_options.sample_rate = ditl.sample_rate;
+      chromium_options.threads = threads;
+      p.chromium =
+          core::ChromiumCounter(chromium_options).process_corpus(*corpus);
+    }
+    corpus.reset();
+    for (const roots::CorpusMember& member : writer.manifest().members) {
+      std::filesystem::remove(out_path(member.file));
+    }
+    std::filesystem::remove(manifest);
+    if (!scanned) {
+      std::fprintf(stderr, "[bench] cannot write or open the DITL corpus %s\n",
+                   manifest.c_str());
+      std::exit(1);
+    }
     p.logs_prefixes = p.chromium.to_prefix_dataset("DNS logs");
   }
 

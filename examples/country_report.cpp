@@ -6,9 +6,11 @@
 // Run:  build/examples/country_report [scale-denominator] [country-code]
 
 #include <cstdio>
-#include <utility>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
+#include <string>
+#include <utility>
 
 #include "core/obs/export.h"
 #include "apnic/apnic.h"
@@ -16,6 +18,7 @@
 #include "core/compare/compare.h"
 #include "core/report/report.h"
 #include "core/scenario/scenario.h"
+#include "roots/corpus.h"
 #include "roots/root_server.h"
 #include "sim/ditl.h"
 
@@ -38,17 +41,34 @@ int main(int argc, char** argv) {
 
   const roots::RootSystem roots =
       roots::RootSystem::ditl_2020(world.config().seed);
+  // The sampled DITL capture, written as a corpus of NCD1 files (the
+  // shape a DITL collection arrives in), scanned in place, and removed.
   sim::DitlOptions ditl;
   ditl.sample_rate = 1.0 / 64;
-  core::ChromiumOptions chromium_options;
-  chromium_options.sample_rate = ditl.sample_rate;
-  const core::ChromiumCounter counter(chromium_options);
-  const auto chromium = counter.process(
-      [&](const std::function<void(const roots::TraceRecord&)>& emit) {
-        sim::generate_ditl(world, roots, ditl, emit);
-      });
+  const std::string manifest = "country_report_ditl.manifest";
+  roots::CorpusWriter writer(
+      manifest, {roots::CorpusFormat::kNcd1, std::uint64_t{1} << 18});
+  sim::generate_ditl(world, roots, ditl,
+                     [&](const roots::TraceRecord& rec) { writer.add(rec); });
+  std::optional<core::ChromiumResult> chromium;
+  if (writer.finish()) {
+    if (const auto corpus = roots::CorpusView::open(manifest)) {
+      core::ChromiumOptions chromium_options;
+      chromium_options.sample_rate = ditl.sample_rate;
+      chromium =
+          core::ChromiumCounter(chromium_options).process_corpus(*corpus);
+    }
+  }
+  for (const auto& member : writer.manifest().members) {
+    std::remove(member.file.c_str());
+  }
+  std::remove(manifest.c_str());
+  if (!chromium) {
+    std::fprintf(stderr, "cannot write or read back %s\n", manifest.c_str());
+    return 1;
+  }
   const auto logs_as = core::to_as_dataset(
-      "DNS logs", chromium.to_prefix_dataset("l"), world);
+      "DNS logs", chromium->to_prefix_dataset("l"), world);
 
   const auto apnic_est = apnic::estimate_population(world, {});
   const auto coverage =

@@ -1,22 +1,26 @@
-// DITL export / re-import: materializes a sampled DITL capture to the
-// library's binary trace format, re-runs the Chromium pipeline from the
-// file, then persists the analysis as a netclients.snap.v1 snapshot —
-// the workflow a researcher with DNS-OARC access would use (collect
-// once, analyze many times, serve the result).
+// DITL export / re-import: streams a sampled DITL capture into an NCD1
+// corpus (a manifest plus capture files, the shape a DITL collection
+// arrives in), re-runs the Chromium pipeline from the manifest, then
+// persists the analysis as a netclients.snap.v1 snapshot — the workflow a
+// researcher with DNS-OARC access would use (collect once, analyze many
+// times, serve the result).
 //
-// Run:  build/examples/ditl_export [scale-denominator] [out.trace]
+// Run:  build/examples/ditl_export [scale-denominator] [out.manifest]
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/obs/export.h"
 #include "core/chromium/chromium.h"
 #include "core/scenario/scenario.h"
 #include "core/serve/service.h"
 #include "core/snapshot/snapshot.h"
+#include "roots/corpus.h"
 #include "roots/root_server.h"
-#include "roots/trace.h"
-#include "roots/trace_view.h"
 #include "sim/ditl.h"
 
 using namespace netclients;
@@ -25,7 +29,7 @@ int main(int argc, char** argv) {
   obs::MetricsOutGuard metrics_out(&argc, argv);
   double denominator = 512;
   if (argc > 1) denominator = std::atof(argv[1]);
-  const std::string path = argc > 2 ? argv[2] : "ditl_sample.trace";
+  const std::string path = argc > 2 ? argv[2] : "ditl_sample.manifest";
 
   const core::Scenario scenario =
       core::ScenarioBuilder().scale_denominator(denominator).build();
@@ -35,44 +39,58 @@ int main(int argc, char** argv) {
 
   sim::DitlOptions ditl;
   ditl.sample_rate = 1.0 / 64;
-  std::vector<roots::TraceRecord> records;
+  roots::CorpusWriter writer(
+      path, {roots::CorpusFormat::kNcd1, std::uint64_t{1} << 18});
   const auto stats = sim::generate_ditl(
       world, roots, ditl,
-      [&](const roots::TraceRecord& rec) { records.push_back(rec); });
-  std::printf("captured %zu records (%llu suppressed on non-DITL letters)\n",
-              records.size(),
-              static_cast<unsigned long long>(stats.suppressed));
-
-  if (!roots::TraceFile::write(path, records)) {
+      [&](const roots::TraceRecord& rec) { writer.add(rec); });
+  const bool written = writer.finish();
+  const roots::CorpusManifest& manifest = writer.manifest();
+  // The capture's files are removed on every exit path below.
+  const auto remove_capture = [&] {
+    const std::string dir = path.substr(0, path.find_last_of('/') + 1);
+    for (const auto& member : manifest.members) {
+      std::remove((dir + member.file).c_str());
+    }
+    std::remove(path.c_str());
+  };
+  if (!written) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    remove_capture();
     return 1;
   }
-  std::printf("wrote %s\n", path.c_str());
+  std::printf("captured %llu records (%llu suppressed on non-DITL letters)\n",
+              static_cast<unsigned long long>(manifest.total_records()),
+              static_cast<unsigned long long>(stats.suppressed));
+  std::printf("wrote %s (%zu capture file(s))\n", path.c_str(),
+              manifest.members.size());
 
-  // Re-import and analyze, as a separate consumer would — through the
-  // zero-copy view: the capture is mmap-ed (buffered where mapping is
-  // unavailable) and scanned in place, never materialized. The read is
+  // Re-import and analyze, as a separate consumer would — from the
+  // manifest alone: each capture file is mmap-ed (buffered where mapping
+  // is unavailable) and scanned in place, never materialized. The read is
   // tolerant: a capture damaged in transit still yields every record
   // before the corruption, with the rest counted as skipped.
   core::ChromiumOptions options;
   options.sample_rate = ditl.sample_rate;
-  const core::ChromiumCounter counter(options);
-  const auto view = roots::TraceView::open(path);
-  if (!view) {
+  const auto corpus = roots::CorpusView::open(path);
+  if (!corpus) {
     std::fprintf(stderr, "cannot read back %s\n", path.c_str());
+    remove_capture();
     return 1;
   }
-  const core::ChromiumResult result = counter.process_view(*view);
-  std::printf("re-analyzed from disk (%s, zero-copy): "
+  const core::ChromiumResult result =
+      core::ChromiumCounter(options).process_corpus(*corpus);
+  std::printf("re-analyzed from disk (%zu file(s), zero-copy): "
               "%llu records (%llu skipped), "
               "%llu signature matches, %llu collision-rejected, "
               "%zu resolvers with Chromium activity\n",
-              view->mapped() ? "mmap" : "buffered",
+              corpus->members().size(),
               static_cast<unsigned long long>(result.records_scanned),
               static_cast<unsigned long long>(result.records_skipped),
               static_cast<unsigned long long>(result.signature_matches),
               static_cast<unsigned long long>(result.rejected_collisions),
               result.probes_by_resolver.size());
+  remove_capture();
 
   // Top resolvers by (scaled) Chromium volume.
   std::vector<std::pair<double, std::uint32_t>> top;
@@ -98,6 +116,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   const auto snap = core::snapshot::read(snap_path);
+  std::remove(snap_path.c_str());
   if (!snap || snap->epochs.size() != 1) {
     std::fprintf(stderr, "cannot read back %s\n", snap_path.c_str());
     return 1;
@@ -113,8 +132,5 @@ int main(int argc, char** argv) {
               handle->index().as_aggregates().size(),
               handle->index().total_volume(),
               static_cast<unsigned long long>(handle->version()));
-
-  std::remove(path.c_str());
-  std::remove(snap_path.c_str());
   return 0;
 }

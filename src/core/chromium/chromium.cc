@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cmath>
-#include <mutex>
 #include <utility>
 
 #include "core/chromium/count_table.h"
@@ -49,11 +48,6 @@ bool matches_chromium_signature(const dns::DnsName& name) {
 
 namespace {
 
-std::uint64_t name_day_key(const roots::TraceRecord& rec) {
-  const auto day = static_cast<std::uint64_t>(rec.timestamp / net::kDay);
-  return net::hash_combine(net::stable_hash(rec.qname.labels().front()), day);
-}
-
 /// stable_hash over the lowercased bytes of a raw trace label — equal to
 /// stable_hash of the label's canonical (materialized) form. Only labels
 /// that already matched the signature are hashed, so every byte is an
@@ -72,7 +66,7 @@ std::uint64_t name_day_key(std::string_view first_label, net::SimTime ts) {
   return net::hash_combine(lower_stable_hash(first_label), day);
 }
 
-/// Record adapters for the shared view scan below: extract the sole label
+/// Record adapters for the scan kernels below: extract the sole label
 /// of a single-label qname, or report that the record has no such label.
 /// NCD1 refs read the label bytes straight out of the frame; NCP1 refs pay
 /// a full zero-copy wire parse — a framed but unparseable packet simply
@@ -98,156 +92,12 @@ bool single_label_of(const roots::PacketRecordRef& ref,
 /// The collision threshold in the sampled domain: a name with the
 /// full-trace threshold count is expected to appear threshold×rate times
 /// after sampling. Keep at least 2 so single occurrences (the Chromium
-/// common case) always survive. Shared by the materializing and view
-/// scan paths so their filters are identical by construction.
+/// common case) always survive.
 std::uint32_t effective_threshold(const ChromiumOptions& options) {
   return std::max<std::uint32_t>(
       2, static_cast<std::uint32_t>(std::lround(
              options.daily_collision_threshold * options.sample_rate)));
 }
-
-/// Scan telemetry from the merged (already deterministic) totals. Shared
-/// by both scan paths so exports stay comparable across them.
-void record_scan_metrics(const ChromiumResult& result) {
-  obs::Registry& registry = obs::Registry::global();
-  registry.counter("chromium.records_scanned").add(result.records_scanned);
-  registry.counter("chromium.signature_matches")
-      .add(result.signature_matches);
-  registry.counter("chromium.sketch.rejected_collisions")
-      .add(result.rejected_collisions);
-  registry.gauge("chromium.resolvers")
-      .set(static_cast<double>(result.probes_by_resolver.size()));
-}
-
-/// Cuts a sequential stream of values into fixed-size chunks and hands
-/// batches of chunks to the pool. The producer (the replay callback) stays
-/// single-threaded; only chunk processing fans out. Chunk boundaries
-/// depend on arrival order alone, so the partition is identical for every
-/// thread count.
-template <typename T>
-class ChunkedScatter {
- public:
-  using ChunkFn = std::function<void(std::size_t, const std::vector<T>&)>;
-
-  ChunkedScatter(std::size_t chunk_size, int threads, ChunkFn fn)
-      : chunk_size_(std::max<std::size_t>(1, chunk_size)),
-        threads_(threads),
-        fn_(std::move(fn)) {
-    batch_limit_ = static_cast<std::size_t>(
-        std::max(1, threads_ > 0 ? threads_ : exec::thread_count()) * 2);
-  }
-
-  void push(T value) {
-    current_.push_back(std::move(value));
-    if (current_.size() == chunk_size_) {
-      batch_.push_back(std::move(current_));
-      current_.clear();
-      if (batch_.size() >= batch_limit_) flush();
-    }
-  }
-
-  void finish() {
-    if (!current_.empty()) {
-      batch_.push_back(std::move(current_));
-      current_.clear();
-    }
-    flush();
-  }
-
- private:
-  void flush() {
-    if (batch_.empty()) return;
-    exec::parallel_map(batch_.size(), threads_, [&](std::size_t i) {
-      fn_(next_chunk_index_ + i, batch_[i]);
-      return 0;
-    });
-    next_chunk_index_ += batch_.size();
-    batch_.clear();
-  }
-
-  std::size_t chunk_size_;
-  int threads_;
-  ChunkFn fn_;
-  std::size_t batch_limit_;
-  std::size_t next_chunk_index_ = 0;
-  std::vector<T> current_;
-  std::vector<std::vector<T>> batch_;
-};
-
-}  // namespace
-
-ChromiumResult ChromiumCounter::process(const ReplayFn& replay) const {
-  ChromiumResult result;
-  const std::uint32_t threshold = effective_threshold(options_);
-
-  // Pass 1: per-(name, day) frequency sketch over signature matches only.
-  // The producer extracts keys serially; shards scatter them into the
-  // shared sketch with atomic (commutative) increments.
-  CountMinSketch sketch(options_.sketch_width, options_.sketch_depth,
-                        options_.seed);
-  {
-    obs::StageSpan span("chromium.pass1_sketch");
-    ChunkedScatter<std::uint64_t> scatter(
-        options_.chunk_records, options_.threads,
-        [&](std::size_t, const std::vector<std::uint64_t>& keys) {
-          for (std::uint64_t key : keys) sketch.add(key);
-        });
-    replay([&](const roots::TraceRecord& rec) {
-      if (matches_chromium_signature(rec.qname)) {
-        scatter.push(name_day_key(rec));
-      }
-    });
-    scatter.finish();
-  }
-
-  // Pass 2: attribute surviving matches to their resolver source address.
-  // Per-shard partials are integer counts merged in chunk order, then
-  // scaled once — byte-identical totals for any thread count.
-  std::unordered_map<std::uint32_t, std::uint64_t> counts;
-  std::uint64_t rejected = 0;
-  {
-    obs::StageSpan span("chromium.pass2_attribute");
-    struct Match {
-      std::uint64_t key;
-      std::uint32_t source;
-    };
-    std::mutex merge_mu;
-    ChunkedScatter<Match> scatter(
-        options_.chunk_records, options_.threads,
-        [&](std::size_t, const std::vector<Match>& matches) {
-          std::unordered_map<std::uint32_t, std::uint64_t> local;
-          std::uint64_t local_rejected = 0;
-          for (const Match& m : matches) {
-            if (sketch.estimate(m.key) >= threshold) {
-              ++local_rejected;
-            } else {
-              ++local[m.source];
-            }
-          }
-          // Integer sums are order-independent, so merging under a plain
-          // lock (rather than in chunk order) is still deterministic.
-          std::lock_guard<std::mutex> lock(merge_mu);
-          rejected += local_rejected;
-          for (const auto& [source, count] : local) counts[source] += count;
-        });
-    replay([&](const roots::TraceRecord& rec) {
-      ++result.records_scanned;
-      if (!matches_chromium_signature(rec.qname)) return;
-      ++result.signature_matches;
-      scatter.push(Match{name_day_key(rec), rec.source.value()});
-    });
-    scatter.finish();
-  }
-  result.rejected_collisions = rejected;
-  const double scale = 1.0 / options_.sample_rate;
-  for (const auto& [source, count] : counts) {
-    result.probes_by_resolver[source] = static_cast<double>(count) * scale;
-  }
-  record_scan_metrics(result);
-  return result;
-}
-
-namespace {
 
 constexpr std::size_t kPrefetchAhead = 8;
 
@@ -364,9 +214,8 @@ ChunkPartial pass2_chunk(const ViewT& view, const exec::RecordChunk& chunk,
 }
 
 /// Folds canonically-ordered pass-2 partials into the result and applies
-/// the 1/sample_rate scaling once — the same integer-sums-then-scale
-/// discipline as the materializing path, so results are byte-identical to
-/// it at any thread count.
+/// the 1/sample_rate scaling once: integer sums, then one multiply, so
+/// results are byte-identical at any thread count.
 void merge_partials(const std::vector<ChunkPartial>& partials,
                     double sample_rate, ChromiumResult* result) {
   std::unordered_map<std::uint32_t, std::uint64_t> counts;
@@ -390,76 +239,7 @@ bool serial_scan(const ChromiumOptions& options) {
   return (options.threads > 0 ? options.threads : exec::thread_count()) <= 1;
 }
 
-/// The zero-copy two-pass scan, shared by the record-framed (NCD1) and
-/// packet-framed (NCP1) views. `RefT` only needs cursor traversal,
-/// timestamp()/source(), and a `single_label_of` adapter overload; the
-/// chunk partition, sketch pass, attribution pass, and merge discipline
-/// are byte-for-byte the same machinery either way — and the same
-/// per-chunk kernels serve the multi-file corpus scan, which is what
-/// makes its results byte-identical to this path.
-template <typename RefT, typename ViewT>
-ChromiumResult scan_view(const ViewT& view, const ChromiumOptions& options_) {
-  ChromiumResult result;
-  const std::uint32_t threshold = effective_threshold(options_);
-
-  std::vector<exec::RecordChunk> chunks;
-  {
-    obs::StageSpan span("chromium.scan.partition");
-    chunks = partition_view<RefT>(view, options_.chunk_records,
-                                  &result.records_scanned,
-                                  &result.records_skipped);
-  }
-
-  // Pass 1: per-(name, day) frequency sketch over signature matches.
-  // Sketch cells are atomic integer increments — commutative, so shards
-  // scatter into the shared sketch directly.
-  CountMinSketch sketch(options_.sketch_width, options_.sketch_depth,
-                        options_.seed);
-  const bool serial = serial_scan(options_);
-  {
-    obs::StageSpan span("chromium.scan.pass1_sketch");
-    exec::parallel_map(chunks.size(), options_.threads, [&](std::size_t i) {
-      pass1_chunk<RefT>(view, chunks[i], sketch, serial);
-      return 0;
-    });
-  }
-
-  // Pass 2: per-chunk partials merged in chunk order, then scaled once.
-  std::vector<ChunkPartial> partials;
-  {
-    obs::StageSpan span("chromium.scan.pass2_attribute");
-    partials =
-        exec::parallel_map(chunks.size(), options_.threads, [&](std::size_t i) {
-          return pass2_chunk<RefT>(view, chunks[i], sketch, threshold);
-        });
-  }
-  merge_partials(partials, options_.sample_rate, &result);
-
-  record_scan_metrics(result);
-  obs::Registry& registry = obs::Registry::global();
-  registry.counter("chromium.scan.records").add(result.records_scanned);
-  registry.counter("chromium.scan.chunks").add(chunks.size());
-  registry.counter("chromium.scan.bytes").add(view.payload_bytes());
-  if (result.records_skipped > 0) {
-    // Lazy, like the fault counters: a clean trace's export is identical
-    // to one from a build that predates skip accounting.
-    registry.counter("chromium.trace.records_skipped")
-        .add(result.records_skipped);
-  }
-  return result;
-}
-
 }  // namespace
-
-ChromiumResult ChromiumCounter::process_view(
-    const roots::TraceView& view) const {
-  return scan_view<roots::TraceRecordRef>(view, options_);
-}
-
-ChromiumResult ChromiumCounter::process_packets(
-    const roots::PacketTraceView& view) const {
-  return scan_view<roots::PacketRecordRef>(view, options_);
-}
 
 ChromiumResult ChromiumCounter::process_corpus(
     const roots::CorpusView& corpus, exec::StealTelemetry* telemetry) const {
@@ -468,10 +248,9 @@ ChromiumResult ChromiumCounter::process_corpus(
   const auto& members = corpus.members();
 
   // Phase A: partition every member in parallel. Each member's boundary
-  // walk is the same serial walk scan_view does — but members are
-  // independent byte streams, so the walks themselves fan out. This is the
-  // structural win over a single concatenated file, where the partition is
-  // one long serial pass.
+  // walk is serial, but members are independent byte streams, so the
+  // walks themselves fan out. This is the structural win over a single
+  // concatenated file, where the partition is one long serial pass.
   struct MemberPartition {
     std::vector<exec::RecordChunk> chunks;
     std::uint64_t scanned = 0;
@@ -497,8 +276,8 @@ ChromiumResult ChromiumCounter::process_corpus(
   }
   // Canonical task order: (file, chunk) ascending. The steal scheduler may
   // execute tasks in any interleaving; every merge below replays this
-  // order, which is what keeps the result byte-identical to the
-  // single-file path at any REPRO_THREADS and any steal pattern.
+  // order, which is what keeps the result byte-identical at any
+  // REPRO_THREADS and any steal pattern.
   struct CorpusTask {
     std::size_t member = 0;
     exec::RecordChunk chunk;
@@ -515,8 +294,7 @@ ChromiumResult ChromiumCounter::process_corpus(
   result.records_skipped += corpus.stats().records_skipped;
 
   // Pass 1: one shared sketch across all files — commutative atomic adds,
-  // so steal order is invisible. The same (name, day) keys go in as a
-  // single-file scan of the same records would insert.
+  // so steal order (and the member split) is invisible.
   CountMinSketch sketch(options_.sketch_width, options_.sketch_depth,
                         options_.seed);
   const bool serial = serial_scan(options_);
@@ -540,7 +318,7 @@ ChromiumResult ChromiumCounter::process_corpus(
   }
 
   // Pass 2: per-task partials, returned by task index (canonical order)
-  // regardless of who executed them, merged exactly like scan_view's.
+  // regardless of who executed them.
   std::vector<ChunkPartial> partials;
   exec::StealTelemetry pass2_telemetry;
   {
@@ -570,47 +348,26 @@ ChromiumResult ChromiumCounter::process_corpus(
     telemetry->attempts = pass1_telemetry.attempts + pass2_telemetry.attempts;
   }
 
-  record_scan_metrics(result);
+  // Scan telemetry from the merged (already deterministic) totals.
   obs::Registry& registry = obs::Registry::global();
+  registry.counter("chromium.records_scanned").add(result.records_scanned);
+  registry.counter("chromium.signature_matches")
+      .add(result.signature_matches);
+  registry.counter("chromium.sketch.rejected_collisions")
+      .add(result.rejected_collisions);
+  registry.gauge("chromium.resolvers")
+      .set(static_cast<double>(result.probes_by_resolver.size()));
   registry.counter("chromium.scan.records").add(result.records_scanned);
   registry.counter("chromium.scan.chunks").add(tasks.size());
   registry.counter("chromium.scan.bytes").add(corpus.payload_bytes());
   registry.counter("chromium.scan.files").add(corpus.stats().members_opened);
   if (result.records_skipped > 0) {
+    // Lazy, like the fault counters: a clean trace's export is identical
+    // to one from a build that predates skip accounting.
     registry.counter("chromium.trace.records_skipped")
         .add(result.records_skipped);
   }
   return result;
-}
-
-std::optional<ChromiumResult> ChromiumCounter::process_corpus_file(
-    const std::string& manifest_path,
-    exec::StealTelemetry* telemetry) const {
-  const auto corpus = roots::CorpusView::open(manifest_path);
-  if (!corpus) return std::nullopt;
-  return process_corpus(*corpus, telemetry);
-}
-
-ChromiumResult ChromiumCounter::process(
-    const std::vector<roots::TraceRecord>& trace) const {
-  return process([&](const std::function<void(const roots::TraceRecord&)>&
-                         emit) {
-    for (const auto& rec : trace) emit(rec);
-  });
-}
-
-std::optional<ChromiumResult> ChromiumCounter::process_file(
-    const std::string& path) const {
-  const auto view = roots::TraceView::open(path);
-  if (!view) return std::nullopt;
-  return process_view(*view);
-}
-
-std::optional<ChromiumResult> ChromiumCounter::process_packet_file(
-    const std::string& path) const {
-  const auto view = roots::PacketTraceView::open(path);
-  if (!view) return std::nullopt;
-  return process_packets(*view);
 }
 
 PrefixDataset ChromiumResult::to_prefix_dataset(std::string name) const {

@@ -13,8 +13,6 @@
 
 namespace netclients::roots {
 class CorpusView;
-class PacketTraceView;
-class TraceView;
 }  // namespace netclients::roots
 
 namespace netclients::core::exec {
@@ -70,8 +68,8 @@ struct ChromiumResult {
   std::uint64_t records_scanned = 0;
   std::uint64_t signature_matches = 0;
   std::uint64_t rejected_collisions = 0;
-  /// Trace records declared by the file header but unparseable (only set
-  /// by process_file, which reads tolerantly: skip-and-count, never crash).
+  /// Trace records declared by a member's header (or by the manifest, for
+  /// an unreadable member) but not scannable: skip-and-count, never crash.
   std::uint64_t records_skipped = 0;
 
   /// Aggregates resolvers by /24 into a dataset (volume = probe count).
@@ -81,82 +79,38 @@ struct ChromiumResult {
 /// The paper's second technique: counting Chromium interception probes in
 /// root DITL traces, per recursive resolver.
 ///
-/// Streaming, two-pass design: DITL-scale traces cannot be materialized, so
-/// the pipeline takes a *replayable* record source. Pass 1 builds a
-/// per-(name, day) frequency sketch; pass 2 attributes each surviving
-/// signature match to its source address.
+/// DITL-scale traces cannot be materialized, so the counter scans a
+/// `roots::CorpusView` in place: the capture files a DITL collection
+/// arrives as, each mapped zero-copy. A lone trace file is a one-member
+/// corpus. Pass 1 builds a per-(name, day) frequency sketch; pass 2
+/// attributes each surviving signature match to its source address.
 ///
-/// Both passes shard the stream into fixed-size record chunks processed in
+/// Both passes shard the corpus into fixed-size record chunks processed in
 /// parallel: pass 1 scatters into the shared sketch with commutative
 /// atomic increments, pass 2 accumulates per-chunk integer partials merged
 /// in chunk order — so counts are identical for every thread count.
 class ChromiumCounter {
  public:
-  /// Invokes `emit` once per trace record; must produce the identical
-  /// stream each time it is called.
-  using ReplayFn = std::function<void(
-      const std::function<void(const roots::TraceRecord&)>& emit)>;
-
   explicit ChromiumCounter(ChromiumOptions options = {})
       : options_(options) {}
 
-  ChromiumResult process(const ReplayFn& replay) const;
-
-  /// Single-shot convenience over an in-memory trace.
-  ChromiumResult process(const std::vector<roots::TraceRecord>& trace) const;
-
-  /// Zero-copy streaming scan over an open TraceView: one serial boundary
-  /// walk partitions the mapping into record-aligned chunks by offset
-  /// (thread-count independent), then both passes fan the chunks out via
-  /// exec::parallel_map — byte-wise signature matching on the mapped label
-  /// bytes, per-shard open-addressing count tables merged in shard order.
-  /// No per-record allocation anywhere. Result is byte-identical to
-  /// materializing the same file and calling process(), at any
-  /// REPRO_THREADS; damaged tails are skip-and-count
-  /// (result.records_skipped), mirroring read_tolerant.
-  ChromiumResult process_view(const roots::TraceView& view) const;
-
-  /// Scans a binary trace file via the zero-copy view path (mmap with
-  /// buffered fallback): damaged or truncated records are skipped and
-  /// counted (result.records_skipped), never fatal. Returns nullopt only
-  /// if the file itself is unreadable (missing, bad magic, bad header).
-  std::optional<ChromiumResult> process_file(const std::string& path) const;
-
-  /// The same two-pass chunked scan over a packet-framed (NCP1) trace:
-  /// chunking walks the capture framing only, and each scan shard pays an
-  /// honest zero-copy `dns::MessageView::parse` per packet. A framed but
-  /// unparseable packet is a scanned non-match (records_scanned includes
-  /// it), so chunk boundaries — and therefore results — stay independent
-  /// of packet contents and thread count. Counts are identical to running
-  /// process() over the records the packets were written from.
-  ChromiumResult process_packets(const roots::PacketTraceView& view) const;
-
-  /// process_file for NCP1 packet traces.
-  std::optional<ChromiumResult> process_packet_file(
-      const std::string& path) const;
-
-  /// The cross-file scan over a sharded multi-file corpus. Member files
-  /// are partitioned in parallel (one boundary walk each), the resulting
-  /// (file, chunk) tasks — in canonical ascending order — are executed by
-  /// the work-stealing scheduler (`exec::steal_map`), and per-task
-  /// partials are merged back in that canonical order. The result is
-  /// byte-identical to writing the same records into one file and calling
-  /// process_view, at any REPRO_THREADS and any steal interleaving:
-  /// determinism comes from merge order, not execution order. NCD1 and
-  /// NCP1 members may be mixed. Unreadable members were already counted
-  /// by CorpusView::open; their declared records land in records_skipped.
-  /// `telemetry`, when non-null, receives the summed steal telemetry of
-  /// both passes (for the bench's steal-ratio gauge).
+  /// The scan over a corpus. Member files are partitioned in parallel
+  /// (one boundary walk each, which validates the framing and counts a
+  /// damaged tail into records_skipped), the resulting (file, chunk)
+  /// tasks — in canonical ascending order — are executed by the
+  /// work-stealing scheduler (`exec::steal_map`), and per-task partials
+  /// are merged back in that canonical order. The result depends on the
+  /// records alone, not on how they are split into members, at any
+  /// REPRO_THREADS and any steal interleaving: determinism comes from
+  /// merge order, not execution order. NCD1 and NCP1 members may be
+  /// mixed; an NCP1 packet that does not parse is a scanned non-match.
+  /// Unreadable members were already counted by CorpusView::open; their
+  /// declared records land in records_skipped. `telemetry`, when
+  /// non-null, receives the summed steal telemetry of both passes (for
+  /// the bench's steal-ratio gauge).
   ChromiumResult process_corpus(const roots::CorpusView& corpus,
                                 exec::StealTelemetry* telemetry
                                   = nullptr) const;
-
-  /// process_file for a corpus manifest: opens the corpus (tolerantly)
-  /// and scans it. Returns nullopt only when the manifest itself is
-  /// unreadable or malformed.
-  std::optional<ChromiumResult> process_corpus_file(
-      const std::string& manifest_path,
-      exec::StealTelemetry* telemetry = nullptr) const;
 
   const ChromiumOptions& options() const { return options_; }
 

@@ -98,9 +98,9 @@ auto parallel_map(std::size_t n, int threads, Fn&& fn)
   using R = decltype(fn(std::size_t{0}));
   // Fan-out telemetry. Only the total shard count is recorded: it depends
   // on the input size alone. Neither the worker split nor the number of
-  // parallel_map *calls* qualifies — batching callers (ChunkedScatter)
-  // legally flush in thread-count-sized groups — and recording either
-  // would break the byte-identical-export-at-any-REPRO_THREADS contract.
+  // parallel_map *calls* qualifies — a caller may legally batch its work
+  // into thread-count-sized calls — and recording either would break the
+  // byte-identical-export-at-any-REPRO_THREADS contract.
   static obs::Counter& shards_metric =
       obs::Registry::global().counter("exec.parallel_map.shards");
   shards_metric.add(n);

@@ -19,22 +19,12 @@ struct WorkerDeque {
   std::deque<std::size_t> tasks;
 };
 
-void record_metrics(std::size_t tasks, const StealTelemetry& t) {
-  // Task count depends only on the input, so it is safe to always record.
+/// The task count depends on the input alone; steal tallies stay out of
+/// the registry (see steal.h).
+void record_metrics(std::size_t tasks) {
   static obs::Counter& tasks_metric =
       obs::Registry::global().counter("exec.steal.tasks");
   tasks_metric.add(tasks);
-  // Steal tallies are scheduling noise: lazily instantiated so they never
-  // appear in serial runs, keeping REPRO_THREADS=1 exports byte-stable.
-  if (t.steals > 0) {
-    obs::Registry::global().counter("exec.steal.steals").add(t.steals);
-    obs::Registry::global()
-        .counter("exec.steal.stolen_tasks")
-        .add(t.stolen_tasks);
-  }
-  if (t.attempts > 0) {
-    obs::Registry::global().counter("exec.steal.attempts").add(t.attempts);
-  }
 }
 
 }  // namespace
@@ -55,7 +45,7 @@ void steal_run(std::size_t n, int threads,
 
   if (workers <= 1) {
     for (std::size_t i = 0; i < n; ++i) task(i);
-    record_metrics(n, local);
+    record_metrics(n);
     if (telemetry) *telemetry = local;
     return;
   }
@@ -154,7 +144,7 @@ void steal_run(std::size_t n, int threads,
   local.steals = steals.load(std::memory_order_relaxed);
   local.stolen_tasks = stolen_tasks.load(std::memory_order_relaxed);
   local.attempts = attempts.load(std::memory_order_relaxed);
-  record_metrics(n, local);
+  record_metrics(n);
   if (telemetry) *telemetry = local;
   if (error) std::rethrow_exception(error);
 }

@@ -19,13 +19,11 @@
 // and any steal interleaving.
 //
 // Telemetry: `exec.steal.tasks` counts scheduled tasks and is a function
-// of the input alone, so it is always recorded. Steal tallies
-// (`exec.steal.steals`, `.stolen_tasks`, `.attempts`) are scheduling
-// noise — different on every run — and are recorded *lazily*: the metric
-// is only instantiated once a steal actually happens. Serial runs (and
-// any REPRO_THREADS=1 determinism harness diffing metric exports) never
-// see the keys; multi-threaded callers that want them accept that they
-// sit outside the byte-identical-export contract, like timing gauges.
+// of the input alone, so it is the one metric recorded in the registry.
+// Steal tallies (steals, stolen tasks, attempts) are scheduling noise —
+// different on every run — so they go only to the caller's
+// `StealTelemetry`, never to the registry: a timing-less metrics export
+// stays byte-identical at any REPRO_THREADS.
 
 #include <cstddef>
 #include <cstdint>
@@ -35,8 +33,8 @@
 
 namespace netclients::core::exec {
 
-/// Per-call scheduling telemetry, for callers (bench_scan) that want to
-/// derive a steal ratio without reading global metrics.
+/// Per-call scheduling telemetry, for callers (bench_scan, corpusctl) that
+/// want a steal ratio; the registry never sees these tallies.
 struct StealTelemetry {
   std::size_t tasks = 0;        // tasks scheduled (== n)
   std::size_t workers = 0;      // workers that participated

@@ -55,8 +55,9 @@ struct DitlStats {
 /// its name would have used, so every captured record is the one a
 /// generator building all names would emit.
 ///
-/// Deterministic for a given (world, options); re-invoking replays the
-/// identical stream, which the two-pass Chromium pipeline relies on.
+/// Deterministic for a given (world, options): re-invoking replays the
+/// identical stream. Callers write it once into a `roots::CorpusWriter`
+/// and scan the corpus.
 DitlStats generate_ditl(
     const World& world, const roots::RootSystem& roots,
     const DitlOptions& options,

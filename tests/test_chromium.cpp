@@ -7,12 +7,16 @@
 #include <cmath>
 #include <filesystem>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/chromium/chromium.h"
 #include "core/chromium/sketch.h"
 #include "net/rng.h"
+#include "roots/corpus.h"
 #include "roots/root_server.h"
 #include "roots/trace.h"
+#include "scan_testing.h"
 #include "sim/ditl.h"
 #include "sim/world.h"
 
@@ -114,6 +118,13 @@ roots::TraceRecord record(std::uint32_t source, const char* qname,
   return rec;
 }
 
+// Every counter case scans its records as a one-member corpus; the scan
+// has no other entry point.
+ChromiumResult scan(const std::vector<roots::TraceRecord>& trace,
+                    const ChromiumOptions& options = {}) {
+  return scan_testing::scan_as_corpus(options, trace, "chromium_scan");
+}
+
 TEST(Counter, CountsUniqueSignatureNamesPerSource) {
   std::vector<roots::TraceRecord> trace = {
       record(0x0A000001, "qwertzuiop", 10),
@@ -122,28 +133,32 @@ TEST(Counter, CountsUniqueSignatureNamesPerSource) {
       record(0x0A000002, "www.example.com", 40),  // not single-label
       record(0x0A000002, "abc", 50),              // too short
   };
-  const ChromiumCounter counter;
-  const auto result = counter.process(trace);
+  const auto result = scan(trace);
   EXPECT_EQ(result.records_scanned, 5u);
   EXPECT_EQ(result.signature_matches, 3u);
   EXPECT_EQ(result.rejected_collisions, 0u);
   EXPECT_DOUBLE_EQ(result.probes_by_resolver.at(0x0A000001), 2.0);
   EXPECT_DOUBLE_EQ(result.probes_by_resolver.at(0x0A000002), 1.0);
+  scan_testing::expect_identical(result,
+                                 scan_testing::reference_scan({}, trace));
 }
 
 TEST(Counter, RejectsUnusableSketchOptions) {
   // A zero-width sketch used to crash the scan; a zero-depth one silently
   // rejected every match as a collision. Both now fail loudly up front.
-  const std::vector<roots::TraceRecord> trace = {
-      record(0x0A000001, "qwertzuiop", 10)};
+  const std::string manifest = scan_testing::write_test_corpus(
+      "chromium_bad_sketch", {record(0x0A000001, "qwertzuiop", 10)});
+  const auto corpus = roots::CorpusView::open(manifest);
+  ASSERT_TRUE(corpus.has_value());
   ChromiumOptions zero_width;
   zero_width.sketch_width = 0;
-  EXPECT_THROW(ChromiumCounter(zero_width).process(trace),
+  EXPECT_THROW(ChromiumCounter(zero_width).process_corpus(*corpus),
                std::invalid_argument);
   ChromiumOptions zero_depth;
   zero_depth.sketch_depth = 0;
-  EXPECT_THROW(ChromiumCounter(zero_depth).process(trace),
+  EXPECT_THROW(ChromiumCounter(zero_depth).process_corpus(*corpus),
                std::invalid_argument);
+  scan_testing::remove_corpus(manifest);
 }
 
 TEST(Counter, CollisionThresholdRejectsRepeatedNames) {
@@ -154,8 +169,7 @@ TEST(Counter, CollisionThresholdRejectsRepeatedNames) {
   }
   // One genuine random probe.
   trace.push_back(record(0x0A000001, "qpwoeiruty", 100));
-  const ChromiumCounter counter;
-  const auto result = counter.process(trace);
+  const auto result = scan(trace);
   EXPECT_EQ(result.rejected_collisions, 50u);
   EXPECT_DOUBLE_EQ(result.probes_by_resolver.at(0x0A000001), 1.0);
 }
@@ -169,8 +183,7 @@ TEST(Counter, ThresholdIsPerDay) {
           record(0x0A000001, "columbia", day * 86400.0 + i * 60));
     }
   }
-  const ChromiumCounter counter;
-  const auto result = counter.process(trace);
+  const auto result = scan(trace);
   EXPECT_EQ(result.rejected_collisions, 0u);
   EXPECT_DOUBLE_EQ(result.probes_by_resolver.at(0x0A000001), 6.0);
 }
@@ -182,8 +195,7 @@ TEST(Counter, SampleRateScalesCountsAndThreshold) {
   };
   ChromiumOptions options;
   options.sample_rate = 1.0 / 64;
-  const ChromiumCounter counter(options);
-  const auto result = counter.process(trace);
+  const auto result = scan(trace, options);
   EXPECT_DOUBLE_EQ(result.probes_by_resolver.at(1), 128.0);
 }
 
@@ -193,8 +205,7 @@ TEST(Counter, ToPrefixDatasetAggregatesBySlash24) {
       record(0x0A000002, "mznxbcvlak"),  // same /24
       record(0x0B000001, "lskdjfhgqp"),  // different /24
   };
-  const ChromiumCounter counter;
-  const auto ds = counter.process(trace).to_prefix_dataset("DNS logs");
+  const auto ds = scan(trace).to_prefix_dataset("DNS logs");
   EXPECT_EQ(ds.size(), 2u);
   EXPECT_DOUBLE_EQ(ds.volume_of(0x0A0000), 2.0);
   EXPECT_DOUBLE_EQ(ds.volume_of(0x0B0000), 1.0);
@@ -209,11 +220,11 @@ TEST(Counter, EndToEndAccuracyAgainstPlantedTruth) {
   const sim::World world = sim::World::generate(config);
   const roots::RootSystem roots = roots::RootSystem::ditl_2020(config.seed);
   sim::DitlOptions ditl;
-  const ChromiumCounter counter;
-  const auto result = counter.process(
-      [&](const std::function<void(const roots::TraceRecord&)>& emit) {
-        sim::generate_ditl(world, roots, ditl, emit);
-      });
+  std::vector<roots::TraceRecord> trace;
+  sim::generate_ditl(world, roots, ditl, [&](const roots::TraceRecord& rec) {
+    trace.push_back(rec);
+  });
+  const auto result = scan(trace);
   const auto truth = sim::chromium_ground_truth(world);
   // Aggregate totals: captured counts should be a stable fraction (letter
   // capture ~40-55%) of the true probe volume over 2 days.
@@ -243,7 +254,10 @@ TEST(Counter, EndToEndAccuracyAgainstPlantedTruth) {
   EXPECT_LT(static_cast<double>(detected) / busy, 1.0);
 }
 
-TEST(Counter, ProcessFromTraceFileRoundTrip) {
+TEST(Counter, TraceFileIsAOneMemberCorpus) {
+  // A lone trace file is scanned by writing a manifest around it: the
+  // scan equals the reference over the records written, and over the
+  // records TraceFile::read gets back, with nothing skipped.
   std::vector<roots::TraceRecord> trace = {
       record(1, "qpwoeiruty", 0),
       record(2, "mznxbcvlak", 5),
@@ -252,30 +266,16 @@ TEST(Counter, ProcessFromTraceFileRoundTrip) {
   ASSERT_TRUE(roots::TraceFile::write(path, trace));
   std::vector<roots::TraceRecord> loaded;
   ASSERT_TRUE(roots::TraceFile::read(path, &loaded));
-  const ChromiumCounter counter;
-  const auto direct = counter.process(trace);
-  const auto via_file = counter.process(loaded);
-  EXPECT_EQ(direct.probes_by_resolver, via_file.probes_by_resolver);
-  std::remove(path.c_str());
+  const auto via_file = scan_testing::scan_file(path, {});
+  scan_testing::expect_identical(via_file,
+                                 scan_testing::reference_scan({}, trace));
+  scan_testing::expect_identical(via_file,
+                                 scan_testing::reference_scan({}, loaded));
+  EXPECT_EQ(via_file.records_skipped, 0u);
+  std::filesystem::remove(path);
 }
 
-TEST(Counter, ProcessFileMatchesInMemoryAndReportsNoSkips) {
-  std::vector<roots::TraceRecord> trace = {
-      record(1, "qpwoeiruty", 0),
-      record(2, "mznxbcvlak", 5),
-  };
-  const std::string path = "chromium_process_file_test.bin";
-  ASSERT_TRUE(roots::TraceFile::write(path, trace));
-  const ChromiumCounter counter;
-  const auto direct = counter.process(trace);
-  const auto via_file = counter.process_file(path);
-  ASSERT_TRUE(via_file.has_value());
-  EXPECT_EQ(direct.probes_by_resolver, via_file->probes_by_resolver);
-  EXPECT_EQ(via_file->records_skipped, 0u);
-  std::remove(path.c_str());
-}
-
-TEST(Counter, ProcessFileSkipsAndCountsCorruptTail) {
+TEST(Counter, CorruptTailIsSkippedAndCounted) {
   std::vector<roots::TraceRecord> trace = {
       record(1, "qpwoeiruty", 0),
       record(2, "mznxbcvlak", 5),
@@ -286,17 +286,54 @@ TEST(Counter, ProcessFileSkipsAndCountsCorruptTail) {
   // Chop into the last record: the scan must keep the intact prefix.
   std::filesystem::resize_file(path,
                                std::filesystem::file_size(path) - 3);
-  const ChromiumCounter counter;
-  const auto result = counter.process_file(path);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(result->records_scanned, 2u);
-  EXPECT_EQ(result->records_skipped, 1u);
-  std::remove(path.c_str());
+  const auto result = scan_testing::scan_file(path, {});
+  EXPECT_EQ(result.records_scanned, 2u);
+  EXPECT_EQ(result.records_skipped, 1u);
+  std::filesystem::remove(path);
 }
 
-TEST(Counter, ProcessFileRejectsUnreadableFile) {
-  const ChromiumCounter counter;
-  EXPECT_FALSE(counter.process_file("no_such_trace.bin").has_value());
+TEST(Counter, CorpusScanResultPinned) {
+  // The parity suites compare the scan against scan_testing's reference;
+  // a bug both share would pass them all, so the totals are also pinned,
+  // for every format, member count and thread count. A change that moves
+  // them changes scan results and must say so.
+  sim::WorldConfig config;
+  config.scale = 1.0 / 8192;
+  const sim::World world = sim::World::generate(config);
+  const roots::RootSystem roots = roots::RootSystem::ditl_2020(config.seed);
+  sim::DitlOptions ditl;
+  ditl.sample_rate = 1.0 / 4;
+  std::vector<roots::TraceRecord> trace;
+  sim::generate_ditl(world, roots, ditl, [&](const roots::TraceRecord& rec) {
+    trace.push_back(rec);
+  });
+  for (const auto format :
+       {roots::CorpusFormat::kNcd1, roots::CorpusFormat::kNcp1}) {
+    for (const std::size_t files : {std::size_t{1}, std::size_t{3}}) {
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE(std::string(roots::corpus_format_name(format)) +
+                     " files=" + std::to_string(files) +
+                     " threads=" + std::to_string(threads));
+        ChromiumOptions options;
+        options.sample_rate = ditl.sample_rate;
+        options.threads = threads;
+        const ChromiumResult result = scan_testing::scan_as_corpus(
+            options, trace, "chromium_pinned", files, format);
+        double probes = 0;
+        for (const auto& [addr, count] : result.probes_by_resolver) {
+          probes += count;
+        }
+        EXPECT_EQ(result.records_scanned, 665998u);
+        EXPECT_EQ(result.signature_matches, 639664u);
+        EXPECT_EQ(result.rejected_collisions, 62433u);
+        EXPECT_EQ(result.probes_by_resolver.size(), 150u);
+        // 4 × (639664 − 62433) surviving matches: integer-valued, so the
+        // sum is exact in any order.
+        EXPECT_EQ(probes, 2308924.0);
+        EXPECT_EQ(result.records_skipped, 0u);
+      }
+    }
+  }
 }
 
 // -------------------------------------------------------- collision study

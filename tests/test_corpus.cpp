@@ -1,12 +1,11 @@
 // Sharded-corpus + work-stealing suite (labels: determinism, tsan): the
-// cross-file corpus scan must be byte-identical to the single-file view
-// scan and the materializing reference at every REPRO_THREADS and every
-// member split — determinism comes from the canonical (file, chunk)
-// merge order, never from steal interleaving. Also covers the
-// RecordChunker edge cases the corpus partition leans on (boundary
-// exactly at EOF, empty members, split invariance) and the steal_map
-// scheduler itself (index-ordered results, exception propagation,
-// telemetry).
+// cross-file corpus scan must be byte-identical to the serial reference
+// scan at every REPRO_THREADS and every member split — determinism comes
+// from the canonical (file, chunk) merge order, never from steal
+// interleaving. Also covers the RecordChunker edge cases the corpus
+// partition leans on (boundary exactly at EOF, empty members, split
+// invariance) and the steal_map scheduler itself (index-ordered results,
+// exception propagation, telemetry).
 
 #include <gtest/gtest.h>
 
@@ -28,6 +27,7 @@
 #include "roots/root_server.h"
 #include "roots/trace.h"
 #include "roots/trace_view.h"
+#include "scan_testing.h"
 #include "sim/ditl.h"
 #include "sim/world.h"
 
@@ -53,9 +53,8 @@ struct CorpusFixture {
                        [&](const roots::TraceRecord& rec) {
                          records.push_back(rec);
                        });
-    ChromiumOptions options;
-    options.sample_rate = kSampleRate;
-    reference = ChromiumCounter(options).process(records);
+    reference = scan_testing::reference_scan({.sample_rate = kSampleRate},
+                                             records);
   }
 };
 
@@ -72,19 +71,7 @@ ChromiumOptions scan_options(int threads, std::size_t chunk_records = 0) {
   return options;
 }
 
-void expect_identical(const ChromiumResult& got, const ChromiumResult& want,
-                      const char* what) {
-  EXPECT_EQ(got.records_scanned, want.records_scanned) << what;
-  EXPECT_EQ(got.signature_matches, want.signature_matches) << what;
-  EXPECT_EQ(got.rejected_collisions, want.rejected_collisions) << what;
-  ASSERT_EQ(got.probes_by_resolver.size(), want.probes_by_resolver.size())
-      << what;
-  for (const auto& [addr, count] : want.probes_by_resolver) {
-    const auto it = got.probes_by_resolver.find(addr);
-    ASSERT_NE(it, got.probes_by_resolver.end()) << what;
-    EXPECT_EQ(it->second, count) << what;
-  }
-}
+using scan_testing::expect_identical;
 
 // ---------------------------------------------------------- steal_map
 
@@ -394,25 +381,10 @@ TEST(Corpus, EmptyMemberInMultiFileSet) {
   ASSERT_TRUE(roots::TraceFile::write("corpus_empty.000.ncd1", first));
   ASSERT_TRUE(roots::TraceFile::write("corpus_empty.001.ncd1", {}));
   ASSERT_TRUE(roots::TraceFile::write("corpus_empty.002.ncd1", second));
-
-  roots::CorpusManifest manifest;
-  for (const char* name : {"corpus_empty.000.ncd1", "corpus_empty.001.ncd1",
-                           "corpus_empty.002.ncd1"}) {
-    std::ifstream in(name, std::ios::binary);
-    const std::string bytes((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-    roots::CorpusMember member;
-    member.file = name;
-    member.records = name == std::string("corpus_empty.001.ncd1")
-                         ? 0
-                         : (name == std::string("corpus_empty.000.ncd1")
-                                ? first.size()
-                                : second.size());
-    member.bytes = bytes.size();
-    member.crc = net::crc32(bytes);
-    manifest.members.push_back(std::move(member));
-  }
-  ASSERT_TRUE(manifest.write("corpus_empty.manifest"));
+  scan_testing::write_manifest(
+      "corpus_empty.manifest",
+      {"corpus_empty.000.ncd1", "corpus_empty.001.ncd1",
+       "corpus_empty.002.ncd1"});
 
   const auto corpus = roots::CorpusView::open("corpus_empty.manifest");
   ASSERT_TRUE(corpus.has_value());
@@ -516,17 +488,16 @@ TEST(Corpus, MixedFormatMembersScanIdentically) {
   }
 }
 
-TEST(Corpus, ProcessCorpusFileMatchesOpenThenProcess) {
-  const auto& f = fixture();
-  const std::string manifest_path = "corpus_file.manifest";
-  ASSERT_TRUE(roots::write_corpus(manifest_path, f.records, 2));
-  const auto via_file = ChromiumCounter(scan_options(2))
-                            .process_corpus_file(manifest_path);
-  ASSERT_TRUE(via_file.has_value());
-  expect_identical(*via_file, f.reference, "process_corpus_file");
-  EXPECT_FALSE(ChromiumCounter(scan_options(2))
-                   .process_corpus_file("no_such.manifest")
-                   .has_value());
+TEST(Corpus, UnreadableManifestIsRejected) {
+  // The one failure the open does not tolerate: no manifest to read, or
+  // one that does not parse. Member damage is tolerated (cases above).
+  EXPECT_FALSE(roots::CorpusView::open("no_such.manifest").has_value());
+  {
+    std::ofstream out("corpus_garbage.manifest", std::ios::trunc);
+    out << "NCCORPUS v2\n";
+  }
+  EXPECT_FALSE(roots::CorpusView::open("corpus_garbage.manifest").has_value());
+  std::filesystem::remove("corpus_garbage.manifest");
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -19,7 +20,9 @@
 #include "core/exec/steal.h"
 #include "core/obs/export.h"
 #include "core/obs/obs.h"
+#include "roots/corpus.h"
 #include "roots/root_server.h"
+#include "scan_testing.h"
 #include "sim/activity.h"
 #include "sim/ditl.h"
 #include "sim/world.h"
@@ -252,36 +255,61 @@ TEST(Determinism, DifferentSeedsDiffer) {
 
 // ------------------------------------------------- metrics thread-count
 
+/// A 1/2048 world's DITL at 1/16 sampling, written once as a 3-member
+/// NCD1 corpus for the Chromium cases below.
+const std::string& chromium_corpus() {
+  static const std::string manifest = [] {
+    sim::WorldConfig config;
+    config.scale = 1.0 / 2048;
+    const sim::World world = sim::World::generate(config);
+    const roots::RootSystem roots =
+        roots::RootSystem::ditl_2020(config.seed);
+    sim::DitlOptions ditl;
+    ditl.sample_rate = 1.0 / 16;
+    std::vector<roots::TraceRecord> trace;
+    sim::generate_ditl(world, roots, ditl, [&](const roots::TraceRecord& r) {
+      trace.push_back(r);
+    });
+    EXPECT_FALSE(trace.empty());
+    return scan_testing::write_test_corpus("determinism_ditl", trace, 3);
+  }();
+  return manifest;
+}
+
+class ChromiumCorpusCleanup : public ::testing::Environment {
+ public:
+  void TearDown() override { scan_testing::remove_corpus(chromium_corpus()); }
+};
+const auto* const kChromiumCorpusCleanup =
+    ::testing::AddGlobalTestEnvironment(new ChromiumCorpusCleanup);
+
+ChromiumResult scan_chromium_corpus(int threads) {
+  const auto corpus = roots::CorpusView::open(chromium_corpus());
+  EXPECT_TRUE(corpus && corpus->stats().members_opened == 3);
+  ChromiumOptions options;
+  options.sample_rate = 1.0 / 16;
+  options.chunk_records = 1 << 10;  // many chunks even on this small trace
+  options.threads = threads;
+  return corpus ? ChromiumCounter(options).process_corpus(*corpus)
+                : ChromiumResult{};
+}
+
 TEST(Determinism, MetricsJsonIdenticalAcrossThreadCounts) {
   // The observability layer follows the same discipline as the pipelines:
   // for a fixed seed, the exported metrics JSON (timings excluded — span
   // wall-clock is the one intentionally nondeterministic field) is
   // byte-identical between a serial and an 8-way run. The Chromium scan is
-  // included via its streaming replay path on purpose: its ChunkedScatter
-  // flushes in thread-count-sized batches, so any metric keyed to fan-out
-  // *calls* (rather than shards) would diverge here.
-  sim::WorldConfig config;
-  config.scale = 1.0 / 2048;
-  const sim::World world = sim::World::generate(config);
-  const roots::RootSystem roots = roots::RootSystem::ditl_2020(config.seed);
-  sim::DitlOptions ditl;
-  ditl.sample_rate = 1.0 / 16;
-  std::vector<roots::TraceRecord> trace;
-  sim::generate_ditl(world, roots, ditl,
-                     [&](const roots::TraceRecord& r) { trace.push_back(r); });
-  ASSERT_FALSE(trace.empty());
+  // included over a multi-member corpus with small chunks on purpose: its
+  // tasks run under the work-stealing scheduler, so any metric keyed to
+  // steals, workers or fan-out *calls* (rather than tasks) would diverge
+  // here.
+  chromium_corpus();  // written before the first reset, so its metrics
+                      // land in neither export
 
   const auto metrics_json_for = [&](int threads) {
     obs::Registry::global().reset();
     run_pipeline(0xCAFE, threads);
-    ChromiumOptions chromium;
-    chromium.sample_rate = ditl.sample_rate;
-    chromium.chunk_records = 1 << 10;
-    chromium.threads = threads;
-    ChromiumCounter(chromium).process(
-        [&](const std::function<void(const roots::TraceRecord&)>& emit) {
-          for (const roots::TraceRecord& r : trace) emit(r);
-        });
+    scan_chromium_corpus(threads);
     obs::ExportOptions options;
     options.include_timings = false;
     return obs::to_json(obs::Registry::global().snapshot(), options);
@@ -294,7 +322,7 @@ TEST(Determinism, MetricsJsonIdenticalAcrossThreadCounts) {
        {"googledns.probe.sent", "dnssrv.ratelimiter.allowed",
         "cacheprobe.campaign.probes_sent",
         "cacheprobe.calibration.hit_distance_km", "cacheprobe.run_campaign",
-        "chromium.records_scanned"}) {
+        "chromium.records_scanned", "exec.steal.tasks"}) {
     EXPECT_NE(serial.find(metric), std::string::npos) << metric;
   }
 }
@@ -302,32 +330,12 @@ TEST(Determinism, MetricsJsonIdenticalAcrossThreadCounts) {
 // --------------------------------------------------- chromium thread-count
 
 TEST(Determinism, ChromiumCountsIdenticalAcrossThreadCounts) {
-  sim::WorldConfig config;
-  config.scale = 1.0 / 2048;
-  const sim::World world = sim::World::generate(config);
-  const roots::RootSystem roots = roots::RootSystem::ditl_2020(config.seed);
-  sim::DitlOptions ditl;
-  ditl.sample_rate = 1.0 / 16;
-  std::vector<roots::TraceRecord> trace;
-  sim::generate_ditl(world, roots, ditl,
-                     [&](const roots::TraceRecord& r) { trace.push_back(r); });
-  ASSERT_FALSE(trace.empty());
-
-  ChromiumOptions options;
-  options.sample_rate = ditl.sample_rate;
-  options.chunk_records = 1 << 10;  // many chunks even on this small trace
-  auto run = [&](int threads) {
-    ChromiumOptions o = options;
-    o.threads = threads;
-    return ChromiumCounter(o).process(trace);
-  };
-  const ChromiumResult serial = run(1);
-  const ChromiumResult mt = run(8);
+  const ChromiumResult serial = scan_chromium_corpus(1);
   ASSERT_FALSE(serial.probes_by_resolver.empty());
-  EXPECT_EQ(serial.records_scanned, mt.records_scanned);
-  EXPECT_EQ(serial.signature_matches, mt.signature_matches);
-  EXPECT_EQ(serial.rejected_collisions, mt.rejected_collisions);
-  EXPECT_EQ(serial.probes_by_resolver, mt.probes_by_resolver);
+  for (const int threads : {3, 8}) {
+    scan_testing::expect_identical(scan_chromium_corpus(threads), serial,
+                                   "threads=" + std::to_string(threads));
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <fstream>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "apnic/apnic.h"
@@ -16,7 +17,9 @@
 #include "core/compare/compare.h"
 #include "core/datasets/datasets.h"
 #include "dns/wire.h"
+#include "roots/corpus.h"
 #include "roots/root_server.h"
+#include "scan_testing.h"
 #include "sim/activity.h"
 #include "sim/ditl.h"
 #include "sim/world.h"
@@ -44,16 +47,24 @@ struct Study {
     core::CacheProbeCampaign campaign(std::move(probe_env));
     probing = campaign.run().result;
 
+    // The capture streamed into an NCD1 corpus, the shape DITL arrives in.
     const roots::RootSystem roots = roots::RootSystem::ditl_2020(config.seed);
     sim::DitlOptions ditl;
-    ditl.sample_rate = 1.0 / 16;  // streaming-sampled, counts scaled back
+    ditl.sample_rate = 1.0 / 16;  // sampled capture, counts scaled back
+    const std::string manifest = "integration_ditl.manifest";
+    roots::CorpusWriter writer(
+        manifest, {roots::CorpusFormat::kNcd1, std::uint64_t{1} << 20});
+    sim::generate_ditl(world, roots, ditl, [&](const roots::TraceRecord& rec) {
+      writer.add(rec);
+    });
+    EXPECT_TRUE(writer.finish());
     core::ChromiumOptions chromium_options;
     chromium_options.sample_rate = ditl.sample_rate;
-    const core::ChromiumCounter counter(chromium_options);
-    chromium = counter.process(
-        [&](const std::function<void(const roots::TraceRecord&)>& emit) {
-          sim::generate_ditl(world, roots, ditl, emit);
-        });
+    if (const auto corpus = roots::CorpusView::open(manifest)) {
+      chromium =
+          core::ChromiumCounter(chromium_options).process_corpus(*corpus);
+    }
+    core::scan_testing::remove_corpus(manifest);
 
     ms = cdn::observe_cdn(world, {});
     apnic_est = apnic::estimate_population(world, {});

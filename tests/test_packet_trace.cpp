@@ -1,11 +1,10 @@
 // Packet-framed (NCP1) trace suite (labels: determinism, tsan): the
 // capture-shaped sibling of test_trace_view. write_packet_trace must
 // round-trip records through real RFC 1035 packets, the framing cursor
-// must skip-and-count damaged tails exactly like the NCD1 cursor, and
-// ChromiumCounter::process_packets — which pays a full zero-copy wire
-// parse per packet inside the parallel scan — must produce byte-identical
-// results to the materializing process() over the same records at every
-// thread count.
+// must skip-and-count damaged tails exactly like the NCD1 cursor, and the
+// corpus scan of an NCP1 file — which pays a full zero-copy wire parse per
+// packet inside the parallel scan — must produce byte-identical results to
+// the serial reference scan over the same records at every thread count.
 
 #include <gtest/gtest.h>
 
@@ -19,9 +18,11 @@
 #include "core/chromium/chromium.h"
 #include "dns/packet.h"
 #include "net/rng.h"
+#include "roots/corpus.h"
 #include "roots/packet_trace.h"
 #include "roots/root_server.h"
 #include "roots/trace.h"
+#include "scan_testing.h"
 #include "sim/ditl.h"
 #include "sim/world.h"
 
@@ -55,11 +56,16 @@ const PacketFixture& fixture() {
   return *f;
 }
 
-bool identical(const ChromiumResult& a, const ChromiumResult& b) {
-  return a.records_scanned == b.records_scanned &&
-         a.signature_matches == b.signature_matches &&
-         a.rejected_collisions == b.rejected_collisions &&
-         a.probes_by_resolver == b.probes_by_resolver;
+class CleanupEnv : public ::testing::Environment {
+ public:
+  void TearDown() override { std::filesystem::remove(fixture().path); }
+};
+const auto* const kCleanup =
+    ::testing::AddGlobalTestEnvironment(new CleanupEnv);
+
+ChromiumResult scan_file(const std::string& path,
+                         const ChromiumOptions& options) {
+  return scan_testing::scan_file(path, options, roots::CorpusFormat::kNcp1);
 }
 
 TEST(PacketTrace, WriteOpenRoundTripsEveryRecord) {
@@ -93,23 +99,24 @@ TEST(PacketTrace, WriteOpenRoundTripsEveryRecord) {
   EXPECT_FALSE(stats.truncated);
 }
 
-TEST(PacketTrace, ProcessPacketsMatchesMaterializingProcess) {
+TEST(PacketTrace, CorpusScanMatchesReferenceScan) {
   const auto& f = fixture();
   ChromiumOptions options;
   options.sample_rate = kSampleRate;
-  const ChromiumResult reference = ChromiumCounter(options).process(f.records);
+  const ChromiumResult reference =
+      scan_testing::reference_scan(options, f.records);
   EXPECT_GT(reference.signature_matches, 0u);
   for (const int threads : {1, 2, 8}) {
     for (const std::size_t chunk : {std::size_t{256}, std::size_t{1} << 15}) {
       ChromiumOptions check = options;
       check.threads = threads;
       check.chunk_records = chunk;
-      const auto result =
-          ChromiumCounter(check).process_packet_file(f.path);
-      ASSERT_TRUE(result.has_value());
-      EXPECT_TRUE(identical(*result, reference))
-          << "threads=" << threads << " chunk=" << chunk;
-      EXPECT_EQ(result->records_skipped, 0u);
+      const ChromiumResult result = scan_file(f.path, check);
+      scan_testing::expect_identical(
+          result, reference,
+          "threads=" + std::to_string(threads) +
+              " chunk=" + std::to_string(chunk));
+      EXPECT_EQ(result.records_skipped, 0u);
     }
   }
 }
@@ -139,10 +146,9 @@ TEST(PacketTrace, DamagedTailSkipsAndCounts) {
 
   ChromiumOptions options;
   options.sample_rate = kSampleRate;
-  const auto result = ChromiumCounter(options).process_packet_file(cut_path);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(result->records_scanned, stats.records_read);
-  EXPECT_EQ(result->records_skipped, stats.records_skipped);
+  const ChromiumResult result = scan_file(cut_path, options);
+  EXPECT_EQ(result.records_scanned, stats.records_read);
+  EXPECT_EQ(result.records_skipped, stats.records_skipped);
   std::filesystem::remove(cut_path);
 }
 
@@ -172,13 +178,11 @@ TEST(PacketTrace, CorruptPacketIsScannedNonMatchNotFramingError) {
 
   ChromiumOptions options;
   options.sample_rate = kSampleRate;
-  const auto clean = ChromiumCounter(options).process_packet_file(f.path);
-  const auto corrupt =
-      ChromiumCounter(options).process_packet_file(corrupt_path);
-  ASSERT_TRUE(clean.has_value() && corrupt.has_value());
-  EXPECT_EQ(corrupt->records_scanned, clean->records_scanned);
-  EXPECT_EQ(corrupt->records_skipped, 0u);
-  EXPECT_LE(corrupt->signature_matches, clean->signature_matches);
+  const ChromiumResult clean = scan_file(f.path, options);
+  const ChromiumResult corrupt = scan_file(corrupt_path, options);
+  EXPECT_EQ(corrupt.records_scanned, clean.records_scanned);
+  EXPECT_EQ(corrupt.records_skipped, 0u);
+  EXPECT_LE(corrupt.signature_matches, clean.signature_matches);
   std::filesystem::remove(corrupt_path);
 }
 
@@ -225,8 +229,10 @@ TEST(PacketTrace, FuzzedFramesNeverCrash) {
     ChromiumOptions options;
     options.sample_rate = kSampleRate;
     // The scan must terminate and never read past the mapping, whatever
-    // survived the mutation.
-    (void)ChromiumCounter(options).process_packets(*view);
+    // survived the mutation, and account for every declared record.
+    const ChromiumResult result = scan_file(fuzz_path, options);
+    EXPECT_EQ(result.records_scanned, stats.records_read);
+    EXPECT_EQ(result.records_skipped, stats.records_skipped);
   }
   std::filesystem::remove(fuzz_path);
 }

@@ -1,12 +1,12 @@
 // Zero-copy trace ingestion suite (labels: determinism, tsan): the
 // TraceView decoder must accept byte-identical record prefixes as the
 // materializing readers on clean, truncated, and corrupted traces, and
-// ChromiumCounter::process_view must produce byte-identical results to
-// the materializing process() at every REPRO_THREADS and chunk size.
-// Fuzz cases mirror test_fuzz_wire's TraceFuzz: random mutations must
-// never crash the view and never read past the mapping (decode-only,
-// like TraceFuzz — the parity cases use structural mutations whose
-// surviving records are still well-formed).
+// the corpus scan of a trace file (a one-member corpus) must be
+// byte-identical to the serial reference scan at every REPRO_THREADS and
+// chunk size. Fuzz cases mirror test_fuzz_wire's TraceFuzz: random
+// mutations must never crash the view and never read past the mapping
+// (decode-only, like TraceFuzz — the parity cases use structural
+// mutations whose surviving records are still well-formed).
 
 #include <gtest/gtest.h>
 
@@ -21,9 +21,11 @@
 #include "core/chromium/chromium.h"
 #include "core/exec/exec.h"
 #include "net/rng.h"
+#include "roots/corpus.h"
 #include "roots/root_server.h"
 #include "roots/trace.h"
 #include "roots/trace_view.h"
+#include "scan_testing.h"
 #include "sim/ditl.h"
 #include "sim/world.h"
 
@@ -36,6 +38,8 @@ constexpr double kSampleRate = 1.0 / 4;
 // the world build dominates, so generate once.
 struct TraceFixture {
   std::string path = "trace_view_fixture.trace";
+  // A manifest around `path`: the file as a one-member corpus.
+  std::string manifest = "trace_view_fixture.manifest";
   std::vector<roots::TraceRecord> records;
 
   TraceFixture() {
@@ -50,6 +54,7 @@ struct TraceFixture {
                          records.push_back(rec);
                        });
     EXPECT_TRUE(roots::TraceFile::write(path, records));
+    scan_testing::write_manifest(manifest, {path});
   }
 };
 
@@ -61,7 +66,7 @@ const TraceFixture& fixture() {
 class CleanupEnv : public ::testing::Environment {
  public:
   void TearDown() override {
-    std::filesystem::remove(fixture().path);
+    scan_testing::remove_corpus(fixture().manifest);
   }
 };
 const auto* const kCleanup =
@@ -78,19 +83,10 @@ void spit(const std::string& path, const std::vector<std::uint8_t>& bytes) {
             static_cast<std::streamsize>(bytes.size()));
 }
 
-// Bit-identical comparison: the two scan paths promise the same integers
-// and the same (integer × scale) doubles, not approximations.
-void expect_identical(const ChromiumResult& a, const ChromiumResult& b) {
-  EXPECT_EQ(a.records_scanned, b.records_scanned);
-  EXPECT_EQ(a.signature_matches, b.signature_matches);
-  EXPECT_EQ(a.rejected_collisions, b.rejected_collisions);
-  ASSERT_EQ(a.probes_by_resolver.size(), b.probes_by_resolver.size());
-  for (const auto& [addr, count] : a.probes_by_resolver) {
-    const auto it = b.probes_by_resolver.find(addr);
-    ASSERT_NE(it, b.probes_by_resolver.end()) << "resolver " << addr;
-    EXPECT_EQ(count, it->second) << "resolver " << addr;
-  }
-}
+using scan_testing::expect_identical;
+using scan_testing::reference_scan;
+
+using scan_testing::scan_file;
 
 // --------------------------------------------------------- view decoding
 
@@ -151,9 +147,21 @@ TEST(TraceView, MmapAndBufferBackingsAgree) {
   EXPECT_FALSE(buffered->mapped());
   EXPECT_EQ(mapped->payload_bytes(), buffered->payload_bytes());
 
+  // The scan over either backing, chosen through the corpus open.
+  roots::CorpusView::OpenOptions auto_backing;
+  auto_backing.backing = roots::FileBytes::Backing::kAuto;
+  roots::CorpusView::OpenOptions buffer_backing;
+  buffer_backing.backing = roots::FileBytes::Backing::kBuffer;
+  const auto mapped_corpus =
+      roots::CorpusView::open(f.manifest, auto_backing);
+  const auto buffered_corpus =
+      roots::CorpusView::open(f.manifest, buffer_backing);
+  ASSERT_TRUE(mapped_corpus && buffered_corpus);
+  ASSERT_TRUE(buffered_corpus->members().front().trace.has_value());
+  EXPECT_FALSE(buffered_corpus->members().front().trace->mapped());
   const ChromiumCounter counter({.sample_rate = kSampleRate});
-  expect_identical(counter.process_view(*mapped),
-                   counter.process_view(*buffered));
+  expect_identical(counter.process_corpus(*mapped_corpus),
+                   counter.process_corpus(*buffered_corpus));
 }
 
 TEST(TraceView, OpenRejectsExactlyWhatTolerantReadRejects) {
@@ -241,9 +249,9 @@ TEST(ByteMatcher, AgreesWithCanonicalMatcherOnEveryLabelShape) {
 TEST(ByteMatcher, UppercaseRawBytesCountLikeTheirCanonicalForm) {
   // Hand-craft a trace whose raw label bytes are mixed-case — DnsName
   // never writes these, but the format doesn't forbid them, and the
-  // materializing path lowercases on read. Both scan paths must agree,
-  // including the sketch keys (same name, different casing, same day
-  // must collide with itself).
+  // materializing reader lowercases on read. The scan must agree with the
+  // reference over the lowercased records, including the sketch keys
+  // (same name, different casing, same day must collide with itself).
   const std::string path = "trace_view_case.bin";
   std::vector<std::uint8_t> bytes = {'N', 'C', 'D', '1'};
   const auto put = [&](const void* p, std::size_t n) {
@@ -272,27 +280,25 @@ TEST(ByteMatcher, UppercaseRawBytesCountLikeTheirCanonicalForm) {
   ASSERT_EQ(loaded.size(), 3u);
   EXPECT_EQ(loaded[0].qname.labels().front(), "abcdefgh");
 
-  const auto view = roots::TraceView::open(path);
-  ASSERT_TRUE(view);
-  const ChromiumCounter counter;
-  const ChromiumResult from_view = counter.process_view(*view);
-  expect_identical(from_view, counter.process(loaded));
-  EXPECT_EQ(from_view.signature_matches, 3u);
+  const ChromiumResult scanned = scan_file(path, {});
+  expect_identical(scanned, reference_scan({}, loaded));
+  EXPECT_EQ(scanned.signature_matches, 3u);
   std::filesystem::remove(path);
 }
 
 // ------------------------------------------------------------ scan parity
 
-TEST(ViewParity, ByteIdenticalToMaterializingScanAtEveryThreadCount) {
+TEST(ViewParity, ByteIdenticalToReferenceScanAtEveryThreadCount) {
   const auto& f = fixture();
   const ChromiumCounter counter({.sample_rate = kSampleRate});
-  const ChromiumResult reference = counter.process(f.records);
+  const ChromiumResult reference =
+      reference_scan({.sample_rate = kSampleRate}, f.records);
   for (const char* threads : {"1", "2", "8"}) {
     SCOPED_TRACE(threads);
     ::setenv("REPRO_THREADS", threads, 1);
-    const auto view = roots::TraceView::open(f.path);
-    ASSERT_TRUE(view);
-    const ChromiumResult scanned = counter.process_view(*view);
+    const auto corpus = roots::CorpusView::open(f.manifest);
+    ASSERT_TRUE(corpus);
+    const ChromiumResult scanned = counter.process_corpus(*corpus);
     expect_identical(scanned, reference);
     EXPECT_EQ(scanned.records_skipped, 0u);
   }
@@ -301,31 +307,23 @@ TEST(ViewParity, ByteIdenticalToMaterializingScanAtEveryThreadCount) {
 
 TEST(ViewParity, ChunkSizeDoesNotChangeTheResult) {
   const auto& f = fixture();
-  const auto view = roots::TraceView::open(f.path);
-  ASSERT_TRUE(view);
+  const auto corpus = roots::CorpusView::open(f.manifest);
+  ASSERT_TRUE(corpus);
   ChromiumOptions options;
   options.sample_rate = kSampleRate;
-  const ChromiumResult reference = ChromiumCounter(options).process(f.records);
+  const ChromiumResult reference = reference_scan(options, f.records);
   for (const std::size_t chunk : {std::size_t{1} << 4, std::size_t{1} << 9,
                                   std::size_t{1} << 20}) {
     SCOPED_TRACE(chunk);
     options.chunk_records = chunk;
-    expect_identical(ChromiumCounter(options).process_view(*view), reference);
+    expect_identical(ChromiumCounter(options).process_corpus(*corpus),
+                     reference);
   }
-}
-
-TEST(ViewParity, ProcessFileRoutesThroughTheViewPath) {
-  const auto& f = fixture();
-  const ChromiumCounter counter({.sample_rate = kSampleRate});
-  const auto from_file = counter.process_file(f.path);
-  ASSERT_TRUE(from_file);
-  expect_identical(*from_file, counter.process(f.records));
-  EXPECT_FALSE(counter.process_file("no_such_trace_file.bin"));
 }
 
 // Structural mutations only (truncation, count inflation, length-byte
 // damage): surviving records stay well-formed, so the parity check can
-// run the full pipeline on both paths.
+// run the scan and the reference over what the tolerant reader keeps.
 TEST(ViewParity, DamagedTailsSkipAndCountIdenticallyToTolerantReader) {
   const auto& f = fixture();
   const std::vector<std::uint8_t> clean = slurp(f.path);
@@ -370,9 +368,10 @@ TEST(ViewParity, DamagedTailsSkipAndCountIdenticallyToTolerantReader) {
     EXPECT_EQ(vstats.records_skipped, stats.records_skipped);
     EXPECT_EQ(vstats.truncated, stats.truncated);
 
-    const ChromiumCounter counter({.sample_rate = kSampleRate});
-    const ChromiumResult scanned = counter.process_view(*view);
-    expect_identical(scanned, counter.process(loaded));
+    const ChromiumResult scanned =
+        scan_file(path, {.sample_rate = kSampleRate});
+    expect_identical(scanned,
+                     reference_scan({.sample_rate = kSampleRate}, loaded));
     EXPECT_EQ(scanned.records_skipped, stats.records_skipped);
   }
   std::filesystem::remove(path);
@@ -385,8 +384,7 @@ TEST(ViewParity, DamagedTailsSkipAndCountIdenticallyToTolerantReader) {
 // (tsan/asan-visible), and must keep the view's accept/skip behavior in
 // lockstep with the materializing tolerant reader. Decode-only, like
 // TraceFuzz: flipped bytes can forge non-finite timestamps, which the
-// scan (either path) would cast — same reason TraceFuzz never calls
-// process().
+// scan would cast.
 class ViewFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ViewFuzz, MutatedTracesNeverCrashAndMatchTolerantReader) {

@@ -197,23 +197,24 @@ int run_scan(const char* manifest, int argc, char** argv) {
   options.threads = static_cast<int>(flag_value(argc, argv, "--threads", 0));
   options.sample_rate =
       1.0 / env_denominator("REPRO_DITL_SAMPLE", 64);
-  core::exec::StealTelemetry steal;
-  const auto result = core::ChromiumCounter(options).process_corpus_file(
-      manifest, &steal);
-  if (!result) {
+  const auto corpus = roots::CorpusView::open(manifest);
+  if (!corpus) {
     std::fprintf(stderr, "corpusctl: %s is not a readable NCCORPUS "
                  "manifest\n", manifest);
     return 1;
   }
+  core::exec::StealTelemetry steal;
+  const core::ChromiumResult result =
+      core::ChromiumCounter(options).process_corpus(*corpus, &steal);
   std::printf("%s: %llu records scanned, %llu signature matches, "
               "%llu collision-rejected, %llu skipped\n",
               manifest,
-              static_cast<unsigned long long>(result->records_scanned),
-              static_cast<unsigned long long>(result->signature_matches),
-              static_cast<unsigned long long>(result->rejected_collisions),
-              static_cast<unsigned long long>(result->records_skipped));
+              static_cast<unsigned long long>(result.records_scanned),
+              static_cast<unsigned long long>(result.signature_matches),
+              static_cast<unsigned long long>(result.rejected_collisions),
+              static_cast<unsigned long long>(result.records_skipped));
   std::printf("  %zu resolver source address(es) attributed\n",
-              result->probes_by_resolver.size());
+              result.probes_by_resolver.size());
   const double ratio =
       steal.tasks > 0
           ? static_cast<double>(steal.stolen_tasks) / steal.tasks
