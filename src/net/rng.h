@@ -76,8 +76,10 @@ class Rng {
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
-  /// Uniform integer in [0, bound) via rejection-free Lemire reduction
-  /// (bias is negligible at 64-bit width for our bounds).
+  /// Integer in [0, bound): one 64-bit draw reduced modulo `bound`. The
+  /// modulo bias is negligible at 64-bit width for our bounds. Every
+  /// stream in the tree depends on this exact reduction, so it must not be
+  /// swapped for another (Lemire's multiply-shift, say).
   std::uint64_t below(std::uint64_t bound) {
     return bound == 0 ? 0 : (*this)() % bound;
   }
@@ -158,6 +160,11 @@ class Rng {
 /// This is how lazily-evaluated simulation state (e.g. whether a DNS cache
 /// pool holds a record in a given TTL window) stays reproducible without
 /// storing it.
+///
+/// The keys are folded in one at a time with hash_combine, so
+/// `stable_seed(root, k..., last) == hash_combine(stable_seed(root, k...),
+/// last)`: a caller drawing many seeds that share leading keys hashes the
+/// shared part once (RootSystem's letter picks rely on this).
 template <typename... Keys>
 constexpr std::uint64_t stable_seed(std::uint64_t root, Keys... keys) {
   std::uint64_t h = mix64(root ^ 0x6a09e667f3bcc909ULL);

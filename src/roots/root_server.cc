@@ -125,6 +125,7 @@ RootSystem::LetterPreference RootSystem::letter_preference(
   net::Rng pref(net::stable_seed(seed_ ^ 0x1e77e5u, resolver_key));
   LetterPreference preference;
   preference.resolver_key = resolver_key;
+  preference.pick_prefix = net::stable_seed(seed_ ^ 0x9013u, resolver_key);
   for (char& letter : preference.letters) {
     letter = roots_[pref.below(roots_.size())].config().letter;
   }
@@ -133,9 +134,10 @@ RootSystem::LetterPreference RootSystem::letter_preference(
 
 char RootSystem::pick_letter(const LetterPreference& preference,
                              std::uint64_t nonce) const {
-  net::Rng rng(
-      net::stable_seed(seed_ ^ 0x9013u, preference.resolver_key, nonce));
-  const double u = rng.uniform();
+  // stable_seed folds its keys one at a time, so this is the seed
+  // stable_seed(seed_ ^ 0x9013u, resolver_key, nonce).
+  const double u =
+      net::Rng(net::hash_combine(preference.pick_prefix, nonce)).uniform();
   return preference.letters[u < 0.60 ? 0 : (u < 0.90 ? 1 : 2)];
 }
 

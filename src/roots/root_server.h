@@ -69,16 +69,20 @@ class RootSystem {
   std::vector<char> usable_ditl_letters() const;
 
   /// A resolver's stable letter preference: the three letters it favours,
-  /// most-preferred first (repeats allowed).
+  /// most-preferred first (repeats allowed), and the seed prefix of its
+  /// per-query draws, `stable_seed(seed ^ 0x9013, resolver_key)`.
   struct LetterPreference {
     std::uint64_t resolver_key = 0;
+    std::uint64_t pick_prefix = 0;
     std::array<char, 3> letters{};
   };
 
   /// A resolver's root queries spread over letters (real resolvers rotate
   /// by RTT; we model a stable per-resolver preference distribution). The
   /// preference depends on the resolver alone, so a caller issuing many
-  /// queries for one resolver computes it once and picks per query.
+  /// queries for one resolver computes it once and picks per query; a
+  /// pick then hashes only the nonce onto the preference's prefix, drawing
+  /// from `Rng(stable_seed(seed ^ 0x9013, resolver_key, nonce))`.
   LetterPreference letter_preference(std::uint64_t resolver_key) const;
   char pick_letter(const LetterPreference& preference,
                    std::uint64_t nonce) const;

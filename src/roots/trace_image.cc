@@ -3,7 +3,7 @@
 #include <cstring>
 #include <limits>
 
-#include "dns/message.h"
+#include "dns/types.h"
 
 namespace netclients::roots {
 namespace {
@@ -18,11 +18,33 @@ constexpr std::size_t kNcd1FixedBytes = 15;
 // An NCP1 capture header: u32 source, u8 letter, f64 timestamp, u16
 // packet length; the packet's wire bytes follow.
 constexpr std::size_t kNcp1FixedBytes = 15;
+// The captured query around its name: the DNS header ahead of it, QTYPE
+// and QCLASS after it.
+constexpr std::size_t kDnsHeaderBytes = 12;
+constexpr std::size_t kQuestionTailBytes = 4;
 
 template <typename T>
 char* put(char* out, T value) {
   std::memcpy(out, &value, sizeof(value));
   return out + sizeof(value);
+}
+
+/// Writes `value` big-endian, the DNS wire order.
+char* put_be16(char* out, std::uint16_t value) {
+  out[0] = static_cast<char>(value >> 8);
+  out[1] = static_cast<char>(value & 0xFF);
+  return out + 2;
+}
+
+/// The name's labels as (u8 len, bytes) each: its uncompressed wire form
+/// without the root octet.
+char* put_labels(char* out, const dns::DnsName& name) {
+  for (const auto& label : name.labels()) {
+    out = put(out, static_cast<std::uint8_t>(label.size()));
+    std::memcpy(out, label.data(), label.size());
+    out += label.size();
+  }
+  return out;
 }
 
 /// Grows `bytes` by `size` and returns where the new bytes start.
@@ -43,17 +65,25 @@ TraceImage::TraceImage(CorpusFormat format) : format_(format) {
 
 bool TraceImage::add(const TraceRecord& rec) {
   if (format_ == CorpusFormat::kNcp1) {
-    const auto wire = dns::encode_into(
-        dns::make_query(static_cast<std::uint16_t>(records_), rec.qname,
-                        rec.qtype, /*recursion_desired=*/false),
-        arena_);
-    if (wire.size() > std::numeric_limits<std::uint16_t>::max()) return false;
-    char* p = extend(bytes_, kNcp1FixedBytes + wire.size());
+    const std::size_t packet =
+        kDnsHeaderBytes + rec.qname.wire_length() + kQuestionTailBytes;
+    if (packet > std::numeric_limits<std::uint16_t>::max()) return false;
+    char* p = extend(bytes_, kNcp1FixedBytes + packet);
     p = put(p, rec.source.value());
     p = put(p, static_cast<std::uint8_t>(rec.root_letter));
     p = put(p, rec.timestamp);
-    p = put(p, static_cast<std::uint16_t>(wire.size()));
-    std::memcpy(p, wire.data(), wire.size());
+    p = put(p, static_cast<std::uint16_t>(packet));
+    // Header: id, flags 0 (a query, RD=0), QDCOUNT 1, no records.
+    p = put_be16(p, static_cast<std::uint16_t>(records_));
+    p = put_be16(p, 0);
+    p = put_be16(p, 1);
+    p = put_be16(p, 0);
+    p = put_be16(p, 0);
+    p = put_be16(p, 0);
+    p = put_labels(p, rec.qname);
+    p = put(p, std::uint8_t{0});  // root
+    p = put_be16(p, static_cast<std::uint16_t>(rec.qtype));
+    put_be16(p, dns::kClassIn);
   } else {
     char* p = extend(bytes_, kNcd1FixedBytes + rec.qname.wire_length());
     p = put(p, rec.source.value());
@@ -61,11 +91,7 @@ bool TraceImage::add(const TraceRecord& rec) {
     p = put(p, static_cast<std::uint16_t>(rec.qtype));
     p = put(p, rec.timestamp);
     p = put(p, static_cast<std::uint8_t>(rec.qname.labels().size()));
-    for (const auto& label : rec.qname.labels()) {
-      p = put(p, static_cast<std::uint8_t>(label.size()));
-      std::memcpy(p, label.data(), label.size());
-      p += label.size();
-    }
+    put_labels(p, rec.qname);
   }
   ++records_;
   put(bytes_.data() + kCountOffset, records_);

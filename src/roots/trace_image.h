@@ -24,8 +24,11 @@ class TraceImage {
   /// Encodes one record after the previous ones and updates the header
   /// count. NCP1 frames the record as the RD=0 query a root server would
   /// capture, whose message id is the low 16 bits of the record's index in
-  /// this image. Returns false, leaving the image unchanged, when that
-  /// query does not fit a frame (never the case for a valid name).
+  /// this image. The query is written in place, byte for byte what
+  /// `dns::encode_into(dns::make_query(id, qname, qtype, false))` gives: a
+  /// one-question header, the name's labels uncompressed, QTYPE and class
+  /// IN. Returns false, leaving the image unchanged, when that query does
+  /// not fit a frame (never the case for a valid name).
   bool add(const TraceRecord& record);
 
   std::uint64_t records() const { return records_; }
@@ -42,7 +45,6 @@ class TraceImage {
   CorpusFormat format_;
   std::string bytes_;
   std::uint64_t records_ = 0;
-  dns::WireArena arena_;  // NCP1 query encoding, recycled across records
 };
 
 }  // namespace netclients::roots

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <unordered_set>
 
+#include "core/exec/exec.h"
 #include "net/rng.h"
 #include "net/sim_time.h"
 
@@ -84,6 +85,10 @@ net::LatLon jitter_location(net::LatLon centroid, double radius_km,
 }
 
 constexpr std::uint32_t kFirstSlash24 = 1u << 16;  // 1.0.0.0
+
+// Blocks per shard of the catchment and geolocation pass. A constant, so
+// the shards depend on the block count alone.
+constexpr std::size_t kBlocksPerChunk = 4096;
 
 }  // namespace
 
@@ -236,9 +241,6 @@ World World::generate(const WorldConfig& config) {
     return base;
   };
 
-  std::vector<double> google_pop_users(w.pops_->size(), 0.0);
-  std::vector<double> google_pop_chromium(w.pops_->size(), 0.0);
-
   for (std::size_t as_index = 0; as_index < w.ases_.size(); ++as_index) {
     AsEntry& as = w.ases_[as_index];
     net::Rng arng(net::stable_seed(config.seed, 0xA5u, as_index));
@@ -259,8 +261,6 @@ World World::generate(const WorldConfig& config) {
         block.routed = true;
         block.resolver_infra = true;
         block.location = jitter_location(country.centroid, 300, arng);
-        block.gdns_pop = w.catchment_->pop_for(
-            block.location, net::stable_seed(config.seed, block.index));
         w.blocks_.push_back(block);
       }
       continue;
@@ -338,7 +338,6 @@ World World::generate(const WorldConfig& config) {
     }
 
     std::size_t active_at = 0;
-    const anycast::PopId forced = as.forced_pop;
     for (const auto& [base, size] : spans) {
       for (std::uint32_t i = 0; i < size; ++i) {
         Slash24Block block;
@@ -359,12 +358,7 @@ World World::generate(const WorldConfig& config) {
           }
           ++active_at;
         }
-        block.gdns_pop =
-            forced != anycast::kNoPop
-                ? forced
-                : w.catchment_->pop_for(
-                      block.location,
-                      net::stable_seed(config.seed, block.index));
+        block.gdns_pop = as.forced_pop;  // the catchment pass fills the rest
         // Resolver visibility flags (see Slash24Block docs).
         if (block.users > 0.5) {
           net::Rng brng(net::stable_seed(config.seed, 0xB10Cu, block.index));
@@ -377,20 +371,6 @@ World World::generate(const WorldConfig& config) {
           block.junk_emitter = brng.bernoulli(0.004);
         }
         w.blocks_.push_back(block);
-      }
-    }
-
-    // Per-PoP Google Public DNS load contributions.
-    for (std::size_t b = w.blocks_.size() - n_announced;
-         b < w.blocks_.size(); ++b) {
-      const Slash24Block& block = w.blocks_[b];
-      if (block.clients() <= 0) continue;
-      const double g_users = block.users * as.google_dns_share +
-                             block.bot_users * 0.45;
-      if (block.gdns_pop != anycast::kNoPop) {
-        google_pop_users[static_cast<std::size_t>(block.gdns_pop)] += g_users;
-        google_pop_chromium[static_cast<std::size_t>(block.gdns_pop)] +=
-            block.users * as.google_dns_share * as.chromium_share;
       }
     }
 
@@ -426,6 +406,49 @@ World World::generate(const WorldConfig& config) {
                         [](const Slash24Block& a, const Slash24Block& b) {
                           return a.index < b.index;
                         }));
+
+  // --- Catchment + geolocation --------------------------------------------
+  // Both are pure in a block's own fields (location, index, country, AS
+  // type), so fixed-size block chunks compute them on the pool: the serving
+  // PoP of every routed block without a forced one, and every block's
+  // MaxMind-style record. What consumes them runs serially in block order,
+  // so each per-PoP double is summed in one order at any thread count.
+  std::vector<geo::GeoRecord> geo_records(w.blocks_.size());
+  core::exec::parallel_for_chunks(
+      0, w.blocks_.size(), kBlocksPerChunk, /*threads=*/0,
+      [&](core::exec::ChunkRange range) {
+        for (std::size_t b = range.begin; b < range.end; ++b) {
+          Slash24Block& block = w.blocks_[b];
+          if (block.routed && block.gdns_pop == anycast::kNoPop) {
+            block.gdns_pop = w.catchment_->pop_for(
+                block.location, net::stable_seed(config.seed, block.index));
+          }
+          net::Rng grng(net::stable_seed(config.seed, 0x6E0u, block.index));
+          const double quality =
+              block.as_index == Slash24Block::kNoAs
+                  ? 0.25
+                  : params(w.ases_[block.as_index].type).geo_quality;
+          geo_records[b] = geo::GeoDatabase::observe(
+              block.location, block.country, quality, grng);
+        }
+        return 0;
+      });
+
+  // Per-PoP Google Public DNS load.
+  std::vector<double> google_pop_users(w.pops_->size(), 0.0);
+  std::vector<double> google_pop_chromium(w.pops_->size(), 0.0);
+  for (const Slash24Block& block : w.blocks_) {
+    if (block.clients() <= 0 || block.gdns_pop == anycast::kNoPop) continue;
+    const AsEntry& as = w.ases_[block.as_index];
+    const auto pop = static_cast<std::size_t>(block.gdns_pop);
+    google_pop_users[pop] +=
+        block.users * as.google_dns_share + block.bot_users * 0.45;
+    google_pop_chromium[pop] +=
+        block.users * as.google_dns_share * as.chromium_share;
+  }
+  for (std::size_t b = 0; b < w.blocks_.size(); ++b) {
+    w.geodb_.add(w.blocks_[b].index, geo_records[b]);
+  }
 
   // --- Routeviews-style prefix→AS table -----------------------------------
   for (std::size_t as_index = 0; as_index < w.ases_.size(); ++as_index) {
@@ -574,17 +597,7 @@ World World::generate(const WorldConfig& config) {
     }
   }
 
-  // --- Observation databases ----------------------------------------------
-  for (const Slash24Block& block : w.blocks_) {
-    net::Rng grng(net::stable_seed(config.seed, 0x6E0u, block.index));
-    const double quality = block.as_index == Slash24Block::kNoAs
-                               ? 0.25
-                               : params(w.ases_[block.as_index].type)
-                                         .geo_quality;
-    w.geodb_.add(block.index,
-                 geo::GeoDatabase::observe(block.location, block.country,
-                                           quality, grng));
-  }
+  // --- ASdb business categories (the geodb is filled with the catchment) --
   {
     net::Rng drng(net::stable_seed(config.seed, 0xA5DBu));
     for (const AsEntry& as : w.ases_) {

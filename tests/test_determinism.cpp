@@ -26,6 +26,7 @@
 #include "sim/activity.h"
 #include "sim/ditl.h"
 #include "sim/world.h"
+#include "world_testing.h"
 
 namespace netclients::core {
 namespace {
@@ -251,6 +252,30 @@ TEST(Determinism, DifferentSeedsDiffer) {
   const RunArtifacts a = run_pipeline(0xCAFE, 8);
   const RunArtifacts b = run_pipeline(0xBEEF, 8);
   EXPECT_NE(a.hit_distances, b.hit_distances);
+}
+
+// ------------------------------------------------------ world generation
+
+TEST(Determinism, WorldIdenticalAcrossThreadCounts) {
+  // World::generate computes its catchment and geolocation on the pool;
+  // the world must not depend on how many threads that pass ran on.
+  const char* previous = std::getenv("REPRO_THREADS");
+  const std::string saved = previous ? previous : "";
+  sim::WorldConfig config;
+  config.scale = 1.0 / 2048;
+  std::vector<std::uint64_t> digests;
+  for (const char* threads : {"1", "3", "8"}) {
+    ::setenv("REPRO_THREADS", threads, 1);
+    digests.push_back(
+        sim::world_testing::world_digest(sim::World::generate(config)));
+  }
+  if (previous) {
+    ::setenv("REPRO_THREADS", saved.c_str(), 1);
+  } else {
+    ::unsetenv("REPRO_THREADS");
+  }
+  EXPECT_EQ(digests[1], digests[0]) << "3 threads";
+  EXPECT_EQ(digests[2], digests[0]) << "8 threads";
 }
 
 // ------------------------------------------------- metrics thread-count

@@ -1,6 +1,7 @@
 // Packet-framed (NCP1) trace suite (labels: determinism, tsan): the
 // capture-shaped sibling of test_trace_view. write_packet_trace must
-// round-trip records through real RFC 1035 packets, the framing cursor
+// round-trip records through real RFC 1035 packets (byte for byte the
+// codec's encoding of each record's query), the framing cursor
 // must skip-and-count damaged tails exactly like the NCD1 cursor, and the
 // corpus scan of an NCP1 file — which pays a full zero-copy wire parse per
 // packet inside the parallel scan — must produce byte-identical results to
@@ -8,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -22,6 +24,7 @@
 #include "roots/packet_trace.h"
 #include "roots/root_server.h"
 #include "roots/trace.h"
+#include "roots/trace_image.h"
 #include "scan_testing.h"
 #include "sim/ditl.h"
 #include "sim/world.h"
@@ -235,6 +238,78 @@ TEST(PacketTrace, FuzzedFramesNeverCrash) {
     EXPECT_EQ(result.records_skipped, stats.records_skipped);
   }
   std::filesystem::remove(fuzz_path);
+}
+
+TEST(PacketTrace, FrameMatchesEncodedQuery) {
+  // TraceImage writes each NCP1 query in place rather than through the
+  // codec. Every frame must still hold, byte for byte, the query the codec
+  // encodes for the same id, name and type, and parse as one. The names
+  // span one and several labels, a 63-octet label and a 255-octet name;
+  // past 65,536 records the 16-bit id wraps.
+  const std::string label63(63, 'x');
+  const std::vector<dns::DnsName> names = {
+      *dns::DnsName::parse("sdhfjssf"),
+      *dns::DnsName::parse("www.example.com"),
+      *dns::DnsName::parse(label63 + ".org"),
+      *dns::DnsName::parse(label63 + "." + label63 + "." + label63 + "." +
+                           std::string(61, 'y')),
+  };
+  ASSERT_EQ(names.back().wire_length(), 255u);
+  const dns::RecordType types[] = {dns::RecordType::kA,
+                                   dns::RecordType::kAaaa,
+                                   dns::RecordType::kTxt};
+  constexpr std::size_t kRecords = 70'000;
+  // Every (name, type) pair recurs, at ids on both sides of the wrap.
+  const auto record = [&](std::size_t i) {
+    roots::TraceRecord rec;
+    rec.source = net::Ipv4Addr(static_cast<std::uint32_t>(i * 2654435761u));
+    rec.root_letter = "jhmakd"[i % 6];
+    rec.qtype = types[i % 3];
+    rec.timestamp = static_cast<double>(i) * 0.25;
+    rec.qname = names[(i / 3) % names.size()];
+    return rec;
+  };
+
+  roots::TraceImage image(roots::CorpusFormat::kNcp1);
+  for (std::size_t i = 0; i < kRecords; ++i) ASSERT_TRUE(image.add(record(i)));
+  const std::string path = "packet_trace_frames.trace";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(image.bytes().data(),
+              static_cast<std::streamsize>(image.bytes().size()));
+  }
+  const auto view = roots::PacketTraceView::open(path);
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(view->declared_count(), kRecords);
+
+  dns::WireArena arena;
+  roots::PacketTraceView::Cursor cursor = view->cursor();
+  roots::PacketRecordRef ref;
+  std::size_t i = 0;
+  while (cursor.next(&ref)) {
+    ASSERT_LT(i, kRecords);
+    const roots::TraceRecord expected = record(i);
+    const auto id = static_cast<std::uint16_t>(i);
+    const auto wire = dns::encode_into(
+        dns::make_query(id, expected.qname, expected.qtype,
+                        /*recursion_desired=*/false),
+        arena);
+    ASSERT_TRUE(std::equal(ref.wire().begin(), ref.wire().end(),
+                           wire.begin(), wire.end()))
+        << "record " << i;
+    EXPECT_EQ(ref.source(), expected.source);
+    EXPECT_EQ(ref.root_letter(), expected.root_letter);
+    EXPECT_EQ(ref.timestamp(), expected.timestamp);
+    const auto msg = dns::MessageView::parse(ref.wire());
+    ASSERT_TRUE(msg.has_value()) << "record " << i;
+    EXPECT_EQ(msg->header().id, id);
+    EXPECT_FALSE(msg->header().qr);
+    EXPECT_FALSE(msg->header().rd);
+    EXPECT_EQ(msg->question_count(), 1u);
+    ++i;
+  }
+  EXPECT_EQ(i, kRecords);
+  std::filesystem::remove(path);
 }
 
 TEST(PacketTrace, WriteReportsAFullDisk) {

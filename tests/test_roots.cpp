@@ -124,6 +124,29 @@ TEST(RootSystem, SplitPickLetterEqualsTwoArgumentForm) {
   }
 }
 
+TEST(RootSystem, PickLetterMatchesTheSeededDraw) {
+  // A pick is one draw u from Rng(stable_seed(seed ^ 0x9013, key, nonce)),
+  // bucketed over the resolver's preference: the first letter below 0.60,
+  // the second below 0.90, else the third. Both overloads must give that
+  // letter, whatever they cache.
+  constexpr std::uint64_t kSeed = 7;
+  const RootSystem system = RootSystem::ditl_2020(kSeed);
+  net::Rng keys(0x9013);
+  for (int i = 0; i < 100'000; ++i) {
+    const std::uint64_t key = i % 2 == 0 ? keys() : keys() >> 32;
+    const std::uint64_t nonce = keys.below(1u << 20);
+    const auto preference = system.letter_preference(key);
+    const double u =
+        net::Rng(net::stable_seed(kSeed ^ 0x9013u, key, nonce)).uniform();
+    const char expected =
+        preference.letters[u < 0.60 ? 0 : (u < 0.90 ? 1 : 2)];
+    ASSERT_EQ(system.pick_letter(preference, nonce), expected)
+        << "key " << key << " nonce " << nonce;
+    ASSERT_EQ(system.pick_letter(key, nonce), expected)
+        << "key " << key << " nonce " << nonce;
+  }
+}
+
 TEST(TraceFile, RoundTrip) {
   std::vector<TraceRecord> records;
   for (int i = 0; i < 100; ++i) {

@@ -14,6 +14,7 @@
 #include "sim/activity.h"
 #include "sim/ditl.h"
 #include "sim/world.h"
+#include "world_testing.h"
 
 namespace netclients::sim {
 namespace {
@@ -148,6 +149,17 @@ TEST(World, DeterministicForSeed) {
     EXPECT_EQ(a.blocks()[i].users, b.blocks()[i].users);
     EXPECT_EQ(a.blocks()[i].gdns_pop, b.blocks()[i].gdns_pop);
   }
+}
+
+TEST(World, GenerationIsPinned) {
+  // Every field of a small world folded into one digest and pinned: a
+  // generator change that moves any block, AS, resolver endpoint or
+  // geolocation record fails here, not only one that moves the three
+  // fields DeterministicForSeed compares.
+  WorldConfig config;
+  config.scale = 1.0 / 2048;
+  EXPECT_EQ(world_testing::world_digest(World::generate(config)),
+            16309603065802775614ULL);
 }
 
 TEST(World, DifferentSeedsDiffer) {
