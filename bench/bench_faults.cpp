@@ -6,16 +6,11 @@
 // timeout rates against retry budgets on one shared world and writes
 // bench_out/faults_recall.csv: recall (client-weighted ground-truth
 // coverage) must fall monotonically with loss, and retries must close part
-// of the gap. Part 3 pits the event-driven probe engine against the
-// legacy-sync adapter on the same faulty substrate: results must be
-// byte-identical, and the engine's modeled probes/sec must beat sync by
-// the pipelining factor (bench_out/faults_engine.csv; --require-speedup=N
-// makes the bench exit nonzero below N — the CI gate).
+// of the gap.
 //
 // Run:  build/bench/bench_faults [--loss=0.1] [--jitter=0.005]
 //                                [--outage=BEGIN:END] [--retry-attempts=3]
 //                                [--retry-backoff=0.05] [--retry-timeout=2]
-//                                [--require-speedup=N]
 
 #include <cstdio>
 #include <cstdlib>
@@ -166,100 +161,5 @@ int main(int argc, char** argv) {
   std::printf(
       "\nReading: recall falls monotonically as probe loss rises; the retry\n"
       "budget recovers most of the gap until loss approaches saturation.\n");
-
-  // ---- 3. Event engine vs legacy-sync adapter --------------------------
-  // Same faulty substrate, same reused PoPs + calibration; only the probe
-  // engine differs. Results must be byte-identical — the engine moves the
-  // modeled clock, never the outcomes — while the in-flight window turns
-  // per-chain latency (RTTs, timeouts, backoffs) into pipeline depth.
-  const double require_speedup =
-      flag_value(argc, argv, "--require-speedup", 0.0);
-  googledns::GoogleDnsConfig engine_cfg;
-  engine_cfg.faults.timeout_probability = 0.25;  // default fault profile
-  googledns::GooglePublicDns engine_gdns(&world.pops(), &world.catchment(),
-                                         &world.authoritative(), engine_cfg,
-                                         scenario.activity.get());
-  core::ProbeEnvironment engine_env = scenario.env;
-  engine_env.google_dns = &engine_gdns;
-
-  auto engine_run = [&](core::engine::EngineOptions::Mode mode, int window) {
-    core::CacheProbeOptions opts = scenario.options;
-    opts.max_loops = 3;
-    opts.probe.retry.max_attempts = retry_attempts;
-    opts.probe.retry.initial_backoff_seconds = retry_backoff;
-    opts.probe.retry.udp_timeout_seconds = retry_timeout;
-    opts.probe.retry.tcp_timeout_seconds = retry_timeout;
-    opts.probe.engine.mode = mode;
-    opts.probe.engine.window = window;
-    core::CacheProbeCampaign campaign(engine_env, opts);
-    core::CampaignArtifacts reuse;
-    reuse.pops = base.pops;
-    reuse.calibration = base.calibration;
-    return campaign.run(core::kStageCampaign, std::move(reuse)).result;
-  };
-  const core::CampaignResult sync_run =
-      engine_run(core::engine::EngineOptions::Mode::kSync, 1);
-  const double sync_pps = sync_run.virtual_probes_per_second();
-
-  std::printf("\nevent engine vs legacy-sync adapter (loss=0.25)\n");
-  std::printf("  %-8s %-8s %12s %14s %12s %9s\n", "mode", "window",
-              "probes", "virtual_sec", "probes/sec", "speedup");
-  std::printf("  %-8s %-8d %12llu %14.1f %12.0f %9s\n", "sync", 1,
-              static_cast<unsigned long long>(sync_run.probes_sent),
-              sync_run.virtual_duration_seconds, sync_pps, "1.0x");
-  std::FILE* engine_csv =
-      std::fopen(bench::out_path("faults_engine.csv").c_str(), "w");
-  if (engine_csv) {
-    std::fprintf(engine_csv,
-                 "mode,window,probes,virtual_seconds,probes_per_sec,"
-                 "speedup\n");
-    std::fprintf(engine_csv, "sync,1,%llu,%.3f,%.1f,1.0\n",
-                 static_cast<unsigned long long>(sync_run.probes_sent),
-                 sync_run.virtual_duration_seconds, sync_pps);
-  }
-
-  double default_speedup = 0;
-  bool parity_ok = true;
-  for (int window : {1, 8, 64}) {
-    const core::CampaignResult event_run =
-        engine_run(core::engine::EngineOptions::Mode::kEvent, window);
-    // Parity gate: the window reshapes the virtual timeline only.
-    if (event_run.probes_sent != sync_run.probes_sent ||
-        event_run.hits.size() != sync_run.hits.size() ||
-        event_run.rate_limited != sync_run.rate_limited ||
-        !(event_run.retry_stats == sync_run.retry_stats)) {
-      std::fprintf(stderr,
-                   "[faults] PARITY FAILURE at window %d: engine and sync "
-                   "campaigns diverged\n",
-                   window);
-      parity_ok = false;
-    }
-    const double pps = event_run.virtual_probes_per_second();
-    const double speedup = sync_pps > 0 ? pps / sync_pps : 0;
-    if (window == 64) default_speedup = speedup;
-    std::printf("  %-8s %-8d %12llu %14.1f %12.0f %8.1fx\n", "event",
-                window,
-                static_cast<unsigned long long>(event_run.probes_sent),
-                event_run.virtual_duration_seconds, pps, speedup);
-    if (engine_csv) {
-      std::fprintf(engine_csv, "event,%d,%llu,%.3f,%.1f,%.2f\n", window,
-                   static_cast<unsigned long long>(event_run.probes_sent),
-                   event_run.virtual_duration_seconds, pps, speedup);
-    }
-  }
-  if (engine_csv) std::fclose(engine_csv);
-  obs::Registry::global().gauge("engine.bench.sync_probes_per_sec")
-      .set(sync_pps);
-  obs::Registry::global().gauge("engine.bench.speedup").set(default_speedup);
-  std::printf(
-      "\nReading: identical campaigns either way; the event engine's window\n"
-      "pipelines chain latency, multiplying modeled probes/sec.\n");
-  if (!parity_ok) return 1;
-  if (require_speedup > 0 && default_speedup < require_speedup) {
-    std::fprintf(stderr,
-                 "[faults] engine speedup %.1fx below required %.1fx\n",
-                 default_speedup, require_speedup);
-    return 1;
-  }
   return 0;
 }

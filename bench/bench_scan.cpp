@@ -11,18 +11,13 @@
 // 1-thread scan of the one-member corpus; any mismatch is a hard failure
 // (exit 1).
 //
-// With an internet preset the bench first streams the planned world
-// through the bounded-memory WorldStreamer and hard-fails if the arena
-// high-water mark exceeds the preset's memory budget — the "10M routed
-// /24s without 10M-block allocations" claim, enforced.
-//
 // Output: a throughput table on stdout, rows in
 // bench_out/scan_throughput.csv (CI uploads it), and gauges
 // `chromium.scan.corpus_records_per_sec` / `chromium.scan.steal_ratio`
-// (plus `chromium.scan.corpus_speedup` and `bench.stream.*` at the
-// internet presets) via --metrics-out. `--require-speedup=X` (CI passes
-// 1.0 at internet-lite) exits 1 when, at an internet preset, the
-// multi-member corpus scan is less than X times the one-member scan.
+// (plus `chromium.scan.corpus_speedup` at the internet presets) via
+// --metrics-out. `--require-speedup=X` (CI passes 1.0 at internet-lite)
+// exits 1 when, at an internet preset, the multi-member corpus scan is
+// less than X times the one-member scan.
 //
 // Run:  build/bench/bench_scan [--scale=paper|internet-lite|internet]
 //                              [--reps=3] [--require-speedup=0]
@@ -38,7 +33,6 @@
 #include "common.h"
 #include "core/exec/steal.h"
 #include "roots/corpus.h"
-#include "sim/stream.h"
 
 using namespace netclients;
 
@@ -66,78 +60,6 @@ bool identical(const core::ChromiumResult& a, const core::ChromiumResult& b) {
   return true;
 }
 
-/// Streams the internet-scale world under the preset's arena budget and
-/// enforces it: arena high-water mark over budget is a hard failure, as
-/// is missing the routed-/24 target by more than per-AS rounding.
-int run_stream_phase(const bench::ScaleSpec& spec) {
-  sim::StreamConfig config;
-  config.target_routed_slash24s = spec.stream_slash24s;
-  config.memory_budget_bytes = spec.stream_budget_bytes;
-  const sim::WorldStreamer streamer(config);
-
-  const std::size_t rss_before = sim::current_rss_bytes();
-  const auto start = std::chrono::steady_clock::now();
-  sim::StreamStats stats;
-  {
-    obs::StageSpan span("scan.bench.world_stream");
-    stats = streamer.run(nullptr);
-  }
-  const double seconds = seconds_since(start);
-  const std::size_t rss_after = sim::current_rss_bytes();
-  const double blocks_per_sec =
-      seconds > 0 ? static_cast<double>(stats.slash24s) / seconds : 0;
-
-  std::printf("world stream (%s): %llu /24s (%llu routed, %llu active) "
-              "over %llu ASes\n",
-              spec.name.c_str(),
-              static_cast<unsigned long long>(stats.slash24s),
-              static_cast<unsigned long long>(stats.routed_slash24s),
-              static_cast<unsigned long long>(stats.active_slash24s),
-              static_cast<unsigned long long>(stats.ases));
-  std::printf("  %llu batches, arena peak %.1f MiB of %.1f MiB budget, "
-              "%.0f blocks/sec\n",
-              static_cast<unsigned long long>(stats.batches),
-              stats.arena_peak_bytes / (1024.0 * 1024.0),
-              spec.stream_budget_bytes / (1024.0 * 1024.0), blocks_per_sec);
-  if (rss_after > 0) {
-    std::printf("  rss %.1f MiB -> %.1f MiB (digest %016llx)\n",
-                rss_before / (1024.0 * 1024.0),
-                rss_after / (1024.0 * 1024.0),
-                static_cast<unsigned long long>(stats.digest));
-  }
-
-  obs::Registry& registry = obs::Registry::global();
-  registry.gauge("bench.stream.slash24s")
-      .set(static_cast<double>(stats.slash24s));
-  registry.gauge("bench.stream.routed_slash24s")
-      .set(static_cast<double>(stats.routed_slash24s));
-  registry.gauge("bench.stream.blocks_per_sec").set(blocks_per_sec);
-  registry.gauge("bench.stream.arena_peak_bytes")
-      .set(static_cast<double>(stats.arena_peak_bytes));
-  registry.gauge("bench.stream.rss_bytes")
-      .set(static_cast<double>(rss_after));
-
-  if (stats.arena_peak_bytes > spec.stream_budget_bytes) {
-    std::fprintf(stderr,
-                 "[scan] FAIL: stream arena peak %llu bytes exceeds the "
-                 "%zu-byte budget\n",
-                 static_cast<unsigned long long>(stats.arena_peak_bytes),
-                 spec.stream_budget_bytes);
-    return 1;
-  }
-  // The plan hits the target within per-AS rounding; 1% slack is generous.
-  const auto target = static_cast<double>(spec.stream_slash24s);
-  if (static_cast<double>(stats.routed_slash24s) < 0.99 * target) {
-    std::fprintf(stderr,
-                 "[scan] FAIL: streamed %llu routed /24s, short of the "
-                 "%llu target\n",
-                 static_cast<unsigned long long>(stats.routed_slash24s),
-                 static_cast<unsigned long long>(spec.stream_slash24s));
-    return 1;
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -146,11 +68,6 @@ int main(int argc, char** argv) {
   const int reps = static_cast<int>(flag_value(argc, argv, "--reps", 3));
   const double require_speedup =
       flag_value(argc, argv, "--require-speedup", 0);
-
-  // ---- 0. Internet-scale streaming world (budget-gated) ----------------
-  if (spec.internet()) {
-    if (const int rc = run_stream_phase(spec); rc != 0) return rc;
-  }
 
   // ---- 1. Capture a sampled DITL as corpora ---------------------------
   const core::Scenario scenario =

@@ -53,25 +53,19 @@ std::string flag_string(int argc, char** argv, const char* name,
 bool flag_present(int argc, char** argv, const char* name);
 
 /// One parsed `--scale=` preset. The paper preset reproduces the figures
-/// at REPRO_SCALE (a 1/64 Internet by default); the internet presets add
-/// a streaming-world phase (`stream_slash24s` routed /24s generated under
-/// `stream_budget_bytes` of arena) and shard the DITL capture into
-/// `corpus_files` member files for the cross-file work-stealing scan.
+/// at REPRO_SCALE (a 1/64 Internet by default); the internet presets shard
+/// the DITL capture into `corpus_files` member files for the cross-file
+/// work-stealing scan (bench_serve also scales its load by preset).
 ///
-/// The arena budget is deliberately far below the emitted world size so
-/// the internet presets actually exercise the bounded-memory batching.
-///
-///   preset         stream /24s   corpus files   arena budget
-///   paper                    0              1              -
-///   internet-lite    1,250,000              4          8 MiB
-///   internet        10,000,000             16         64 MiB
+///   preset         corpus files
+///   paper                     1
+///   internet-lite             4
+///   internet                 16
 struct ScaleSpec {
   std::string name = "paper";
-  std::uint64_t stream_slash24s = 0;  // 0 = no streaming phase
   std::size_t corpus_files = 1;
-  std::size_t stream_budget_bytes = 0;
 
-  bool internet() const { return stream_slash24s != 0; }
+  bool internet() const { return corpus_files > 1; }
 };
 
 /// Parses `--scale=paper|internet-lite|internet` (default paper). An

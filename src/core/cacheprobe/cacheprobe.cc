@@ -429,8 +429,8 @@ CampaignResult run_campaign(
   // heaviest PoPs never start last and set the makespan. Within a shard
   // the probe engine pipelines each domain's chain list; outcomes land in
   // a tag-indexed slot array and the post-drain walk emits hits in (loop,
-  // submission) order — the exact sequence the blocking prober recorded
-  // them in — so results are byte-identical at any window size.
+  // submission) order — the sequence a window of one records them in —
+  // so results are byte-identical at any window size.
   std::vector<std::size_t> load(assignments.size(), 0);
   for (std::size_t i = 0; i < assignments.size(); ++i) {
     for (const auto& assigned : assignments[i]) load[i] += assigned.size();

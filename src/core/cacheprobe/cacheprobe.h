@@ -45,8 +45,8 @@ struct ProbePolicy {
   int redundant_queries = 5;  // cover multiple independent cache pools
   resilience::RetryPolicy retry;
   resilience::BreakerPolicy breaker;
-  /// How chains execute: the event-driven virtual-time engine (default) or
-  /// the legacy-sync adapter. Results are byte-identical either way; only
+  /// How chains execute: the in-flight window of the event-driven
+  /// virtual-time engine. Results are byte-identical at any window; only
   /// the modeled wall clock differs.
   engine::EngineOptions engine;
 };
@@ -126,15 +126,8 @@ struct CampaignResult {
   resilience::RetryStats retry_stats;
   /// Modeled wall time of the campaign: max over PoP shards of the probe
   /// engine's virtual clock (PoPs probe concurrently). Independent of
-  /// REPRO_THREADS; the engine/sync probes-per-second comparison in
-  /// bench_faults is probes_sent over this.
+  /// REPRO_THREADS.
   double virtual_duration_seconds = 0;
-
-  double virtual_probes_per_second() const {
-    return virtual_duration_seconds > 0
-               ? static_cast<double>(probes_sent) / virtual_duration_seconds
-               : 0.0;
-  }
 
   /// Lower bound on active /24s: one per disjoint hit prefix (§4).
   std::uint64_t slash24_lower_bound() const { return active.size(); }

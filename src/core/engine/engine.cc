@@ -20,13 +20,11 @@ void EngineStats::merge(const EngineStats& other) {
 
 namespace {
 
-/// The decision plane, shared by both prober implementations: evaluates
-/// one chain's probes in canonical order through the retry/timeout/breaker
-/// policy — the exact oracle-call sequence the legacy blocking prober
-/// produced — and models the chain's virtual latency on the side. Oracle
-/// results are order-sensitive (per-flow token buckets) and the breaker is
-/// sequential, which is why decisions cannot ride the event clock: only
-/// timing may.
+/// The decision plane: evaluates one chain's probes in canonical order
+/// through the retry/timeout/breaker policy and models the chain's virtual
+/// latency on the side. Oracle results are order-sensitive (per-flow token
+/// buckets) and the breaker is sequential, which is why decisions cannot
+/// ride the event clock: only timing may.
 class ChainEvaluator {
  public:
   explicit ChainEvaluator(const ProberContext& context)
@@ -65,7 +63,7 @@ class ChainEvaluator {
         const auto probe = probe_with_retries(
             domain, request.scope, t + attempt * request.attempt_spacing_seconds,
             loop * request.attempt_loop_stride + attempt, &out.latency_seconds);
-        if (probe.rate_limited) {
+        if (probe.status == googledns::ProbeStatus::kRateLimited) {
           ++out.rate_limited;
           continue;
         }
@@ -189,97 +187,6 @@ class ChainEvaluator {
   resilience::RetryStats stats_;
 };
 
-/// Common state both prober implementations share.
-class ProberBase : public Prober {
- public:
-  ProberBase(const ProberContext& context, CompletionFn on_complete)
-      : context_(context), evaluator_(context) {
-    complete_ = std::move(on_complete);
-  }
-
-  resilience::RetryStats stats() const override { return evaluator_.stats(); }
-  std::uint64_t probes_sent() const override {
-    return evaluator_.probes_sent();
-  }
-  const EngineStats& engine_stats() const override { return engine_stats_; }
-
- protected:
-  void observe_latency(double latency_seconds) {
-    if (context_.metrics && context_.completion_latency_ms) {
-      context_.metrics->observe(*context_.completion_latency_ms,
-                                latency_seconds * 1000.0);
-    }
-  }
-
-  ProberContext context_;
-  ChainEvaluator evaluator_;
-  EngineStats engine_stats_;
-};
-
-/// The legacy-sync adapter: chains evaluated one at a time in (loop,
-/// submission) order, the virtual clock a serial accumulation — exactly
-/// the timeline the old blocking prober implied (window of one).
-class SyncProber final : public ProberBase {
- public:
-  using ProberBase::ProberBase;
-
-  void submit(const ProbeRequest& request) override {
-    queue_.push_back(Pending{request, 0, 0});
-  }
-
-  void drain() override {
-    std::vector<Pending> round = std::move(queue_);
-    queue_.clear();
-    while (!round.empty()) {
-      std::vector<Pending> next;
-      for (Pending& pending : round) {
-        const double t = pending.request.schedule_time +
-                         pending.loop * pending.request.loop_stride_seconds;
-        const auto evaluation =
-            evaluator_.evaluate(pending.request, pending.loop, t);
-        ++engine_stats_.evaluations;
-        if (!evaluation.admitted) ++engine_stats_.breaker_drained;
-        const double issued_at = std::max(clock_, t);
-        clock_ = issued_at + evaluation.latency_seconds;
-        observe_latency(evaluation.latency_seconds);
-        pending.rate_limited += evaluation.rate_limited;
-        if (!evaluation.hit &&
-            pending.loop + 1 < pending.request.max_loops) {
-          if (evaluation.hard_failure) evaluator_.note_requeued();
-          ++pending.loop;
-          next.push_back(std::move(pending));
-          continue;
-        }
-        ProbeOutcome outcome;
-        outcome.tag = pending.request.tag;
-        outcome.hit = evaluation.hit;
-        outcome.return_scope = evaluation.return_scope;
-        outcome.domain_index = evaluation.domain_index;
-        outcome.loop = pending.loop;
-        outcome.when = t;
-        outcome.rate_limited = pending.rate_limited;
-        outcome.hard_failure = evaluation.hard_failure;
-        outcome.issued_at = issued_at;
-        outcome.completed_at = clock_;
-        deliver(outcome);
-      }
-      round = std::move(next);
-    }
-    engine_stats_.peak_in_flight = std::max(engine_stats_.peak_in_flight, 1);
-    engine_stats_.virtual_elapsed_seconds = clock_;
-  }
-
- private:
-  struct Pending {
-    ProbeRequest request;
-    int loop = 0;
-    std::uint64_t rate_limited = 0;
-  };
-
-  std::vector<Pending> queue_;
-  double clock_ = 0;
-};
-
 /// The event-driven engine. Pending chains are popped in (loop, sequence)
 /// order — the canonical decision order — the moment a window slot frees;
 /// each evaluation becomes an in-flight entry whose completion event fires
@@ -293,11 +200,13 @@ class SyncProber final : public ProberBase {
 /// chains are requeues of loop-L evaluations, which themselves ran in
 /// sequence order. So the lowest non-empty FIFO's front is the (loop,
 /// sequence) minimum, for any interleaving of submit and drain.
-class EventProber final : public ProberBase {
+class EventProber final : public Prober {
  public:
   EventProber(const ProberContext& context, int window,
               CompletionFn on_complete)
-      : ProberBase(context, std::move(on_complete)),
+      : context_(context),
+        evaluator_(context),
+        complete_(std::move(on_complete)),
         window_(std::max(1, window)) {}
 
   void submit(const ProbeRequest& request) override {
@@ -310,11 +219,17 @@ class EventProber final : public ProberBase {
       clock_ = std::max(clock_, events_.next_deadline());
       const Completion event = events_.pop();
       --in_flight_;
-      if (event.resolved) deliver(event.outcome);
+      if (event.resolved && complete_) complete_(event.outcome);
       refill();
     }
     engine_stats_.virtual_elapsed_seconds = clock_;
   }
+
+  resilience::RetryStats stats() const override { return evaluator_.stats(); }
+  std::uint64_t probes_sent() const override {
+    return evaluator_.probes_sent();
+  }
+  const EngineStats& engine_stats() const override { return engine_stats_; }
 
  private:
   struct Chain {
@@ -363,7 +278,10 @@ class EventProber final : public ProberBase {
     if (clock_ > ready) ++engine_stats_.window_stalls;
     const double issued_at = std::max(ready, clock_);
     const double deadline = issued_at + evaluation.latency_seconds;
-    observe_latency(evaluation.latency_seconds);
+    if (context_.metrics && context_.completion_latency_ms) {
+      context_.metrics->observe(*context_.completion_latency_ms,
+                                evaluation.latency_seconds * 1000.0);
+    }
     ++in_flight_;
     engine_stats_.peak_in_flight =
         std::max(engine_stats_.peak_in_flight, in_flight_);
@@ -394,6 +312,10 @@ class EventProber final : public ProberBase {
     events_.push(deadline, std::move(completion));
   }
 
+  ProberContext context_;
+  ChainEvaluator evaluator_;
+  CompletionFn complete_;
+  EngineStats engine_stats_;
   const int window_;
   /// Indexed by loop; each FIFO is in sequence order (see above).
   std::vector<std::deque<Chain>> pending_;
@@ -408,9 +330,6 @@ class EventProber final : public ProberBase {
 std::unique_ptr<Prober> make_prober(const ProberContext& context,
                                     const EngineOptions& options,
                                     Prober::CompletionFn on_complete) {
-  if (options.mode == EngineOptions::Mode::kSync) {
-    return std::make_unique<SyncProber>(context, std::move(on_complete));
-  }
   return std::make_unique<EventProber>(context, options.window,
                                        std::move(on_complete));
 }

@@ -9,21 +9,21 @@
 // queries outstanding; this engine reproduces that architecture in virtual
 // time — a bounded in-flight window per PoP, an event loop ordered by
 // (virtual_deadline, sequence), and completion-driven requeues — without
-// giving up the repo's determinism contract.
+// giving up the repo's determinism contract. A window of one is the
+// blocking prober: one chain at a time, a serial virtual clock.
 //
 // Determinism model (see DESIGN.md "Event-driven probe engine"): the
 // engine separates the *decision plane* from the *timing plane*. Oracle
 // calls against GooglePublicDns are order-sensitive (per-flow token
 // buckets) and the circuit breaker is sequential, so the engine evaluates
-// every chain's probes in canonical (loop, submission) order — exactly the
-// sequence the legacy blocking prober produced — the moment the chain is
-// popped from the pending queue. Only the *clock* is event-driven: each
-// evaluation is assigned a virtual issue time (when a window slot and its
-// schedule allow) and a virtual completion deadline (issue + modeled chain
-// latency), and completions fire in (deadline, sequence) order. Results
-// are therefore byte-identical to the sync adapter at any window size and
-// any REPRO_THREADS, while the modeled wall clock — and the probes/sec the
-// benches report — pipelines up to `window` chains deep.
+// every chain's probes in canonical (loop, submission) order the moment
+// the chain is popped from the pending queue. Only the *clock* is
+// event-driven: each evaluation is assigned a virtual issue time (when a
+// window slot and its schedule allow) and a virtual completion deadline
+// (issue + modeled chain latency), and completions fire in (deadline,
+// sequence) order. Results are therefore byte-identical at any window
+// size and any REPRO_THREADS, while the modeled wall clock pipelines up
+// to `window` chains deep.
 
 #include <cstdint>
 #include <functional>
@@ -41,15 +41,9 @@ namespace netclients::core::engine {
 
 /// How a prober executes submitted chains.
 struct EngineOptions {
-  enum class Mode {
-    /// Event-driven virtual-time engine: up to `window` chains in flight.
-    kEvent,
-    /// Legacy-sync adapter: one chain at a time, serial virtual clock.
-    kSync,
-  };
-  Mode mode = Mode::kEvent;
-  /// Bound on outstanding chains per PoP prober (event mode). Changing it
-  /// reshapes the virtual timeline only — results are byte-identical.
+  /// Bound on outstanding chains per PoP prober; 1 is the blocking
+  /// prober. Changing it reshapes the virtual timeline only — results are
+  /// byte-identical.
   int window = 64;
 };
 
@@ -135,9 +129,10 @@ struct ProberContext {
   obs::Histogram* completion_latency_ms = nullptr;
 };
 
-/// The unified prober surface: submit chains, drain, receive completions.
-/// Both the event engine and the legacy-sync adapter implement it, so the
-/// calibrate/run_campaign stages drive one API.
+/// The prober surface the calibrate/run_campaign stages drive: submit
+/// chains, drain, receive completions through the function given to
+/// `make_prober`. Abstract so that the event loop and the chain evaluator
+/// stay out of this header.
 class Prober {
  public:
   using CompletionFn = std::function<void(const ProbeOutcome&)>;
@@ -151,19 +146,10 @@ class Prober {
   /// drains.
   virtual void drain() = 0;
 
-  void on_complete(CompletionFn fn) { complete_ = std::move(fn); }
-
   /// Shard resilience tallies with the breaker's trip count folded in.
   virtual resilience::RetryStats stats() const = 0;
   virtual std::uint64_t probes_sent() const = 0;
   virtual const EngineStats& engine_stats() const = 0;
-
- protected:
-  void deliver(const ProbeOutcome& outcome) {
-    if (complete_) complete_(outcome);
-  }
-
-  CompletionFn complete_;
 };
 
 std::unique_ptr<Prober> make_prober(const ProberContext& context,

@@ -39,7 +39,7 @@
 // identical bytes — the determinism tests compare encodings produced at
 // different REPRO_THREADS values byte for byte.
 //
-// The reader is *tolerant*, mirroring roots::TraceFile::read_tolerant:
+// The reader is *tolerant*, like roots::TraceView's skip-and-count walk:
 // a section whose CRC or structure is damaged is skipped and counted,
 // never fatal; truncation mid-section keeps everything before it;
 // declared counts are clamped against the bytes actually present before

@@ -104,12 +104,9 @@ dnssrv::TokenBucket& GooglePublicDns::limiter(
 
 std::optional<dnssrv::EcsAnswer> GooglePublicDns::upstream_resolve(
     const dns::DnsName& domain, net::Prefix source) const {
-  if (config_.upstream_mode == UpstreamMode::kStructured) {
-    return upstream_->resolve(domain, source, config_.epoch);
-  }
-  // Wire mode: one RFC 1035 round trip. Arenas are per-thread so
-  // concurrent PoP shards never share encode state, and the reply view
-  // borrows the reply arena only within this frame.
+  // One RFC 1035 round trip. Arenas are per-thread so concurrent PoP
+  // shards never share encode state, and the reply view borrows the reply
+  // arena only within this frame.
   thread_local dns::WireArena query_arena;
   thread_local dns::WireArena reply_arena;
   const auto id = static_cast<std::uint16_t>(net::stable_seed(
@@ -146,9 +143,6 @@ std::optional<dnssrv::EcsAnswer> GooglePublicDns::upstream_resolve(
 
 std::optional<std::uint8_t> GooglePublicDns::upstream_scope(
     const dns::DnsName& domain, net::Prefix block) const {
-  if (config_.upstream_mode == UpstreamMode::kStructured) {
-    return upstream_->scope_for(domain, block, config_.epoch);
-  }
   // The authoritative's wire reply scopes its answer exactly as scope_for
   // would (scope 0 for ECS-oblivious zones, NXDOMAIN for unknown ones).
   auto answer = upstream_resolve(domain, block);
@@ -244,7 +238,6 @@ ProbeResult GooglePublicDns::probe(PopId pop, const dns::DnsName& domain,
   if (!limiter(pop_state, vp_id, transport, domain).allow(now)) {
     ProbeMetrics::get().rate_limited.add();
     result.status = ProbeStatus::kRateLimited;
-    result.rate_limited = true;
     return result;
   }
   // Injected faults, decided by a per-probe oracle keyed on the probe's
@@ -282,7 +275,6 @@ ProbeResult GooglePublicDns::probe(PopId pop, const dns::DnsName& domain,
         surge_draw < faults.surge_refusal_probability) {
       fault_counter("googledns.fault.surge_refused").add();
       result.status = ProbeStatus::kRateLimited;
-      result.rate_limited = true;
       return result;
     }
     evicted = faults.eviction_probability > 0 &&
@@ -430,7 +422,9 @@ dns::DnsMessage GooglePublicDns::handle(const dns::DnsMessage& query,
   }
   ProbeResult pr = probe(pop, q.name, query_scope, now, transport, vp_id,
                          query.header.id);
-  if (pr.rate_limited) return dns::make_response(query, dns::RCode::kRefused);
+  if (pr.status == ProbeStatus::kRateLimited) {
+    return dns::make_response(query, dns::RCode::kRefused);
+  }
   if (pr.status == ProbeStatus::kServfail) {
     return dns::make_response(query, dns::RCode::kServFail);
   }

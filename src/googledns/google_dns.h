@@ -56,17 +56,6 @@ struct FailureInjection {
   }
 };
 
-/// How the resolver talks to the authoritative upstream.
-///
-/// `kWire` is the real path: every resolve/scope fetch is an RFC 1035
-/// packet round trip (arena-encoded query → AuthoritativeServer::
-/// handle_wire → zero-copy MessageView parse of the reply). `kStructured`
-/// is the legacy compatibility mode calling the direct API. The two are
-/// byte-identical in campaign results at any REPRO_THREADS — the wire
-/// reply carries exactly the fields the direct API returns — and tests
-/// assert that parity both ways.
-enum class UpstreamMode : std::uint8_t { kWire, kStructured };
-
 struct GoogleDnsConfig {
   int pools_per_pop = 4;
   std::size_t pool_capacity = 1 << 18;
@@ -87,9 +76,6 @@ struct GoogleDnsConfig {
   double tcp_rtt_seconds = 0.05;
   // Injectable failure modes; all-zero by default (perfect substrate).
   FailureInjection faults;
-  // Upstream transport: RFC 1035 wire bytes by default, with the direct
-  // structured API kept as a config-gated compatibility mode.
-  UpstreamMode upstream_mode = UpstreamMode::kWire;
 
   double rtt_for(Transport transport) const {
     return transport == Transport::kTcp ? tcp_rtt_seconds : udp_rtt_seconds;
@@ -102,8 +88,6 @@ enum class ProbeStatus : std::uint8_t { kOk, kRateLimited, kServfail, kTimeout }
 /// Outcome of one cache-snooping probe (RD=0, ECS-tagged).
 struct ProbeResult {
   ProbeStatus status = ProbeStatus::kOk;
-  /// Kept in sync with status == kRateLimited for pre-ProbeStatus callers.
-  bool rate_limited = false;
   bool cache_hit = false;
   std::uint8_t return_scope = 0;    // valid when cache_hit
   std::uint32_t remaining_ttl = 0;  // valid when cache_hit
@@ -224,11 +208,9 @@ class GooglePublicDns {
                                Transport transport,
                                const dns::DnsName& domain) const;
 
-  /// Upstream fetches, routed per `config_.upstream_mode`: either a full
-  /// RFC 1035 round trip (encode into a thread_local arena, handle_wire,
-  /// zero-copy parse of the reply) or the direct structured API. The wire
-  /// reply carries exactly the fields the direct call returns, so both
-  /// modes yield identical values — asserted by tests in both directions.
+  /// Upstream fetches, each one RFC 1035 round trip: encode into a
+  /// thread_local arena, AuthoritativeServer::handle_wire, zero-copy parse
+  /// of the reply.
   std::optional<dnssrv::EcsAnswer> upstream_resolve(const dns::DnsName& domain,
                                                     net::Prefix source) const;
   std::optional<std::uint8_t> upstream_scope(const dns::DnsName& domain,

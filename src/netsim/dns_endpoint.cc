@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "dns/packet.h"
-#include "dns/wire.h"
 #include "netsim/endpoint.h"
 
 namespace netclients::netsim {
@@ -23,28 +22,16 @@ void attach_google_dns(MessageBus& bus, net::Ipv4Addr address,
                        GoogleEndpointOptions options) {
   assert(options.locate);
   // The bus delivers on one thread; the arena lives with the handler and
-  // is recycled across every packet this endpoint answers. The structured
-  // path materializes into it too, so both modes return arena-backed
-  // spans.
+  // is recycled across every packet this endpoint answers.
   auto arena = std::make_shared<dns::WireArena>();
   attach_payload_endpoint(
       bus, address,
       [&server, arena, options = std::move(options)](
           const Datagram& d, net::SimTime now) -> PayloadReply {
-        const net::LatLon where = options.locate(d.src);
-        if (options.mode == DnsWireMode::kWire) {
-          const auto reply =
-              server.handle_wire(d.payload, where, d.src.value(), now,
-                                 transport_of(d.proto), *arena,
-                                 options.vp_id);
-          return {reply, options.reply_latency};  // empty: dropped
-        }
-        const auto query = dns::decode(d.payload);
-        if (!query.ok) return {};
-        const auto response =
-            server.handle(query.message, where, d.src.value(), now,
-                          transport_of(d.proto), options.vp_id);
-        return {dns::encode_into(response, *arena), options.reply_latency};
+        const auto reply = server.handle_wire(
+            d.payload, options.locate(d.src), d.src.value(), now,
+            transport_of(d.proto), *arena, options.vp_id);
+        return {reply, options.reply_latency};  // empty: dropped
       });
 }
 
@@ -57,16 +44,8 @@ void attach_authoritative(MessageBus& bus, net::Ipv4Addr address,
       [&server, arena, options](const Datagram& d,
                                 net::SimTime now) -> PayloadReply {
         (void)now;
-        if (options.mode == DnsWireMode::kWire) {
-          const auto reply =
-              server.handle_wire(d.payload, options.epoch, *arena);
-          return {reply, options.reply_latency};  // empty: dropped
-        }
-        const auto query = dns::decode(d.payload);
-        if (!query.ok) return {};
-        return {dns::encode_into(server.handle(query.message, options.epoch),
-                                 *arena),
-                options.reply_latency};
+        const auto reply = server.handle_wire(d.payload, options.epoch, *arena);
+        return {reply, options.reply_latency};  // empty: dropped
       });
 }
 

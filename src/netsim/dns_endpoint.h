@@ -2,17 +2,11 @@
 
 // DNS services as bus endpoints. The bus has always carried raw bytes;
 // these helpers put the two resolver front ends behind addresses so that
-// every query/response crosses the wire as an RFC 1035 packet. Each
-// endpoint runs in one of two modes, byte-identical on the wire:
-//
-//  * kWire — the zero-copy path: MessageView parse of the incoming packet,
-//    arena-backed encode of the reply (no per-message codec allocation;
-//    the bus still owns its payload copies).
-//  * kStructured — the legacy compatibility path: decode → handle →
-//    encode, materializing a DnsMessage both ways.
-//
-// Unparseable queries are dropped (no reply) in both modes — the same
-// packets, since both paths share one validation pass.
+// every query/response crosses the wire as an RFC 1035 packet: a
+// MessageView parse of the incoming packet, `handle_wire`, and an
+// arena-backed encode of the reply (no per-message codec allocation; the
+// bus still owns its payload copies). Unparseable queries are dropped (no
+// reply).
 
 #include <cstdint>
 #include <functional>
@@ -24,12 +18,8 @@
 
 namespace netclients::netsim {
 
-/// Codec path an attached DNS endpoint uses (wire-identical either way).
-enum class DnsWireMode : std::uint8_t { kWire, kStructured };
-
 /// Options for a Google Public DNS bus endpoint.
 struct GoogleEndpointOptions {
-  DnsWireMode mode = DnsWireMode::kWire;
   int vp_id = 0;
   /// Seconds between receiving a query and the reply leaving.
   double reply_latency = 0.01;
@@ -47,7 +37,6 @@ void attach_google_dns(MessageBus& bus, net::Ipv4Addr address,
 
 /// Options for an authoritative-server bus endpoint.
 struct AuthoritativeEndpointOptions {
-  DnsWireMode mode = DnsWireMode::kWire;
   std::uint32_t epoch = 0;
   double reply_latency = 0.01;
 };

@@ -26,8 +26,8 @@ std::optional<PacketTraceView> PacketTraceView::open(const std::string& path,
   return view;
 }
 
-TraceFile::ReadStats PacketTraceView::validate() const {
-  TraceFile::ReadStats stats;
+ReadStats PacketTraceView::validate() const {
+  ReadStats stats;
   Cursor cur = cursor();
   PacketRecordRef ref;
   while (cur.next(&ref)) {

@@ -149,9 +149,8 @@ class PacketTraceView {
     return cur;
   }
 
-  /// One tolerant full framing walk; same stats shape as
-  /// TraceFile::read_tolerant (skipped = declared minus framed).
-  TraceFile::ReadStats validate() const;
+  /// One tolerant full framing walk (skipped = declared minus framed).
+  ReadStats validate() const;
 
  private:
   PacketTraceView() = default;

@@ -25,34 +25,24 @@ struct TraceRecord {
   friend bool operator==(const TraceRecord&, const TraceRecord&) = default;
 };
 
-/// Writes/reads the library's compact binary DITL format. The format is a
-/// faithful stand-in for DNS-OARC pcap-derived traces: per-record source,
-/// qname, qtype, timestamp, capturing root.
-///
-/// Layout: magic "NCD1", u64 record count, then per record:
-///   u32 source, u8 letter, u16 qtype, f64 timestamp, u8 label count,
-///   (u8 len, bytes) per label.
-class TraceFile {
- public:
-  static bool write(const std::string& path,
-                    const std::vector<TraceRecord>& records);
-  /// Returns empty + ok=false on any structural error.
-  static bool read(const std::string& path, std::vector<TraceRecord>* out);
+// NCD1, the library's compact binary DITL format, is a faithful stand-in
+// for DNS-OARC pcap-derived traces: per-record source, qname, qtype,
+// timestamp, capturing root. `TraceImage` encodes it and `TraceView`
+// reads it.
+//
+// Layout: magic "NCD1", u64 record count, then per record:
+//   u32 source, u8 letter, u16 qtype, f64 timestamp, u8 label count,
+//   (u8 len, bytes) per label.
 
-  struct ReadStats {
-    std::uint64_t records_read = 0;
-    std::uint64_t records_skipped = 0;  // declared but unparseable
-    bool truncated = false;             // stream ended mid-record
-  };
-  /// Tolerant variant for scans that must survive corrupt captures: keeps
-  /// every record parsed before the first structural error and counts the
-  /// remainder as skipped — never throws, never crashes. The format has
-  /// no record framing, so parsing cannot resync past a damaged record.
-  /// Returns false only when the file cannot be opened or the magic/count
-  /// header itself is invalid.
-  static bool read_tolerant(const std::string& path,
-                            std::vector<TraceRecord>* out,
-                            ReadStats* stats = nullptr);
+/// What one tolerant walk over a trace file found (`TraceView::validate`,
+/// `PacketTraceView::validate`). The walk keeps every record parsed before
+/// the first structural error and counts the declared remainder as
+/// skipped; NCD1 has no record framing, so it cannot resync past a damaged
+/// record.
+struct ReadStats {
+  std::uint64_t records_read = 0;
+  std::uint64_t records_skipped = 0;  // declared but unparseable
+  bool truncated = false;             // stream ended mid-record
 };
 
 }  // namespace netclients::roots

@@ -2,9 +2,9 @@
 
 // One trace file, NCD1 or NCP1, encoded in memory as records arrive: the
 // 12-byte header (4-byte magic, u64 record count) followed by the
-// records. It is the only encoder of either format — `TraceFile::write`,
-// `write_packet_trace` and `CorpusWriter` all write an image's bytes — so
-// the same records make the same file whichever of them writes it.
+// records. It is the only encoder of either format — `write_packet_trace`
+// and `CorpusWriter` both write an image's bytes — so the same records
+// make the same file whichever of them writes it.
 
 #include <cstdint>
 #include <string>

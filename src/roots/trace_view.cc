@@ -46,8 +46,8 @@ std::optional<TraceView> TraceView::open(const std::string& path,
   return view;
 }
 
-TraceFile::ReadStats TraceView::validate() const {
-  TraceFile::ReadStats stats;
+ReadStats TraceView::validate() const {
+  ReadStats stats;
   Cursor cur = cursor();
   TraceRecordRef ref;
   while (cur.next(&ref)) {

@@ -2,16 +2,15 @@
 
 // Zero-copy ingestion for the binary DITL trace format (NCD1).
 //
-// `TraceFile::read_tolerant` materializes every record — a std::string per
-// label, a std::vector per name, the whole trace resident before the scan
-// starts. At DITL scale (billions of records) the scan is allocation-bound
-// long before it is CPU-bound. `TraceView` is the streaming alternative:
-// the file is mmap-ed (or slurped once into a private buffer when mapping
-// is unavailable), the NCD1 framing is validated once, and records are
-// exposed as `TraceRecordRef`s — fixed header fields decoded in place,
-// labels as std::string_views into the mapped bytes, zero per-record heap
-// work. Tolerant skip-and-count semantics are identical to
-// `read_tolerant`: the format has no record framing, so the first
+// Materializing every record — a std::string per label, a std::vector per
+// name, the whole trace resident before the scan starts — would make a
+// DITL-scale scan (billions of records) allocation-bound long before it is
+// CPU-bound. `TraceView` streams instead: the file is mmap-ed (or slurped
+// once into a private buffer when mapping is unavailable), the NCD1
+// framing is validated once, and records are exposed as `TraceRecordRef`s
+// — fixed header fields decoded in place, labels as std::string_views into
+// the mapped bytes, zero per-record heap work. Reads are tolerant
+// (skip-and-count): the format has no record framing, so the first
 // structural error ends the valid prefix and the declared remainder is
 // counted as skipped.
 //
@@ -116,10 +115,10 @@ class TraceView {
  public:
   using Backing = FileBytes::Backing;
 
-  /// Validates magic + count header. Returns nullopt exactly when
-  /// `read_tolerant` would return false: unopenable file or invalid
-  /// magic/count header. Damaged record bytes are *not* an open error —
-  /// they surface as skip-and-count during cursor traversal.
+  /// Validates magic + count header. Returns nullopt for an unopenable
+  /// file or an invalid magic/count header. Damaged record bytes are *not*
+  /// an open error — they surface as skip-and-count during cursor
+  /// traversal.
   static std::optional<TraceView> open(const std::string& path,
                                        Backing backing = Backing::kAuto);
 
@@ -196,8 +195,8 @@ class TraceView {
     return cur;
   }
 
-  /// One tolerant full walk; same stats as TraceFile::read_tolerant.
-  TraceFile::ReadStats validate() const;
+  /// One tolerant full walk over every record.
+  ReadStats validate() const;
 
  private:
   TraceView() = default;

@@ -19,6 +19,7 @@
 #include "scan_testing.h"
 #include "sim/ditl.h"
 #include "sim/world.h"
+#include "trace_testing.h"
 
 namespace netclients::core {
 namespace {
@@ -257,15 +258,16 @@ TEST(Counter, EndToEndAccuracyAgainstPlantedTruth) {
 TEST(Counter, TraceFileIsAOneMemberCorpus) {
   // A lone trace file is scanned by writing a manifest around it: the
   // scan equals the reference over the records written, and over the
-  // records TraceFile::read gets back, with nothing skipped.
+  // records a strict read gets back, with nothing skipped.
   std::vector<roots::TraceRecord> trace = {
       record(1, "qpwoeiruty", 0),
       record(2, "mznxbcvlak", 5),
   };
   const std::string path = "chromium_trace_test.bin";
-  ASSERT_TRUE(roots::TraceFile::write(path, trace));
+  ASSERT_TRUE(roots::trace_testing::write_trace(path, trace));
   std::vector<roots::TraceRecord> loaded;
-  ASSERT_TRUE(roots::TraceFile::read(path, &loaded));
+  ASSERT_TRUE(
+      roots::trace_testing::read_materialized(path, /*strict=*/true, &loaded));
   const auto via_file = scan_testing::scan_file(path, {});
   scan_testing::expect_identical(via_file,
                                  scan_testing::reference_scan({}, trace));
@@ -282,7 +284,7 @@ TEST(Counter, CorruptTailIsSkippedAndCounted) {
       record(3, "alskdjfhgq", 9),
   };
   const std::string path = "chromium_corrupt_tail_test.bin";
-  ASSERT_TRUE(roots::TraceFile::write(path, trace));
+  ASSERT_TRUE(roots::trace_testing::write_trace(path, trace));
   // Chop into the last record: the scan must keep the intact prefix.
   std::filesystem::resize_file(path,
                                std::filesystem::file_size(path) - 3);

@@ -30,6 +30,7 @@
 #include "scan_testing.h"
 #include "sim/ditl.h"
 #include "sim/world.h"
+#include "trace_testing.h"
 
 namespace netclients::core {
 namespace {
@@ -278,8 +279,8 @@ TEST(Corpus, WriterMembersEqualSingleFileWriters) {
         ASSERT_TRUE(format == roots::CorpusFormat::kNcp1
                         ? roots::write_packet_trace(reference_path,
                                                     expected[m])
-                        : roots::TraceFile::write(reference_path,
-                                                  expected[m]));
+                        : roots::trace_testing::write_trace(reference_path,
+                                                            expected[m]));
         const std::string bytes = read_file(member.file);
         EXPECT_EQ(bytes, read_file(reference_path)) << member.file;
         EXPECT_EQ(member.format, format);
@@ -378,9 +379,10 @@ TEST(Corpus, EmptyMemberInMultiFileSet) {
                                               f.records.begin() + half);
   const std::vector<roots::TraceRecord> second(f.records.begin() + half,
                                                f.records.end());
-  ASSERT_TRUE(roots::TraceFile::write("corpus_empty.000.ncd1", first));
-  ASSERT_TRUE(roots::TraceFile::write("corpus_empty.001.ncd1", {}));
-  ASSERT_TRUE(roots::TraceFile::write("corpus_empty.002.ncd1", second));
+  using roots::trace_testing::write_trace;
+  ASSERT_TRUE(write_trace("corpus_empty.000.ncd1", first));
+  ASSERT_TRUE(write_trace("corpus_empty.001.ncd1", {}));
+  ASSERT_TRUE(write_trace("corpus_empty.002.ncd1", second));
   scan_testing::write_manifest(
       "corpus_empty.manifest",
       {"corpus_empty.000.ncd1", "corpus_empty.001.ncd1",

@@ -144,18 +144,13 @@ struct RunArtifacts {
   std::uint64_t lower = 0, upper = 0;
 };
 
-RunArtifacts run_pipeline(
-    std::uint64_t seed, int threads,
-    googledns::UpstreamMode mode = googledns::UpstreamMode::kWire) {
+RunArtifacts run_pipeline(std::uint64_t seed, int threads) {
   sim::WorldConfig config;
   config.scale = 1.0 / 2048;
   sim::World world = sim::World::generate(config);
   sim::WorldActivityModel activity(&world);
-  googledns::GoogleDnsConfig gconfig;
-  gconfig.upstream_mode = mode;
   googledns::GooglePublicDns gdns(&world.pops(), &world.catchment(),
-                                  &world.authoritative(), gconfig,
-                                  &activity);
+                                  &world.authoritative(), {}, &activity);
   ProbeEnvironment env;
   env.authoritative = &world.authoritative();
   env.google_dns = &gdns;
@@ -229,20 +224,6 @@ TEST(Determinism, CampaignRespectsReproThreadsEnv) {
   ::unsetenv("REPRO_THREADS");
   ASSERT_FALSE(serial.hits.empty());
   expect_identical(serial, mt);
-}
-
-TEST(Determinism, CampaignIdenticalAcrossUpstreamModes) {
-  // The packet-plane gate: the resolver talking RFC 1035 wire bytes to
-  // the authoritative upstream must not change a single campaign artifact
-  // relative to structured-message mode, serial or parallel.
-  for (const int threads : {1, 8}) {
-    const RunArtifacts wire =
-        run_pipeline(0xCAFE, threads, googledns::UpstreamMode::kWire);
-    const RunArtifacts structured =
-        run_pipeline(0xCAFE, threads, googledns::UpstreamMode::kStructured);
-    ASSERT_FALSE(wire.hits.empty());
-    expect_identical(wire, structured);
-  }
 }
 
 TEST(Determinism, DifferentSeedsDiffer) {

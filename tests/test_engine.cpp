@@ -1,24 +1,26 @@
-// Tests for the event-driven probe engine: the event mode must produce
-// byte-identical campaigns to the legacy-sync adapter at any in-flight
-// window and any thread count — under faults, breaker trips and UDP→TCP
-// escalation included — while compressing the modeled wall clock by the
-// pipelining factor. The engine's own campaign timeline is pinned too.
+// Tests for the event-driven probe engine: its campaigns are pinned, and
+// byte-identical at any in-flight window and any thread count — under
+// faults, breaker trips and UDP→TCP escalation included — while a wider
+// window compresses the modeled wall clock by the pipelining factor. A
+// window of one is the blocking prober. The engine's own campaign
+// timeline is pinned too.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/engine/engine.h"
 #include "core/obs/obs.h"
 #include "core/scenario/scenario.h"
+#include "net/rng.h"
 
 namespace netclients::core {
 namespace {
 
 constexpr double kScale = 4096;
-
-using engine::EngineOptions;
 
 // Full structural fingerprint: headline counters, every hit in order, and
 // the complete retry tally. Anything the engine could plausibly perturb.
@@ -43,7 +45,6 @@ std::string fingerprint(const CampaignResult& result) {
 
 struct RunConfig {
   googledns::FailureInjection faults;
-  EngineOptions::Mode mode = EngineOptions::Mode::kEvent;
   int window = 64;
   int threads = 0;
   int retry_attempts = 3;
@@ -61,7 +62,6 @@ Scenario build_scenario(const RunConfig& cfg) {
   options.probe.retry.max_attempts = cfg.retry_attempts;
   options.probe.retry.escalate_udp_to_tcp = cfg.escalate;
   options.probe.breaker.failure_threshold = cfg.breaker_threshold;
-  options.probe.engine.mode = cfg.mode;
   options.probe.engine.window = cfg.window;
   return ScenarioBuilder()
       .scale_denominator(kScale)
@@ -107,37 +107,71 @@ CampaignTimeline campaign_timeline(const RunConfig& cfg) {
   return out;
 }
 
-TEST(Engine, MatchesSyncFaultFree) {
-  RunConfig sync;
-  sync.mode = EngineOptions::Mode::kSync;
-  sync.threads = 1;
-  const std::string baseline = fingerprint(run_campaign(sync));
-  for (int threads : {1, 2, 8}) {
-    RunConfig event;
-    event.mode = EngineOptions::Mode::kEvent;
-    event.threads = threads;
-    EXPECT_EQ(fingerprint(run_campaign(event)), baseline)
-        << "event engine diverged at " << threads << " threads";
-  }
-}
-
-TEST(Engine, MatchesSyncUnderFaults) {
-  RunConfig sync;
-  sync.faults.timeout_probability = 0.3;
-  sync.faults.servfail_probability = 0.1;
-  sync.mode = EngineOptions::Mode::kSync;
-  sync.threads = 1;
-  const CampaignResult sync_result = run_campaign(sync);
-  const std::string baseline = fingerprint(sync_result);
-  ASSERT_GT(sync_result.retry_stats.retries, 0u);
-  for (int threads : {1, 8}) {
-    for (int window : {1, 4, 64}) {
-      RunConfig event = sync;
-      event.mode = EngineOptions::Mode::kEvent;
-      event.threads = threads;
-      event.window = window;
-      EXPECT_EQ(fingerprint(run_campaign(event)), baseline)
-          << "diverged at threads=" << threads << " window=" << window;
+TEST(Engine, CampaignFingerprintPinned) {
+  // Every campaign result, pinned per substrate: the window and the thread
+  // count reshape the virtual timeline only, so each substrate has one
+  // value across its grid. The values are a blocking prober's (one chain
+  // at a time, serial clock), which window 1 reproduces bit for bit.
+  enum class Substrate { kClean, kLossy, kTripping, kEscalating };
+  struct Expected {
+    Substrate substrate;
+    std::vector<int> threads;
+    std::vector<int> windows;
+    std::uint64_t fingerprint_hash;
+  };
+  const Expected cases[] = {
+      {Substrate::kClean, {1, 2, 8}, {64}, 7764206722308091417ull},
+      {Substrate::kLossy, {1, 8}, {1, 4, 64}, 5717804462742634770ull},
+      // A hair-trigger breaker under heavy loss trips constantly; refused
+      // evaluations complete instantly, draining the window.
+      {Substrate::kTripping, {1}, {64}, 8693225612445803293ull},
+      // Lossy UDP with escalation: flows migrate to TCP mid-run (the
+      // paper's forced migration), state the engine carries across loops
+      // and domains.
+      {Substrate::kEscalating, {1}, {64}, 6560135225316931594ull},
+  };
+  for (const Expected& expected : cases) {
+    RunConfig cfg;
+    switch (expected.substrate) {
+      case Substrate::kClean:
+        break;
+      case Substrate::kLossy:
+        cfg.faults.timeout_probability = 0.3;
+        cfg.faults.servfail_probability = 0.1;
+        break;
+      case Substrate::kTripping:
+        cfg.faults.timeout_probability = 0.9;
+        cfg.retry_attempts = 1;
+        cfg.breaker_threshold = 2;
+        break;
+      case Substrate::kEscalating:
+        cfg.faults.timeout_probability = 0.4;
+        cfg.transport = googledns::Transport::kUdp;
+        cfg.escalate = true;
+        break;
+    }
+    for (const int threads : expected.threads) {
+      for (const int window : expected.windows) {
+        cfg.threads = threads;
+        cfg.window = window;
+        SCOPED_TRACE(::testing::Message()
+                     << "substrate=" << static_cast<int>(expected.substrate)
+                     << " threads=" << threads << " window=" << window);
+        const CampaignResult result = run_campaign(cfg);
+        EXPECT_EQ(net::stable_hash(fingerprint(result)),
+                  expected.fingerprint_hash);
+        const resilience::RetryStats& rs = result.retry_stats;
+        if (expected.substrate == Substrate::kLossy) {
+          EXPECT_GT(rs.retries, 0u);
+        }
+        if (expected.substrate == Substrate::kTripping) {
+          EXPECT_GT(rs.breaker_opened, 0u);
+          EXPECT_GT(rs.breaker_skipped, 0u);
+        }
+        if (expected.substrate == Substrate::kEscalating) {
+          EXPECT_GT(rs.escalations, 0u);
+        }
+      }
     }
   }
 }
@@ -166,44 +200,9 @@ TEST(Engine, WindowSweepIsByteIdenticalAndMonotone) {
   }
 }
 
-TEST(Engine, BreakerDrainMatchesSync) {
-  // A hair-trigger breaker under heavy loss trips constantly; refused
-  // evaluations complete instantly (draining the window) and the tallies
-  // must still match the sync adapter exactly.
-  RunConfig cfg;
-  cfg.faults.timeout_probability = 0.9;
-  cfg.retry_attempts = 1;
-  cfg.breaker_threshold = 2;
-  cfg.threads = 1;
-  cfg.mode = EngineOptions::Mode::kSync;
-  const CampaignResult sync_result = run_campaign(cfg);
-  ASSERT_GT(sync_result.retry_stats.breaker_opened, 0u);
-  ASSERT_GT(sync_result.retry_stats.breaker_skipped, 0u);
-  cfg.mode = EngineOptions::Mode::kEvent;
-  const CampaignResult event_result = run_campaign(cfg);
-  EXPECT_EQ(fingerprint(event_result), fingerprint(sync_result));
-}
-
-TEST(Engine, EscalationUnderFaultMatchesSync) {
-  // Lossy UDP with escalation enabled: flows migrate to TCP mid-run (the
-  // paper's forced migration) — a per-chain state change the engine must
-  // carry across loops and domains identically to the sync adapter.
-  RunConfig cfg;
-  cfg.faults.timeout_probability = 0.4;
-  cfg.transport = googledns::Transport::kUdp;
-  cfg.escalate = true;
-  cfg.threads = 1;
-  cfg.mode = EngineOptions::Mode::kSync;
-  const CampaignResult sync_result = run_campaign(cfg);
-  ASSERT_GT(sync_result.retry_stats.escalations, 0u);
-  cfg.mode = EngineOptions::Mode::kEvent;
-  const CampaignResult event_result = run_campaign(cfg);
-  EXPECT_EQ(fingerprint(event_result), fingerprint(sync_result));
-}
-
 TEST(Engine, CampaignTimelinePinned) {
-  // The parity tests above compare outcomes only; this pins the timing
-  // plane itself. Any change to the pending queue's pop order, the issue
+  // The fingerprints above pin outcomes only; this pins the timing plane
+  // itself. Any change to the pending queue's pop order, the issue
   // clock or the window accounting moves at least one of these values.
   enum class Substrate { kClean, kLossy, kTripping };
   struct Expected {
@@ -226,7 +225,7 @@ TEST(Engine, CampaignTimelinePinned) {
       cfg.faults.timeout_probability = 0.3;
       cfg.faults.servfail_probability = 0.1;
     } else if (expected.substrate == Substrate::kTripping) {
-      // BreakerDrainMatchesSync's hair-trigger breaker.
+      // CampaignFingerprintPinned's hair-trigger breaker.
       cfg.faults.timeout_probability = 0.9;
       cfg.retry_attempts = 1;
       cfg.breaker_threshold = 2;
@@ -246,22 +245,22 @@ TEST(Engine, CampaignTimelinePinned) {
 }
 
 TEST(Engine, EventEngineCompressesVirtualTime) {
-  // The point of the redesign: same probes, far less modeled wall time —
-  // chain latency (timeouts, backoffs, RTTs) becomes pipeline depth.
+  // The point of the engine: same probes, far less modeled wall time than
+  // the blocking prober (window 1) — chain latency (timeouts, backoffs,
+  // RTTs) becomes pipeline depth.
   RunConfig cfg;
   cfg.faults.timeout_probability = 0.25;
   cfg.threads = 1;
-  cfg.mode = EngineOptions::Mode::kSync;
-  const CampaignResult sync_result = run_campaign(cfg);
-  cfg.mode = EngineOptions::Mode::kEvent;
-  const CampaignResult event_result = run_campaign(cfg);
-  ASSERT_EQ(event_result.probes_sent, sync_result.probes_sent);
-  ASSERT_GT(sync_result.virtual_duration_seconds, 0.0);
-  ASSERT_GT(event_result.virtual_duration_seconds, 0.0);
-  EXPECT_LE(event_result.virtual_duration_seconds * 3,
-            sync_result.virtual_duration_seconds);
-  EXPECT_GE(event_result.virtual_probes_per_second(),
-            3 * sync_result.virtual_probes_per_second());
+  cfg.window = 1;
+  const CampaignResult blocking = run_campaign(cfg);
+  EXPECT_EQ(net::stable_hash(fingerprint(blocking)), 5626799578607806459ull);
+  EXPECT_DOUBLE_EQ(blocking.virtual_duration_seconds, 36860.922611622897);
+  cfg.window = 64;
+  const CampaignResult pipelined = run_campaign(cfg);
+  EXPECT_EQ(fingerprint(pipelined), fingerprint(blocking));
+  ASSERT_GT(pipelined.virtual_duration_seconds, 0.0);
+  EXPECT_LE(pipelined.virtual_duration_seconds * 3,
+            blocking.virtual_duration_seconds);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "dns/wire.h"
 #include "net/rng.h"
 #include "roots/trace.h"
+#include "trace_testing.h"
 
 namespace netclients::dns {
 namespace {
@@ -188,7 +189,7 @@ TEST_P(TraceFuzz, MutatedTraceFilesNeverCrashTolerantReader) {
                                                      : "www.example.com");
       rec.timestamp = static_cast<double>(rng.below(1000));
     }
-    ASSERT_TRUE(roots::TraceFile::write(path, records));
+    ASSERT_TRUE(roots::trace_testing::write_trace(path, records));
     // ...then random byte flips / truncation applied to the raw file.
     std::vector<std::uint8_t> bytes;
     {
@@ -212,8 +213,9 @@ TEST_P(TraceFuzz, MutatedTraceFilesNeverCrashTolerantReader) {
     // Tolerant read must terminate without crashing, and its stats must
     // agree with what it actually kept.
     std::vector<roots::TraceRecord> loaded;
-    roots::TraceFile::ReadStats stats;
-    if (roots::TraceFile::read_tolerant(path, &loaded, &stats)) {
+    roots::ReadStats stats;
+    if (roots::trace_testing::read_materialized(path, /*strict=*/false,
+                                                &loaded, &stats)) {
       EXPECT_EQ(stats.records_read, loaded.size());
       if (stats.records_skipped > 0) {
         EXPECT_TRUE(stats.truncated);
@@ -221,7 +223,8 @@ TEST_P(TraceFuzz, MutatedTraceFilesNeverCrashTolerantReader) {
     }
     // The strict reader must also never crash on the same mutant.
     std::vector<roots::TraceRecord> strict;
-    (void)roots::TraceFile::read(path, &strict);
+    (void)roots::trace_testing::read_materialized(path, /*strict=*/true,
+                                                  &strict);
   }
   std::filesystem::remove(path);
 }

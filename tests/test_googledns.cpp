@@ -80,7 +80,7 @@ TEST(GoogleDns, SnoopMissesEmptyCache) {
                                    *net::Prefix::parse("10.1.2.0/24"), 1.0,
                                    Transport::kTcp, 0, 0);
   EXPECT_FALSE(probe.cache_hit);
-  EXPECT_FALSE(probe.rate_limited);
+  EXPECT_EQ(probe.status, ProbeStatus::kOk);
 }
 
 TEST(GoogleDns, ClientQueryThenSnoopHits) {
@@ -282,12 +282,12 @@ TEST(GoogleDns, UdpRateLimitTripsTcpDoesNot) {
                        ->probe(0, f.domain,
                                *net::Prefix::parse("10.0.0.0/24"), t,
                                Transport::kUdp, 1, i)
-                       .rate_limited;
+                       .status == ProbeStatus::kRateLimited;
     tcp_limited += f.gdns
                        ->probe(0, f.domain,
                                *net::Prefix::parse("10.0.0.0/24"), t,
                                Transport::kTcp, 1, i)
-                       .rate_limited;
+                       .status == ProbeStatus::kRateLimited;
   }
   EXPECT_GT(udp_limited, 1500) << "repeated-domain UDP limit should trip";
   EXPECT_EQ(tcp_limited, 0) << "TCP stays under the 1500 qps limit";
@@ -343,47 +343,46 @@ TEST(GoogleDns, RecursiveWireQueryPopulatesCache) {
   EXPECT_GE(f.gdns->explicit_entries(), 1u);
 }
 
-TEST(GoogleDns, UpstreamWireModeByteIdenticalToStructured) {
-  // The same operation sequence against two resolvers that differ only in
-  // how they talk to the authoritative upstream — RFC 1035 wire bytes vs
-  // structured messages — must produce identical outcomes everywhere:
-  // answers, scopes, TTLs, hit patterns.
-  Fixture wire_f, structured_f;
-  GoogleDnsConfig structured_config;
-  structured_config.upstream_mode = UpstreamMode::kStructured;
-  structured_f.gdns = std::make_unique<GooglePublicDns>(
-      &structured_f.pops, &structured_f.catchment, &structured_f.auth,
-      structured_config, nullptr);
-  ASSERT_EQ(wire_f.gdns->config().upstream_mode, UpstreamMode::kWire);
-
+TEST(GoogleDns, UpstreamProbeStreamPinned) {
+  // Client fills and snoops over an ECS zone, an ECS-oblivious zone and an
+  // unknown one: every upstream fetch is an RFC 1035 round trip to the
+  // authoritative. Each probe's outcome is folded into a pinned digest,
+  // and every hit must carry the scope the authoritative assigns the
+  // client's /24.
+  Fixture f;
   net::Rng rng(0x31u);
   const auto noecs = *dns::DnsName::parse("noecs.example.com");
   const auto unknown = *dns::DnsName::parse("nope.example");
+  std::uint64_t digest = 0;
+  int hits = 0;
   for (int i = 0; i < 60; ++i) {
     const net::Ipv4Addr client(static_cast<std::uint32_t>(rng()));
     const dns::DnsName& domain = i % 5 == 3   ? noecs
                                  : i % 7 == 6 ? unknown
-                                              : wire_f.domain;
+                                              : f.domain;
     const auto pop = static_cast<anycast::PopId>(rng.below(4));
     const double t = 10.0 + i;
-    wire_f.gdns->client_query(pop, domain, client, t);
-    structured_f.gdns->client_query(pop, domain, client, t);
+    f.gdns->client_query(pop, domain, client, t);
     for (int attempt = 0; attempt < 6; ++attempt) {
-      const auto query_scope =
-          domain == wire_f.domain
-              ? scope_block_for(wire_f, client)
-              : net::Prefix::slash24_of(client);
-      const auto a = wire_f.gdns->probe(pop, domain, query_scope, t + 5,
-                                        Transport::kTcp, 0, attempt);
-      const auto b = structured_f.gdns->probe(pop, domain, query_scope, t + 5,
-                                              Transport::kTcp, 0, attempt);
-      ASSERT_EQ(a.cache_hit, b.cache_hit) << "iter " << i;
-      EXPECT_EQ(a.return_scope, b.return_scope);
-      EXPECT_EQ(a.remaining_ttl, b.remaining_ttl);
-      EXPECT_EQ(a.status, b.status);
-      EXPECT_EQ(a.pop, b.pop);
+      const auto query_scope = domain == f.domain
+                                   ? scope_block_for(f, client)
+                                   : net::Prefix::slash24_of(client);
+      const auto probe = f.gdns->probe(pop, domain, query_scope, t + 5,
+                                       Transport::kTcp, 0, attempt);
+      digest = net::stable_seed(digest, probe.cache_hit, probe.return_scope,
+                                probe.remaining_ttl,
+                                static_cast<std::uint64_t>(probe.status),
+                                static_cast<std::uint64_t>(probe.pop));
+      if (!probe.cache_hit) continue;
+      ++hits;
+      const auto scope = f.auth.scope_for(
+          domain, net::Prefix::slash24_of(client), f.gdns->config().epoch);
+      ASSERT_TRUE(scope.has_value()) << "iter " << i;
+      EXPECT_EQ(probe.return_scope, *scope) << "iter " << i;
     }
   }
+  EXPECT_EQ(hits, 106);
+  EXPECT_EQ(digest, 17292499017138000010ull);
 }
 
 TEST(GoogleDns, HandleWireByteIdenticalToStructuredPath) {
@@ -491,7 +490,6 @@ TEST(GoogleDns, ConcurrentDistinctPopsMatchSerial) {
       const ProbeResult& a = expected[p][i];
       const ProbeResult& b = got[p][i];
       ASSERT_EQ(a.status, b.status) << "pop " << p << " probe " << i;
-      EXPECT_EQ(a.rate_limited, b.rate_limited);
       EXPECT_EQ(a.cache_hit, b.cache_hit);
       EXPECT_EQ(a.return_scope, b.return_scope);
       EXPECT_EQ(a.remaining_ttl, b.remaining_ttl);

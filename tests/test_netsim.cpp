@@ -155,43 +155,44 @@ TEST(Bus, FullDnsExchangeWithTcpFallback) {
   EXPECT_EQ(answers_received, 1);
 }
 
-TEST(DnsEndpoint, WireAndStructuredModesByteIdenticalOnBus) {
-  // The same probe traffic against two authoritative endpoints — one
-  // answering straight from wire bytes, one decoding/re-encoding — must
-  // put byte-identical reply datagrams on the bus.
+TEST(DnsEndpoint, AuthoritativeRepliesMatchTheCodecOnBus) {
+  // The endpoint answers straight from wire bytes; each reply datagram
+  // must be the bytes the codec gives for the same query: decode, handle,
+  // encode.
   dnssrv::AuthoritativeServer auth;
   dnssrv::ZoneConfig zone;
   zone.name = *dns::DnsName::parse("www.example.com");
   auth.add_zone(zone);
-  const auto wire_addr = *net::Ipv4Addr::parse("10.0.0.53");
-  const auto structured_addr = *net::Ipv4Addr::parse("10.0.0.54");
-
   MessageBus bus;
-  AuthoritativeEndpointOptions wire_opts;
-  wire_opts.mode = DnsWireMode::kWire;
-  attach_authoritative(bus, wire_addr, auth, wire_opts);
-  AuthoritativeEndpointOptions structured_opts;
-  structured_opts.mode = DnsWireMode::kStructured;
-  attach_authoritative(bus, structured_addr, auth, structured_opts);
+  AuthoritativeEndpointOptions options;
+  attach_authoritative(bus, kServer, auth, options);
 
-  std::vector<std::vector<std::uint8_t>> wire_replies, structured_replies;
+  std::vector<std::vector<std::uint8_t>> replies;
   bus.attach(kClient, [&](const Datagram& d, net::SimTime) {
-    (d.src == wire_addr ? wire_replies : structured_replies)
-        .push_back(d.payload);
+    replies.push_back(d.payload);
   });
-
+  std::vector<std::vector<std::uint8_t>> queries;
   for (std::uint16_t id = 0; id < 20; ++id) {
-    const auto query = dns::encode(dns::make_query(
+    queries.push_back(dns::encode(dns::make_query(
         id, *dns::DnsName::parse(id % 3 ? "www.example.com" : "nope.example"),
         dns::RecordType::kA, false,
         dns::EcsOption::for_query(
-            net::Prefix(net::Ipv4Addr(0x64400000u + id * 256u), 24))));
-    bus.send(kClient, wire_addr, Proto::kTcp, query, id * 0.1, 0.01);
-    bus.send(kClient, structured_addr, Proto::kTcp, query, id * 0.1, 0.01);
+            net::Prefix(net::Ipv4Addr(0x64400000u + id * 256u), 24)))));
+    bus.send(kClient, kServer, Proto::kTcp, queries.back(), id * 0.1, 0.01);
   }
   bus.run_until(100.0);
-  ASSERT_EQ(wire_replies.size(), 20u);
-  EXPECT_EQ(wire_replies, structured_replies);
+  ASSERT_EQ(replies.size(), queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const auto query = dns::decode(queries[i]);
+    ASSERT_TRUE(query.ok);
+    EXPECT_EQ(replies[i],
+              dns::encode(auth.handle(query.message, options.epoch)))
+        << "query " << i;
+    const auto reply = dns::decode(replies[i]);
+    ASSERT_TRUE(reply.ok);
+    EXPECT_EQ(reply.message.header.rcode == dns::RCode::kNxDomain, i % 3 == 0)
+        << "query " << i;
+  }
 }
 
 TEST(DnsEndpoint, GoogleEndpointAnswersSnoopTraffic) {

@@ -11,9 +11,13 @@
 #include "net/rng.h"
 #include "roots/root_server.h"
 #include "roots/trace.h"
+#include "trace_testing.h"
 
 namespace netclients::roots {
 namespace {
+
+using trace_testing::read_materialized;
+using trace_testing::write_trace;
 
 TEST(RootSystem, Ditl2020HasThirteenLetters) {
   const RootSystem system = RootSystem::ditl_2020(1);
@@ -159,23 +163,24 @@ TEST(TraceFile, RoundTrip) {
     records.push_back(std::move(rec));
   }
   const std::string path = "trace_roundtrip_test.bin";
-  ASSERT_TRUE(TraceFile::write(path, records));
+  ASSERT_TRUE(write_trace(path, records));
   std::vector<TraceRecord> loaded;
-  ASSERT_TRUE(TraceFile::read(path, &loaded));
+  ASSERT_TRUE(read_materialized(path, /*strict=*/true, &loaded));
   EXPECT_EQ(loaded, records);
   std::filesystem::remove(path);
 }
 
 TEST(TraceFile, RejectsMissingFileAndBadMagic) {
   std::vector<TraceRecord> loaded;
-  EXPECT_FALSE(TraceFile::read("does_not_exist.bin", &loaded));
+  EXPECT_FALSE(
+      read_materialized("does_not_exist.bin", /*strict=*/true, &loaded));
   const std::string path = "trace_badmagic_test.bin";
   {
     std::FILE* f = std::fopen(path.c_str(), "wb");
     std::fputs("NOPE", f);
     std::fclose(f);
   }
-  EXPECT_FALSE(TraceFile::read(path, &loaded));
+  EXPECT_FALSE(read_materialized(path, /*strict=*/true, &loaded));
   std::filesystem::remove(path);
 }
 
@@ -185,11 +190,11 @@ TEST(TraceFile, RejectsTruncatedBody) {
   records[1].qname = *dns::DnsName::parse("bbbb");
   records[2].qname = *dns::DnsName::parse("cccc");
   const std::string path = "trace_truncated_test.bin";
-  ASSERT_TRUE(TraceFile::write(path, records));
+  ASSERT_TRUE(write_trace(path, records));
   const auto size = std::filesystem::file_size(path);
   std::filesystem::resize_file(path, size - 4);
   std::vector<TraceRecord> loaded;
-  EXPECT_FALSE(TraceFile::read(path, &loaded));
+  EXPECT_FALSE(read_materialized(path, /*strict=*/true, &loaded));
   std::filesystem::remove(path);
 }
 
@@ -199,11 +204,11 @@ TEST(TraceFile, TolerantReadKeepsRecordsBeforeTruncation) {
   records[1].qname = *dns::DnsName::parse("bbbb");
   records[2].qname = *dns::DnsName::parse("cccc");
   const std::string path = "trace_tolerant_trunc_test.bin";
-  ASSERT_TRUE(TraceFile::write(path, records));
+  ASSERT_TRUE(write_trace(path, records));
   std::filesystem::resize_file(path, std::filesystem::file_size(path) - 4);
   std::vector<TraceRecord> loaded;
-  TraceFile::ReadStats stats;
-  ASSERT_TRUE(TraceFile::read_tolerant(path, &loaded, &stats));
+  ReadStats stats;
+  ASSERT_TRUE(read_materialized(path, /*strict=*/false, &loaded, &stats));
   EXPECT_EQ(loaded.size(), 2u);
   EXPECT_EQ(loaded[0], records[0]);
   EXPECT_EQ(loaded[1], records[1]);
@@ -215,14 +220,15 @@ TEST(TraceFile, TolerantReadKeepsRecordsBeforeTruncation) {
 
 TEST(TraceFile, TolerantReadStillRejectsBadHeader) {
   std::vector<TraceRecord> loaded;
-  EXPECT_FALSE(TraceFile::read_tolerant("does_not_exist.bin", &loaded));
+  EXPECT_FALSE(
+      read_materialized("does_not_exist.bin", /*strict=*/false, &loaded));
   const std::string path = "trace_tolerant_badmagic_test.bin";
   {
     std::FILE* f = std::fopen(path.c_str(), "wb");
     std::fputs("NOPE", f);
     std::fclose(f);
   }
-  EXPECT_FALSE(TraceFile::read_tolerant(path, &loaded));
+  EXPECT_FALSE(read_materialized(path, /*strict=*/false, &loaded));
   std::filesystem::remove(path);
 }
 
@@ -233,7 +239,7 @@ TEST(TraceFile, TolerantReadSurvivesOverdeclaredCount) {
   records[0].qname = *dns::DnsName::parse("aaaa");
   records[1].qname = *dns::DnsName::parse("bbbb");
   const std::string path = "trace_tolerant_count_test.bin";
-  ASSERT_TRUE(TraceFile::write(path, records));
+  ASSERT_TRUE(write_trace(path, records));
   {
     // Overwrite the u64 count at offset 4 with a huge value.
     std::FILE* f = std::fopen(path.c_str(), "r+b");
@@ -244,8 +250,8 @@ TEST(TraceFile, TolerantReadSurvivesOverdeclaredCount) {
     std::fclose(f);
   }
   std::vector<TraceRecord> loaded;
-  TraceFile::ReadStats stats;
-  ASSERT_TRUE(TraceFile::read_tolerant(path, &loaded, &stats));
+  ReadStats stats;
+  ASSERT_TRUE(read_materialized(path, /*strict=*/false, &loaded, &stats));
   EXPECT_EQ(loaded.size(), 2u);
   EXPECT_TRUE(stats.truncated);
   EXPECT_EQ(stats.records_skipped, ~0ull - 2);
@@ -258,7 +264,7 @@ TEST(TraceFile, TolerantReadSurvivesCorruptLabelLength) {
   records[1].qname = *dns::DnsName::parse("bbbb");
   records[2].qname = *dns::DnsName::parse("cccc");
   const std::string path = "trace_tolerant_label_test.bin";
-  ASSERT_TRUE(TraceFile::write(path, records));
+  ASSERT_TRUE(write_trace(path, records));
   {
     // Flip the second record's label-length byte to run past end-of-file.
     // Record layout: 4+8 header, then per record 4+1+2+8+1 fixed + labels.
@@ -270,8 +276,8 @@ TEST(TraceFile, TolerantReadSurvivesCorruptLabelLength) {
     std::fclose(f);
   }
   std::vector<TraceRecord> loaded;
-  TraceFile::ReadStats stats;
-  ASSERT_TRUE(TraceFile::read_tolerant(path, &loaded, &stats));
+  ReadStats stats;
+  ASSERT_TRUE(read_materialized(path, /*strict=*/false, &loaded, &stats));
   EXPECT_EQ(loaded.size(), 1u);
   EXPECT_EQ(loaded[0], records[0]);
   EXPECT_EQ(stats.records_skipped, 2u);
@@ -285,7 +291,7 @@ TEST(TraceFile, WriteReportsAFullDisk) {
   if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
   std::vector<TraceRecord> records(3);
   for (auto& rec : records) rec.qname = *dns::DnsName::parse("sdhfjssf");
-  EXPECT_FALSE(TraceFile::write("/dev/full", records));
+  EXPECT_FALSE(write_trace("/dev/full", records));
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Zero-copy trace ingestion suite (labels: determinism, tsan): the
 // TraceView decoder must accept byte-identical record prefixes as the
-// materializing readers on clean, truncated, and corrupted traces, and
+// materializing test reader on clean, truncated, and corrupted traces, and
 // the corpus scan of a trace file (a one-member corpus) must be
 // byte-identical to the serial reference scan at every REPRO_THREADS and
 // chunk size. Fuzz cases mirror test_fuzz_wire's TraceFuzz: random
@@ -26,6 +26,7 @@
 #include "roots/trace.h"
 #include "roots/trace_view.h"
 #include "scan_testing.h"
+#include "trace_testing.h"
 #include "sim/ditl.h"
 #include "sim/world.h"
 
@@ -53,7 +54,7 @@ struct TraceFixture {
                        [&](const roots::TraceRecord& rec) {
                          records.push_back(rec);
                        });
-    EXPECT_TRUE(roots::TraceFile::write(path, records));
+    EXPECT_TRUE(roots::trace_testing::write_trace(path, records));
     scan_testing::write_manifest(manifest, {path});
   }
 };
@@ -83,6 +84,8 @@ void spit(const std::string& path, const std::vector<std::uint8_t>& bytes) {
             static_cast<std::streamsize>(bytes.size()));
 }
 
+using roots::trace_testing::read_materialized;
+using roots::trace_testing::write_trace;
 using scan_testing::expect_identical;
 using scan_testing::reference_scan;
 
@@ -175,18 +178,18 @@ TEST(TraceView, OpenRejectsExactlyWhatTolerantReadRejects) {
   };
   std::vector<roots::TraceRecord> loaded;
   EXPECT_FALSE(roots::TraceView::open("no_such_trace_file.bin"));
-  EXPECT_FALSE(roots::TraceFile::read_tolerant("no_such_trace_file.bin",
-                                               &loaded));
+  EXPECT_FALSE(read_materialized("no_such_trace_file.bin", /*strict=*/false,
+                                 &loaded));
   for (const auto& bytes : bad) {
     spit(path, bytes);
     EXPECT_FALSE(roots::TraceView::open(path)) << bytes.size();
-    EXPECT_FALSE(roots::TraceFile::read_tolerant(path, &loaded))
+    EXPECT_FALSE(read_materialized(path, /*strict=*/false, &loaded))
         << bytes.size();
   }
   // A header alone (zero records) is a valid, empty trace for both.
   spit(path, {'N', 'C', 'D', '1', 0, 0, 0, 0, 0, 0, 0, 0});
   EXPECT_TRUE(roots::TraceView::open(path));
-  EXPECT_TRUE(roots::TraceFile::read_tolerant(path, &loaded));
+  EXPECT_TRUE(read_materialized(path, /*strict=*/false, &loaded));
   EXPECT_TRUE(loaded.empty());
   std::filesystem::remove(path);
 }
@@ -276,7 +279,7 @@ TEST(ByteMatcher, UppercaseRawBytesCountLikeTheirCanonicalForm) {
   spit(path, bytes);
 
   std::vector<roots::TraceRecord> loaded;
-  ASSERT_TRUE(roots::TraceFile::read_tolerant(path, &loaded));
+  ASSERT_TRUE(read_materialized(path, /*strict=*/false, &loaded));
   ASSERT_EQ(loaded.size(), 3u);
   EXPECT_EQ(loaded[0].qname.labels().front(), "abcdefgh");
 
@@ -358,8 +361,8 @@ TEST(ViewParity, DamagedTailsSkipAndCountIdenticallyToTolerantReader) {
     spit(path, mutants[m]);
 
     std::vector<roots::TraceRecord> loaded;
-    roots::TraceFile::ReadStats stats;
-    ASSERT_TRUE(roots::TraceFile::read_tolerant(path, &loaded, &stats));
+    roots::ReadStats stats;
+    ASSERT_TRUE(read_materialized(path, /*strict=*/false, &loaded, &stats));
 
     const auto view = roots::TraceView::open(path);
     ASSERT_TRUE(view);
@@ -399,7 +402,7 @@ TEST_P(ViewFuzz, MutatedTracesNeverCrashAndMatchTolerantReader) {
           rng.bernoulli(0.5) ? "qpwoeiruty" : "www.example.com");
       rec.timestamp = static_cast<double>(rng.below(1000));
     }
-    ASSERT_TRUE(roots::TraceFile::write(path, records));
+    ASSERT_TRUE(write_trace(path, records));
     auto bytes = slurp(path);
     const int mutations = 1 + static_cast<int>(rng.below(5));
     for (int m = 0; m < mutations && !bytes.empty(); ++m) {
@@ -413,9 +416,9 @@ TEST_P(ViewFuzz, MutatedTracesNeverCrashAndMatchTolerantReader) {
     spit(path, bytes);
 
     std::vector<roots::TraceRecord> loaded;
-    roots::TraceFile::ReadStats stats;
+    roots::ReadStats stats;
     const bool tolerant_ok =
-        roots::TraceFile::read_tolerant(path, &loaded, &stats);
+        read_materialized(path, /*strict=*/false, &loaded, &stats);
     for (const auto backing : {roots::TraceView::Backing::kAuto,
                                roots::TraceView::Backing::kBuffer}) {
       const auto view = roots::TraceView::open(path, backing);

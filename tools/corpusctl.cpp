@@ -173,7 +173,7 @@ int run_verify(const char* manifest, int, char**) {
   }
   // CRCs cover the bytes; validate() walks the record framing too.
   for (const auto& member : view->members()) {
-    roots::TraceFile::ReadStats framing;
+    roots::ReadStats framing;
     if (member.trace) framing = member.trace->validate();
     if (member.packets) framing = member.packets->validate();
     if (framing.records_skipped > 0 || framing.truncated) {
