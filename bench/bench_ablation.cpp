@@ -4,7 +4,6 @@
 // set REPRO_SCALE to override.
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "common.h"
 #include "core/scenario/scenario.h"
@@ -39,9 +38,8 @@ double truth_coverage(const core::Scenario& s,
 
 int main(int argc, char** argv) {
   obs::MetricsOutGuard metrics_out(&argc, argv);
-  const char* env = std::getenv("REPRO_SCALE");
   const core::Scenario s = core::ScenarioBuilder()
-                               .scale_denominator(env ? std::atof(env) : 256.0)
+                               .scale_denominator(bench::scale_denominator(256))
                                .build();
   std::fprintf(stderr, "[ablation] world: %zu /24s\n",
                s.world().blocks().size());

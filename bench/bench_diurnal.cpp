@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include "anycast/vantage.h"
@@ -22,8 +21,7 @@ using namespace netclients;
 int main(int argc, char** argv) {
   obs::MetricsOutGuard metrics_out(&argc, argv);
   sim::WorldConfig config;
-  const char* env = std::getenv("REPRO_SCALE");
-  config.scale = 1.0 / (env ? std::atof(env) : 256.0);
+  config.scale = 1.0 / bench::scale_denominator(256);
   config.diurnal_amplitude = 0.65;
   const sim::World world = sim::World::generate(config);
   sim::WorldActivityModel activity(&world);

@@ -97,10 +97,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(received));
 
   // ---- 2. Campaign recall vs injected probe-loss rate ------------------
-  const char* env = std::getenv("REPRO_SCALE");
   const core::Scenario scenario =
       core::ScenarioBuilder()
-          .scale_denominator(env ? std::atof(env) : 512.0)
+          .scale_denominator(bench::scale_denominator(512))
           .build();
   const sim::World& world = scenario.world();
   std::fprintf(stderr, "[faults] world: %zu /24s\n", world.blocks().size());

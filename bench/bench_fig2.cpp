@@ -42,11 +42,9 @@ int main(int argc, char** argv) {
     radii.emplace_back(radius, p.world().pops().site(pop).city);
   }
   std::sort(radii.begin(), radii.end());
-  double assigned_with_radii = 0;
   for (const auto& [radius, city] : radii) {
     std::printf("  %-16s %7.0f km\n", city.c_str(), radius);
   }
-  (void)assigned_with_radii;
   std::printf("\nper-PoP assignment average: %.1f candidates "
               "(paper: 2.4M per PoP with per-PoP radii vs 4.4M with the "
               "5524 km max radius)\n",

@@ -2,18 +2,19 @@
 // NCS1 wire protocol (src/netsvc), measured end to end over the
 // simulated bus.
 //
-// The bench *checks* the wire-parity contract before it times anything:
-// client-observed results over UDP and over TCP must be byte-identical
-// to direct SnapshotHandle lookups, and two identically-seeded faulty
-// runs must replay the same loss/retry dance (same stats, same bytes);
-// any mismatch is a hard failure (exit 1).
+// The bench *checks* the wire-parity contract first: client-observed
+// results over UDP and over TCP must be byte-identical to direct
+// SnapshotHandle lookups, and two identically-seeded faulty runs must
+// replay the same loss/retry dance (same stats, same bytes); any mismatch
+// is a hard failure (exit 1).
 //
-// Part 1 times the clean path — wall-clock chunk throughput and the
-// *virtual* per-chunk round-trip latency over UDP and TCP — and appends
-// rows to bench_out/netserve_latency.csv. Part 2 sweeps bus loss rates
-// with and without a retry budget and appends recall rows (fraction of
-// addresses answered identically to the direct path) to
-// bench_out/netserve_recall.csv: retries must never hurt recall, and
+// Everything it reports runs on the bus's virtual clock, so stdout
+// repeats byte for byte from run to run. Part 1 reports the clean path's
+// virtual per-chunk round-trip latency over UDP and TCP and writes rows
+// to bench_out/netserve_latency.csv. Part 2 sweeps bus loss rates
+// with and without a retry budget and writes recall rows (the fraction
+// of chunks answered) to bench_out/netserve_recall.csv: retries must
+// never hurt recall, and
 // `--require-recall-gap=G` turns the buy-back into a gate — the mean
 // (retry − no-retry) recall gap over the swept nonzero loss rates
 // falling below G exits 1.
@@ -26,7 +27,6 @@
 //                                  [--require-recall-gap=0]
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -89,7 +89,6 @@ struct World {
 struct RunResult {
   std::vector<serve::LookupResult> results;
   netsvc::ClientStats client_stats;
-  double wall_seconds = 0;
   double virtual_seconds = 0;
   std::vector<double> chunk_rtts;  // virtual seconds per chunk call
 };
@@ -103,7 +102,6 @@ RunResult run_client(const serve::Service& service,
   World world(service, client_options, std::move(faults));
   RunResult run;
   run.results.resize(queries.size());
-  const auto wall_start = std::chrono::steady_clock::now();
   for (std::size_t offset = 0; offset < queries.size(); offset += batch) {
     const std::size_t take = std::min(batch, queries.size() - offset);
     const double before = world.bus.now();
@@ -111,10 +109,6 @@ RunResult run_client(const serve::Service& service,
                               run.results.data() + offset);
     run.chunk_rtts.push_back(world.bus.now() - before);
   }
-  run.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
   run.virtual_seconds = world.bus.now();
   run.client_stats = world.client->stats();
   return run;
@@ -154,7 +148,7 @@ int main(int argc, char** argv) {
   netsvc::ClientOptions tcp_options = udp_options;
   tcp_options.transport = googledns::Transport::kTcp;
 
-  // ---- Wire-parity gate (before any timing) ----------------------------
+  // ---- Wire-parity and replay gates ------------------------------------
   const RunResult udp = run_client(service, queries, batch, udp_options);
   const RunResult tcp = run_client(service, queries, batch, tcp_options);
   if (udp.results != direct || tcp.results != direct) {
@@ -187,32 +181,27 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- Part 1: clean-path throughput + virtual RTT ---------------------
+  // ---- Part 1: clean-path virtual RTT ----------------------------------
   const std::string latency_csv = bench::out_path("netserve_latency.csv");
   std::FILE* lat = std::fopen(latency_csv.c_str(), "w");
   if (lat) {
     std::fprintf(lat,
-                 "transport,chunks,wall_seconds,chunks_per_sec,"
-                 "virtual_seconds,rtt_p50_ms,rtt_p99_ms\n");
+                 "transport,chunks,virtual_seconds,rtt_p50_ms,rtt_p99_ms\n");
   }
-  std::printf("%-10s %8s %12s %14s %12s %10s %10s\n", "transport", "chunks",
-              "wall_s", "chunks/s", "virtual_s", "rtt_p50_ms", "rtt_p99_ms");
+  std::printf("%-10s %8s %12s %10s %10s\n", "transport", "chunks",
+              "virtual_s", "rtt_p50_ms", "rtt_p99_ms");
   obs::Registry& registry = obs::Registry::global();
   const auto report = [&](const char* name, const RunResult& run) {
     const double chunks = static_cast<double>(run.chunk_rtts.size());
-    const double rate =
-        run.wall_seconds > 0 ? chunks / run.wall_seconds : 0;
     const double p50 = percentile(run.chunk_rtts, 0.50) * 1e3;
     const double p99 = percentile(run.chunk_rtts, 0.99) * 1e3;
-    std::printf("%-10s %8.0f %12.3f %14.0f %12.1f %10.2f %10.2f\n", name,
-                chunks, run.wall_seconds, rate, run.virtual_seconds, p50,
-                p99);
+    std::printf("%-10s %8.0f %12.1f %10.2f %10.2f\n", name, chunks,
+                run.virtual_seconds, p50, p99);
     if (lat) {
-      std::fprintf(lat, "%s,%.0f,%.6f,%.0f,%.3f,%.3f,%.3f\n", name, chunks,
-                   run.wall_seconds, rate, run.virtual_seconds, p50, p99);
+      std::fprintf(lat, "%s,%.0f,%.3f,%.3f,%.3f\n", name, chunks,
+                   run.virtual_seconds, p50, p99);
     }
     const std::string prefix = std::string("netsvc.bench.") + name + ".";
-    registry.gauge(prefix + "chunks_per_sec").set(rate);
     registry.gauge(prefix + "rtt_p50_ms").set(p50);
     registry.gauge(prefix + "rtt_p99_ms").set(p99);
   };

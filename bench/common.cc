@@ -45,7 +45,9 @@ void install_span_narrator() {
 
 }  // namespace
 
-double scale_denominator() { return env_denominator("REPRO_SCALE", 64); }
+double scale_denominator(double fallback) {
+  return env_denominator("REPRO_SCALE", fallback);
+}
 
 double ditl_sample_denominator() {
   return env_denominator("REPRO_DITL_SAMPLE", 64);
@@ -70,38 +72,6 @@ std::string flag_string(int argc, char** argv, const char* name,
     }
   }
   return fallback;
-}
-
-bool flag_present(int argc, char** argv, const char* name) {
-  const std::string bare = name;
-  const std::string prefix = bare + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (bare == argv[i] ||
-        std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
-ScaleSpec parse_scale(int argc, char** argv) {
-  const std::string name = flag_string(argc, argv, "--scale", "paper");
-  ScaleSpec spec;
-  spec.name = name;
-  if (name == "paper") return spec;
-  if (name == "internet-lite") {
-    spec.corpus_files = 4;
-    return spec;
-  }
-  if (name == "internet") {
-    spec.corpus_files = 16;
-    return spec;
-  }
-  std::fprintf(stderr,
-               "[bench] unknown --scale=%s (want paper, internet-lite, "
-               "or internet)\n",
-               name.c_str());
-  std::exit(2);
 }
 
 Pipelines PipelineBuilder::build() const {

@@ -31,8 +31,9 @@
 
 namespace netclients::bench {
 
-/// Denominator of the world scale (REPRO_SCALE env var, default 64).
-double scale_denominator();
+/// Denominator of the world scale: the REPRO_SCALE env var, or `fallback`
+/// when it is unset, not a number, or not positive.
+double scale_denominator(double fallback = 64);
 
 /// DITL downsampling used at bench scale (REPRO_DITL_SAMPLE, default 64).
 double ditl_sample_denominator();
@@ -48,30 +49,6 @@ double flag_value(int argc, char** argv, const char* name, double fallback);
 /// String `--name=value`; `fallback` when absent.
 std::string flag_string(int argc, char** argv, const char* name,
                         const std::string& fallback);
-
-/// True when `--name` or `--name=...` appears.
-bool flag_present(int argc, char** argv, const char* name);
-
-/// One parsed `--scale=` preset. The paper preset reproduces the figures
-/// at REPRO_SCALE (a 1/64 Internet by default); the internet presets shard
-/// the DITL capture into `corpus_files` member files for the cross-file
-/// work-stealing scan (bench_serve also scales its load by preset).
-///
-///   preset         corpus files
-///   paper                     1
-///   internet-lite             4
-///   internet                 16
-struct ScaleSpec {
-  std::string name = "paper";
-  std::size_t corpus_files = 1;
-
-  bool internet() const { return corpus_files > 1; }
-};
-
-/// Parses `--scale=paper|internet-lite|internet` (default paper). An
-/// unknown preset is a hard error (exit 2) — a typo'd scale silently
-/// benchmarking the wrong world is worse than failing.
-ScaleSpec parse_scale(int argc, char** argv);
 
 struct Pipelines {
   /// The wired world + probe substrate (core::ScenarioBuilder output).

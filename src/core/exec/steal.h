@@ -33,8 +33,9 @@
 
 namespace netclients::core::exec {
 
-/// Per-call scheduling telemetry, for callers (bench_scan, corpusctl) that
-/// want a steal ratio; the registry never sees these tallies.
+/// Per-call scheduling telemetry, for callers (`corpusctl scan`,
+/// perfbench's ditl_scan) that want a steal ratio; the registry never
+/// sees these tallies.
 struct StealTelemetry {
   std::size_t tasks = 0;        // tasks scheduled (== n)
   std::size_t workers = 0;      // workers that participated

@@ -37,8 +37,8 @@
 // a single publisher, with reader batches issued *between* publishes
 // (WorkloadDriver::replay is the canonical driver) — lookup results are
 // a pure function of (published epochs, query list) and byte-identical
-// at any REPRO_THREADS. Under truly concurrent publish/read (the
-// tsan-labelled stress tests, bench_serve's churn phases) each
+// at any REPRO_THREADS. Under truly concurrent publish/read (test_serve's
+// tsan-labelled stress test, perfbench's serve_churn workload) each
 // *individual* batch is still answered by exactly one snapshot version;
 // only which version a batch lands on is timing-dependent.
 

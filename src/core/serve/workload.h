@@ -5,29 +5,18 @@
 // (heavy networks and heavy users dominate, net::ZipfSampler) and bursty
 // batch arrivals following the sim layer's diurnal shape
 // `1 + A·cos(ω(t − peak))` (sim/activity.cc, WorldConfig::
-// diurnal_amplitude / diurnal_peak_local_hour) — optionally while a
-// publisher rolls new epochs in underneath the readers.
+// diurnal_amplitude / diurnal_peak_local_hour) — while a single publisher
+// rolls new epochs in between the reader batches.
 //
-// Two run modes, one generated workload:
-//
-//  * `replay` — the deterministic schedule: a single logical publisher,
-//    reader batches issued strictly *between* publishes. Results (and
-//    the returned digest) are a pure function of (epoch sets, workload
-//    options, publish cadence) — byte-identical at any REPRO_THREADS,
-//    and elementwise identical to running the same epoch sets through
-//    `ClientIndex` directly. This is the serving tier's determinism
-//    contract, and what test_serve pins.
-//  * `run_under_churn` — the measured concurrent mode: real reader
-//    threads acquire handles and look batches up while a real publisher
-//    thread publishes concurrently. Wall-clock QPS and per-batch
-//    latency percentiles (p50/p99/p999) are reported for a steady phase
-//    (no publisher) and a churn phase (publisher live); timing is
-//    inherently nondeterministic, but every batch is answered by exactly
-//    one pinned snapshot version.
+// `replay` is the deterministic schedule: reader batches are issued
+// strictly *between* publishes. Results (and the returned digest) are a
+// pure function of (epoch sets, workload options, publish cadence) —
+// byte-identical at any REPRO_THREADS, and elementwise identical to
+// running the same epoch sets through `ClientIndex` directly. This is
+// the serving tier's determinism contract, and what test_serve pins.
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "core/serve/service.h"
@@ -60,19 +49,6 @@ struct WorkloadOptions {
   /// Peak local hour of the burst cycle (matches WorldConfig's default).
   double burst_peak_hour = 20.0;
   std::uint64_t seed = 0x5EEDF00DULL;
-  /// Reader threads for run_under_churn. <= 0: exec::thread_count() − 1
-  /// (one core left for the publisher), clamped to [1, 16].
-  int reader_threads = 0;
-  /// Minimum pause between publishes in the churn phase. Epochs swap
-  /// per measurement window, not back-to-back; an unpaced publisher
-  /// would measure index-build memory bandwidth, not reader behaviour.
-  double publish_pause_us = 500;
-  /// Cap on the publisher's CPU duty cycle: after each publish it sleeps
-  /// at least `build_time × (1/duty − 1)`, so on a machine where the
-  /// publisher must share cores with readers (CI runners, nproc == 1)
-  /// churn costs at most ~`duty` of one core and the churn/steady QPS
-  /// ratio stays a read-path property, not a core-count artifact.
-  double publish_duty = 0.05;
 };
 
 /// Outcome of the deterministic interleaving-free schedule.
@@ -88,40 +64,11 @@ struct ReplayResult {
   friend bool operator==(const ReplayResult&, const ReplayResult&) = default;
 };
 
-struct LatencySummary {
-  double p50_us = 0;
-  double p99_us = 0;
-  double p999_us = 0;
-  double max_us = 0;
-};
-
-struct PhaseStats {
-  std::string name;
-  std::uint64_t queries = 0;
-  std::uint64_t batches = 0;
-  std::uint64_t hits = 0;
-  double seconds = 0;  // wall clock, spawn to join
-  double qps = 0;
-  /// Per-batch latency (acquire + lookup_many + hit scan).
-  LatencySummary latency;
-  std::uint64_t version_min = 0;  // snapshot versions observed by readers
-  std::uint64_t version_max = 0;
-  std::uint64_t publishes = 0;  // publishes completed during the phase
-};
-
-struct WorkloadReport {
-  PhaseStats steady;
-  PhaseStats churn;
-  /// churn QPS / steady QPS — the "readers are never blocked" headline;
-  /// bench_serve gates this ≥ 0.9 in CI.
-  double churn_ratio = 0;
-};
-
 class WorkloadDriver {
  public:
   /// Generates the full query stream up front (deterministic in
-  /// (options, epochs); no generation cost inside timed loops): user
-  /// home addresses from the union of `epochs`' active prefixes, then
+  /// (options, epochs)): user home addresses from the union of
+  /// `epochs`' active prefixes, then
   /// `options.queries` zipf-skewed lookups cut into diurnal-bursty
   /// batches.
   WorkloadDriver(WorkloadOptions options,
@@ -134,7 +81,6 @@ class WorkloadDriver {
     return std::span<const net::Ipv4Addr>(queries_)
         .subspan(offsets_[b], offsets_[b + 1] - offsets_[b]);
   }
-  const WorkloadOptions& options() const { return options_; }
 
   /// Deterministic schedule: batches run in order; after every
   /// `publish_every` batches (0 = never) the next epoch of `publishes`
@@ -145,19 +91,7 @@ class WorkloadDriver {
                       std::span<const snapshot::EpochRecord> publishes,
                       std::size_t publish_every, int lookup_threads = 0) const;
 
-  /// Measured concurrent mode: a steady phase (readers only), then a
-  /// churn phase with a live publisher cycling `churn_epochs` (re-keyed
-  /// epoch ids) for the whole phase. Each phase replays the full
-  /// generated stream once.
-  WorkloadReport run_under_churn(
-      Service& service,
-      std::span<const snapshot::EpochRecord> churn_epochs) const;
-
  private:
-  PhaseStats run_phase(Service& service, std::string name,
-                       std::span<const snapshot::EpochRecord> churn_epochs)
-      const;
-
   WorkloadOptions options_;
   std::vector<net::Ipv4Addr> queries_;
   std::vector<std::size_t> offsets_;  // batch b = [offsets_[b], offsets_[b+1])

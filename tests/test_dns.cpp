@@ -378,13 +378,77 @@ DnsMessage busy_response() {
   return msg;
 }
 
+DnsName probe_name(net::Rng& rng, const char* apex) {
+  static const char* kHosts[] = {"www", "mail", "cdn", "api", "static"};
+  std::string host = kHosts[rng.below(5)];
+  if (rng.below(2) == 0) host += std::to_string(rng.below(100));
+  return *DnsName::parse(host + "." + apex);
+}
+
+/// The probe engine's message shapes, deterministically varied: RD=0/1
+/// ECS queries, NOERROR responses with 1-3 A answers plus the odd TXT,
+/// NXDOMAINs, and ECS return scopes. Shared apexes make compression fire.
+std::vector<DnsMessage> probe_corpus() {
+  static const char* kApexes[] = {"example.com", "probes.example.net",
+                                  "cache.test"};
+  std::vector<DnsMessage> corpus;
+  net::Rng rng(0x1035);
+  for (int i = 0; i < 256; ++i) {
+    const char* apex = kApexes[rng.below(3)];
+    const auto id = static_cast<std::uint16_t>(rng.below(65536));
+    const DnsName qname = probe_name(rng, apex);
+    std::optional<EcsOption> ecs;
+    if (rng.below(4) != 0) {
+      ecs = EcsOption::for_query(net::Prefix(
+          net::Ipv4Addr(static_cast<std::uint32_t>(rng.below(1u << 24) << 8)),
+          static_cast<std::uint8_t>(16 + rng.below(9))));
+    }
+    DnsMessage msg = make_query(id, qname, RecordType::kA,
+                                /*recursion_desired=*/rng.below(2) == 0, ecs);
+    if (rng.below(3) != 0) {  // two thirds of the corpus are responses
+      msg.header.qr = true;
+      msg.header.aa = true;
+      if (rng.below(8) == 0) {
+        msg.header.rcode = RCode::kNxDomain;
+      } else {
+        const std::size_t answers = 1 + rng.below(3);
+        for (std::size_t a = 0; a < answers; ++a) {
+          msg.answers.push_back(ResourceRecord{
+              qname, RecordType::kA, kClassIn,
+              static_cast<std::uint32_t>(30 + rng.below(300)),
+              AData{net::Ipv4Addr(
+                  static_cast<std::uint32_t>(rng.below(1u << 31)))}});
+        }
+        if (rng.below(4) == 0) {
+          const DnsName owner = probe_name(rng, apex);
+          msg.answers.push_back(
+              ResourceRecord{owner, RecordType::kTxt, kClassIn, 60,
+                             TxtData{"pop=" + std::to_string(rng.below(64))}});
+        }
+        if (msg.edns && msg.edns->ecs) {
+          msg.edns->ecs->scope_prefix_length =
+              static_cast<std::uint8_t>(16 + rng.below(9));
+        }
+      }
+    }
+    corpus.push_back(std::move(msg));
+  }
+  return corpus;
+}
+
+/// `messages` followed by the probe corpus.
+std::vector<DnsMessage> with_probe_corpus(std::vector<DnsMessage> messages) {
+  for (DnsMessage& msg : probe_corpus()) messages.push_back(std::move(msg));
+  return messages;
+}
+
 TEST(Packet, ArenaEncodeMatchesAllocEncode) {
   WireArena arena;
   // Sequential encodes into one recycled arena must each match the
   // allocating encoder — recycling cannot leak state across messages.
-  for (const DnsMessage& msg :
-       {sample_query(), busy_response(),
-        make_query(7, *DnsName::parse("."), RecordType::kA, true)}) {
+  for (const DnsMessage& msg : with_probe_corpus(
+           {sample_query(), busy_response(),
+            make_query(7, *DnsName::parse("."), RecordType::kA, true)})) {
     const auto alloc = encode(msg);
     const auto span = encode_into(msg, arena);
     EXPECT_EQ(alloc, std::vector<std::uint8_t>(span.begin(), span.end()));
@@ -392,9 +456,10 @@ TEST(Packet, ArenaEncodeMatchesAllocEncode) {
 }
 
 TEST(Packet, ViewParityWithMaterializingDecode) {
-  for (const DnsMessage& msg :
-       {sample_query(), busy_response(),
-        make_query(1, *DnsName::parse("qpwoeiruty"), RecordType::kA, true)}) {
+  for (const DnsMessage& msg : with_probe_corpus(
+           {sample_query(), busy_response(),
+            make_query(1, *DnsName::parse("qpwoeiruty"), RecordType::kA,
+                       true)})) {
     const auto wire = encode(msg);
     std::string error;
     const auto view = MessageView::parse(wire, &error);
@@ -438,18 +503,25 @@ TEST(Packet, ViewAccessorsExposeSectionsWithoutMaterializing) {
 
 TEST(Packet, TruncationSweepEveryOffsetAgrees) {
   // Both decoders must agree — accept/reject and diagnostic — on every
-  // prefix of a feature-dense packet, and neither may crash or hang.
-  const auto wire = encode(busy_response());
-  for (std::size_t cut = 0; cut < wire.size(); ++cut) {
-    const std::span<const std::uint8_t> prefix(wire.data(), cut);
-    std::string view_error;
-    const auto view = MessageView::parse(prefix, &view_error);
-    const DecodeResult decoded = decode(prefix);
-    ASSERT_EQ(decoded.ok, view.has_value()) << "cut at " << cut;
-    if (!decoded.ok) {
-      EXPECT_EQ(decoded.error, view_error) << "cut at " << cut;
-    } else {
-      EXPECT_EQ(view->materialize(), decoded.message) << "cut at " << cut;
+  // prefix of a feature-dense packet and of every probe-shaped message,
+  // and neither may crash or hang.
+  const auto messages = with_probe_corpus({busy_response()});
+  for (std::size_t m = 0; m < messages.size(); ++m) {
+    const auto wire = encode(messages[m]);
+    for (std::size_t cut = 0; cut < wire.size(); ++cut) {
+      const std::span<const std::uint8_t> prefix(wire.data(), cut);
+      std::string view_error;
+      const auto view = MessageView::parse(prefix, &view_error);
+      const DecodeResult decoded = decode(prefix);
+      ASSERT_EQ(decoded.ok, view.has_value())
+          << "message " << m << " cut at " << cut;
+      if (!decoded.ok) {
+        EXPECT_EQ(decoded.error, view_error)
+            << "message " << m << " cut at " << cut;
+      } else {
+        EXPECT_EQ(view->materialize(), decoded.message)
+            << "message " << m << " cut at " << cut;
+      }
     }
   }
 }
@@ -459,6 +531,12 @@ TEST(Packet, EncodeDecodeEncodeByteStable) {
   for (int iter = 0; iter < 100; ++iter) {
     DnsMessage msg = rng.bernoulli(0.5) ? busy_response() : sample_query();
     msg.header.id = static_cast<std::uint16_t>(rng());
+    const auto first = encode(msg);
+    const DecodeResult decoded = decode(first);
+    ASSERT_TRUE(decoded.ok) << decoded.error;
+    EXPECT_EQ(encode(decoded.message), first);
+  }
+  for (const DnsMessage& msg : probe_corpus()) {
     const auto first = encode(msg);
     const DecodeResult decoded = decode(first);
     ASSERT_TRUE(decoded.ok) << decoded.error;

@@ -341,30 +341,6 @@ TEST_F(ServeSuite, ConcurrentPublishReadStress) {
   EXPECT_EQ(service.acquire()->version(), 1u + kPublishes);
 }
 
-TEST_F(ServeSuite, ConcurrentChurnWorkloadAnswersEveryBatch) {
-  serve::WorkloadOptions options;
-  options.users = 1 << 12;
-  options.queries = 1 << 15;
-  options.batch = 128;
-  options.reader_threads = 3;
-  options.publish_pause_us = 50;
-  const serve::WorkloadDriver driver(options, chain());
-
-  serve::Service service;
-  service.publish(chain());
-  const serve::WorkloadReport report =
-      driver.run_under_churn(service, chain());
-  EXPECT_EQ(report.steady.queries, driver.query_count());
-  EXPECT_EQ(report.churn.queries, driver.query_count());
-  EXPECT_EQ(report.steady.batches, driver.batch_count());
-  EXPECT_EQ(report.churn.batches, driver.batch_count());
-  EXPECT_GT(report.churn.publishes, 0u);
-  EXPECT_GE(report.churn.version_min, 1u);
-  // The service's final version reflects every publish the churn phase
-  // completed on top of the bulk seed.
-  EXPECT_EQ(service.version(), 1u + report.churn.publishes);
-}
-
 // ------------------------------------------------------------- API surface
 
 TEST_F(ServeSuite, SpanLookupManyIsTheOnlyBatchedSurface) {

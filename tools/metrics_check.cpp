@@ -13,7 +13,7 @@
 //   name<=value   ... value is <= value
 //
 // Threshold forms gate measured quantities — e.g.
-// `serve.bench.churn_ratio>=0.9` turns "publishes do not stall readers"
+// `netsvc.bench.recall_gap>=0.05` turns "retries buy back lost answers"
 // into a CI failure. They apply to counters and gauges (the scalar
 // metrics); histogram/span requirements are presence-only. Prints every
 // problem and exits 1 on any failure.

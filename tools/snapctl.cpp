@@ -1,13 +1,10 @@
 // snapctl — inspect, validate, diff, and serve netclients.snap.v1
-// snapshot files.
+// snapshot files over the wire.
 //
 //   snapctl inspect  <file>            per-epoch summary + read stats
 //   snapctl validate <file>            strict framing/CRC/chain check
 //   snapctl diff     <file> [from to]  churn between two epochs
 //                                      (default: the last two)
-//   snapctl serve    <file> [workload] publish the chain into a
-//                                      serve::Service, replay a mixed
-//                                      workload, print QPS + latency
 //   snapctl netserve <file> [key=value ...]
 //                                      publish the chain, stand the
 //                                      netsvc server/client pair up on a
@@ -28,16 +25,6 @@
 // the same check CI applies to snapshot artifacts via metrics_check);
 // `inspect` and `diff` read tolerantly, reporting skipped sections rather
 // than failing, so a damaged capture can still be examined.
-//
-// `serve` stands the serving tier up on the file: every epoch is
-// published in chain order (the rolling swaps a deployment would see),
-// then a WorkloadDriver stream runs a steady and a churn phase through
-// snapshot handles. The optional workload file is `key=value` lines
-// (`#` comments) overriding WorkloadOptions — e.g.
-//     queries=4194304
-//     users=1048576
-//     user_zipf=1.2
-//     miss_fraction=0.4
 
 #include <algorithm>
 #include <cstdio>
@@ -51,7 +38,6 @@
 #include <vector>
 
 #include "core/serve/service.h"
-#include "core/serve/workload.h"
 #include "core/snapshot/snapshot.h"
 #include "net/rng.h"
 #include "netsim/bus.h"
@@ -244,120 +230,6 @@ int run_diff(const char* path, int argc, char** argv) {
   return 0;
 }
 
-/// Parses a `key=value` workload file onto defaults; unknown keys are a
-/// hard error (a typo'd knob silently running defaults is worse).
-bool parse_workload_file(const char* path, serve::WorkloadOptions* options) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "snapctl: cannot read workload file %s\n", path);
-    return false;
-  }
-  std::string line;
-  int lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const auto first = line.find_first_not_of(" \t");
-    if (first == std::string::npos || line[first] == '#') continue;
-    const auto eq = line.find('=');
-    if (eq == std::string::npos) {
-      std::fprintf(stderr, "snapctl: %s:%d: expected key=value\n", path,
-                   lineno);
-      return false;
-    }
-    const std::string key = line.substr(first, eq - first);
-    const double value = std::atof(line.c_str() + eq + 1);
-    if (key == "users") {
-      options->users = static_cast<std::size_t>(value);
-    } else if (key == "queries") {
-      options->queries = static_cast<std::size_t>(value);
-    } else if (key == "batch") {
-      options->batch = static_cast<std::size_t>(value);
-    } else if (key == "user_zipf") {
-      options->user_zipf = value;
-    } else if (key == "prefix_zipf") {
-      options->prefix_zipf = value;
-    } else if (key == "miss_fraction") {
-      options->miss_fraction = value;
-    } else if (key == "burst_amplitude") {
-      options->burst_amplitude = value;
-    } else if (key == "batches_per_day") {
-      options->batches_per_day = value;
-    } else if (key == "burst_peak_hour") {
-      options->burst_peak_hour = value;
-    } else if (key == "seed") {
-      options->seed = static_cast<std::uint64_t>(value);
-    } else if (key == "reader_threads") {
-      options->reader_threads = static_cast<int>(value);
-    } else if (key == "publish_pause_us") {
-      options->publish_pause_us = value;
-    } else if (key == "publish_duty") {
-      options->publish_duty = value;
-    } else {
-      std::fprintf(stderr, "snapctl: %s:%d: unknown workload key '%s'\n",
-                   path, lineno, key.c_str());
-      return false;
-    }
-  }
-  return true;
-}
-
-void print_phase(const serve::PhaseStats& phase) {
-  std::printf("  %-8s %12llu %10llu %10.3f %14.0f %9.1f %9.1f %9.1f\n",
-              phase.name.c_str(),
-              static_cast<unsigned long long>(phase.queries),
-              static_cast<unsigned long long>(phase.batches), phase.seconds,
-              phase.qps, phase.latency.p50_us, phase.latency.p99_us,
-              phase.latency.p999_us);
-}
-
-int run_serve(const char* path, int argc, char** argv) {
-  const auto file = load(path);
-  if (!file) return 1;
-  print_stats(file->stats);
-  if (file->epochs.empty()) {
-    std::fprintf(stderr, "snapctl: %s has no epochs to serve\n", path);
-    return 1;
-  }
-
-  serve::WorkloadOptions options;
-  options.queries = 1 << 20;
-  options.users = 1 << 18;
-  if (argc >= 1 && !parse_workload_file(argv[0], &options)) return 2;
-
-  // Publish epoch-by-epoch in chain order — the same rolling sequence of
-  // swaps a live deployment would apply — keeping the window at the
-  // chain length so churn re-publishes age the oldest epoch out.
-  serve::ServiceOptions service_options;
-  service_options.max_epochs = file->epochs.size();
-  serve::Service service(service_options);
-  for (const auto& epoch : file->epochs) service.publish(epoch);
-  const serve::SnapshotHandle handle = service.acquire();
-  std::printf("%s: serving %zu epoch(s), version %llu, %zu prefixes, "
-              "%zu ASes\n",
-              path, file->epochs.size(),
-              static_cast<unsigned long long>(handle->version()),
-              handle->index().prefix_count(),
-              handle->index().as_aggregates().size());
-
-  const serve::WorkloadDriver driver(
-      options, std::span<const snapshot::EpochRecord>(file->epochs));
-  std::printf("workload: %zu queries over %zu users, %zu batches "
-              "(zipf %.2f, miss %.2f)\n",
-              driver.query_count(), options.users, driver.batch_count(),
-              options.user_zipf, options.miss_fraction);
-
-  const serve::WorkloadReport report = driver.run_under_churn(
-      service, std::span<const snapshot::EpochRecord>(file->epochs));
-  std::printf("  %-8s %12s %10s %10s %14s %9s %9s %9s\n", "phase", "queries",
-              "batches", "seconds", "qps", "p50_us", "p99_us", "p999_us");
-  print_phase(report.steady);
-  print_phase(report.churn);
-  std::printf("  churn publishes: %llu, churn/steady QPS ratio: %.3f\n",
-              static_cast<unsigned long long>(report.churn.publishes),
-              report.churn_ratio);
-  return 0;
-}
-
 /// Reads `key=` from key=value args; returns fallback when absent.
 double arg_value(int argc, char** argv, const char* key, double fallback) {
   const std::string prefix = std::string(key) + "=";
@@ -480,7 +352,6 @@ constexpr Command kCommands[] = {
     {"inspect", "snapctl inspect  <file.snap>", run_inspect},
     {"validate", "snapctl validate <file.snap>", run_validate},
     {"diff", "snapctl diff     <file.snap> [from-epoch to-epoch]", run_diff},
-    {"serve", "snapctl serve    <file.snap> [workload.conf]", run_serve},
     {"netserve",
      "snapctl netserve <file.snap> [transport=udp|tcp] [queries=N] "
      "[batch=N] [loss=P] [attempts=N]",
