@@ -1,7 +1,7 @@
 #include "core/serve/serve.h"
 
 #include <algorithm>
-#include <map>
+#include <unordered_map>
 
 #include "core/exec/exec.h"
 #include "core/obs/obs.h"
@@ -35,49 +35,62 @@ ClientIndex ClientIndex::build(std::span<const snapshot::EpochRecord> epochs) {
   ClientIndex index;
   index.epoch_count_ = epochs.size();
 
-  // Union the epochs' active sets. Entries are referenced in place and
-  // sorted by (prefix key, arrival sequence): ascending key is exactly
-  // prefix order, and the sequence tiebreak replays epoch order within a
-  // key — the same deterministic accumulation sequence a key-ordered map
-  // walk over epoch-ordered inserts produces, without a node allocation
-  // per entry.
-  struct Keyed {
-    std::uint64_t key;
-    std::uint32_t seq;
-    const snapshot::PrefixEntry* entry;
+  // Union the epochs' active sets by merging their prefix-sorted runs.
+  // make_epoch and snapshot::decode emit every epoch sorted; a run that
+  // is not gets a stable-sorted copy, so equal prefixes keep their order
+  // within the epoch. Ties between runs go to the earlier epoch, so the
+  // merge walks entries in (prefix key, arrival) order: ascending key is
+  // exactly prefix order, and each key's volumes and masks fold in epoch
+  // order.
+  const auto by_key = [](const snapshot::PrefixEntry& a,
+                         const snapshot::PrefixEntry& b) {
+    return prefix_key(a.prefix) < prefix_key(b.prefix);
   };
+  std::vector<std::vector<snapshot::PrefixEntry>> resorted;
+  resorted.reserve(epochs.size());
+  std::vector<std::span<const snapshot::PrefixEntry>> runs;
+  runs.reserve(epochs.size());
   std::size_t total = 0;
-  for (const auto& epoch : epochs) total += epoch.prefixes.size();
-  std::vector<Keyed> keyed;
-  keyed.reserve(total);
-  std::uint32_t seq = 0;
   for (const auto& epoch : epochs) {
-    for (const auto& entry : epoch.prefixes) {
-      keyed.push_back(Keyed{prefix_key(entry.prefix), seq++, &entry});
+    std::span<const snapshot::PrefixEntry> run(epoch.prefixes);
+    if (!std::is_sorted(run.begin(), run.end(), by_key)) {
+      auto& copy = resorted.emplace_back(run.begin(), run.end());
+      std::stable_sort(copy.begin(), copy.end(), by_key);
+      run = copy;
     }
+    if (!run.empty()) runs.push_back(run);
+    total += run.size();
   }
-  std::sort(keyed.begin(), keyed.end(), [](const Keyed& a, const Keyed& b) {
-    if (a.key != b.key) return a.key < b.key;
-    return a.seq < b.seq;
-  });
   index.entries_.reserve(total);
-  for (std::size_t i = 0; i < keyed.size();) {
+  std::vector<std::size_t> next(runs.size(), 0);
+  for (;;) {
+    // The run whose head has the smallest key; strict < keeps a tie on
+    // the earliest epoch.
+    std::size_t pick = runs.size();
+    std::uint64_t pick_key = 0;
+    for (std::size_t r = 0; r < runs.size(); ++r) {
+      if (next[r] == runs[r].size()) continue;
+      const std::uint64_t key = prefix_key(runs[r][next[r]].prefix);
+      if (pick == runs.size() || key < pick_key) {
+        pick = r;
+        pick_key = key;
+      }
+    }
+    if (pick == runs.size()) break;
+    const snapshot::PrefixEntry& entry = runs[pick][next[pick]++];
     // First occurrence wins attribution (asn/country come from the same
     // public tables in every epoch); later epochs of the same prefix add
     // volume and OR domain masks, in epoch order.
-    snapshot::PrefixEntry merged = *keyed[i].entry;
-    for (++i; i < keyed.size() && keyed[i].key == keyed[i - 1].key; ++i) {
-      merged.volume += keyed[i].entry->volume;
-      merged.domain_mask |= keyed[i].entry->domain_mask;
+    if (!index.entries_.empty() &&
+        index.entries_.back().prefix == entry.prefix) {
+      index.entries_.back().volume += entry.volume;
+      index.entries_.back().domain_mask |= entry.domain_mask;
+    } else {
+      index.entries_.push_back(entry);
     }
-    index.total_volume_ += merged.volume;
-    index.entries_.push_back(merged);
   }
-
-  // Trie for the single-query path.
-  for (std::size_t i = 0; i < index.entries_.size(); ++i) {
-    index.trie_.insert(index.entries_[i].prefix,
-                       static_cast<std::uint32_t>(i));
+  for (const auto& entry : index.entries_) {
+    index.total_volume_ += entry.volume;
   }
 
   // Flat LPM projection for the batched path: sweep the prefix-sorted
@@ -140,28 +153,42 @@ ClientIndex ClientIndex::build(std::span<const snapshot::EpochRecord> epochs) {
     index.canned_.push_back(result_of(entry));
   }
 
-  // Aggregates over the merged entries (volumes accumulate in entry
-  // order; keys ascend by construction of the maps).
-  std::map<std::uint32_t, snapshot::AsAggregate> by_as;
-  std::map<std::uint16_t, snapshot::CountryAggregate> by_country;
+  // Aggregates over the merged entries. Each key's volume accumulates in
+  // entry order; an AS finds its slot through a hash map, a country
+  // through a table over the whole 16-bit country space, and both lists
+  // are then sorted by key.
+  constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+  std::unordered_map<std::uint32_t, std::uint32_t> as_slot;
+  std::vector<std::uint32_t> country_slot(std::size_t{1} << 16, kNoSlot);
   for (const auto& entry : index.entries_) {
     if (entry.asn != 0) {
-      auto& agg = by_as[entry.asn];
-      agg.asn = entry.asn;
+      const auto [it, fresh] = as_slot.try_emplace(
+          entry.asn, static_cast<std::uint32_t>(index.as_.size()));
+      if (fresh) index.as_.push_back(snapshot::AsAggregate{entry.asn, 0, 0});
+      auto& agg = index.as_[it->second];
       agg.volume += entry.volume;
       ++agg.prefixes;
     }
     if (entry.country != snapshot::kNoCountry) {
-      auto& agg = by_country[entry.country];
-      agg.country = entry.country;
+      std::uint32_t& slot = country_slot[entry.country];
+      if (slot == kNoSlot) {
+        slot = static_cast<std::uint32_t>(index.countries_.size());
+        index.countries_.push_back(
+            snapshot::CountryAggregate{entry.country, 0, 0});
+      }
+      auto& agg = index.countries_[slot];
       agg.volume += entry.volume;
       ++agg.prefixes;
     }
   }
-  index.as_.reserve(by_as.size());
-  for (const auto& [asn, agg] : by_as) index.as_.push_back(agg);
-  index.countries_.reserve(by_country.size());
-  for (const auto& [c, agg] : by_country) index.countries_.push_back(agg);
+  std::sort(index.as_.begin(), index.as_.end(),
+            [](const snapshot::AsAggregate& a,
+               const snapshot::AsAggregate& b) { return a.asn < b.asn; });
+  std::sort(index.countries_.begin(), index.countries_.end(),
+            [](const snapshot::CountryAggregate& a,
+               const snapshot::CountryAggregate& b) {
+              return a.country < b.country;
+            });
 
   builds_metric.add(1);
   prefixes_metric.add(index.entries_.size());
@@ -181,7 +208,15 @@ LookupResult ClientIndex::lookup(net::Ipv4Addr addr) const {
 }
 
 LookupResult ClientIndex::lookup_reference(net::Ipv4Addr addr) const {
-  const auto match = trie_.longest_match(addr);
+  // The trie is the oracle's alone: built once, on the first call, so a
+  // publish never pays for it. call_once makes concurrent first calls
+  // through shared handles safe.
+  std::call_once(oracle_->built, [this] {
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      oracle_->trie.insert(entries_[i].prefix, static_cast<std::uint32_t>(i));
+    }
+  });
+  const auto match = oracle_->trie.longest_match(addr);
   if (!match) return LookupResult{};
   return result_of(entries_[*match->second]);
 }

@@ -370,21 +370,6 @@ struct Frame {
   std::string_view payload;
 };
 
-/// The predecessor epoch's reconstructed vectors, per keyed kind — the
-/// delta bases. A kind is nullopt when the predecessor's section was
-/// damaged (its chain is broken until the next full encoding).
-struct DeltaBase {
-  std::optional<std::vector<PrefixEntry>> prefixes;
-  std::optional<std::vector<AsAggregate>> as_aggregates;
-  std::optional<std::vector<CountryAggregate>> countries;
-
-  void reset() {
-    prefixes.reset();
-    as_aggregates.reset();
-    countries.reset();
-  }
-};
-
 /// In-flight epoch assembly state.
 struct Pending {
   bool active = false;
@@ -531,15 +516,15 @@ std::optional<SnapshotFile> decode(std::string_view bytes) {
   }
 
   SnapshotFile out;
-  DeltaBase base;
+  // The delta base: the index in out.epochs of the last complete epoch,
+  // unset while the chain is broken (until the next full encoding).
+  std::optional<std::size_t> base;
   Pending pending;
 
   auto finalize = [&] {
     if (!pending.active) return;
     if (pending.complete()) {
-      base.prefixes = pending.rec.prefixes;
-      base.as_aggregates = pending.rec.as_aggregates;
-      base.countries = pending.rec.countries;
+      base = out.epochs.size();
       out.epochs.push_back(std::move(pending.rec));
       ++out.stats.epochs_read;
     } else {
@@ -608,24 +593,22 @@ std::optional<SnapshotFile> decode(std::string_view bytes) {
           ++out.stats.sections_skipped;  // orphan section
           break;
         }
+        const EpochRecord* prev =
+            pending.delta && base ? &out.epochs[*base] : nullptr;
         bool ok = false;
         if (kind == kPrefixes) {
           ok = decode_keyed<PrefixCodec>(
-              payload, pending.delta && base.prefixes ? &*base.prefixes
-                                                      : nullptr,
+              payload, prev ? &prev->prefixes : nullptr,
               &pending.rec.prefixes);
           pending.got_prefixes = ok;
         } else if (kind == kAsAggregates) {
           ok = decode_keyed<AsCodec>(
-              payload,
-              pending.delta && base.as_aggregates ? &*base.as_aggregates
-                                                  : nullptr,
+              payload, prev ? &prev->as_aggregates : nullptr,
               &pending.rec.as_aggregates);
           pending.got_as = ok;
         } else {
           ok = decode_keyed<CountryCodec>(
-              payload,
-              pending.delta && base.countries ? &*base.countries : nullptr,
+              payload, prev ? &prev->countries : nullptr,
               &pending.rec.countries);
           pending.got_countries = ok;
         }

@@ -12,9 +12,13 @@
 //    the trie reference oracle elementwise.
 //  * Concurrent publish/read — real reader threads acquire and look up
 //    while a publisher swaps epochs in; per-thread snapshot versions are
-//    monotone (shard stores happen in shard order) and every batch is
-//    answered by exactly one version. Run under tsan via the suite's
-//    `tsan` label.
+//    monotone (shard stores happen in shard order), every batch is
+//    answered by exactly one version, and each fresh snapshot's oracle
+//    builds its trie under concurrent first calls. Run under tsan via
+//    the suite's `tsan` label.
+//  * Build pin — the built index (sizes, aggregates, answers) digests to
+//    fixed values for the fixture chain, for the chain with every
+//    epoch's prefixes reversed, and for a re-attributed chain.
 //
 // One shared fixture runs the two-epoch campaign once; every case reads
 // from it. Campaigns are expensive — keep the world at kScale.
@@ -23,6 +27,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <mutex>
 #include <string>
@@ -325,6 +330,15 @@ TEST_F(ServeSuite, ConcurrentPublishReadStress) {
             return;
           }
         }
+        // The oracle builds its trie on first use: every fresh snapshot
+        // takes concurrent first calls from the readers that pin it.
+        for (std::size_t q = static_cast<std::size_t>(t); q < queries.size();
+             q += 97) {
+          if (handle->index().lookup_reference(queries[q]) != out[q]) {
+            failures[t] = "lookup_reference disagrees with lookup_many";
+            return;
+          }
+        }
       }
     });
   }
@@ -339,6 +353,97 @@ TEST_F(ServeSuite, ConcurrentPublishReadStress) {
   }
   EXPECT_EQ(service.version(), 1u + kPublishes);
   EXPECT_EQ(service.acquire()->version(), 1u + kPublishes);
+}
+
+// ------------------------------------------------------------ pinned build
+
+/// A digest of an index's observable state: its sizes, total volume,
+/// every aggregate, and lookup_many's answers over `queries`, in order.
+std::uint64_t index_digest(const serve::ClientIndex& index,
+                           std::span<const net::Ipv4Addr> queries) {
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  const auto fold = [&digest](std::uint64_t word) {
+    digest = net::hash_combine(digest, word);
+  };
+  const auto fold_double = [&fold](double value) {
+    fold(std::bit_cast<std::uint64_t>(value));
+  };
+  fold(index.prefix_count());
+  fold(index.interval_count());
+  fold(index.epoch_count());
+  fold_double(index.total_volume());
+  for (const auto& as : index.as_aggregates()) {
+    fold(as.asn);
+    fold_double(as.volume);
+    fold(as.prefixes);
+  }
+  for (const auto& country : index.country_aggregates()) {
+    fold(country.country);
+    fold_double(country.volume);
+    fold(country.prefixes);
+  }
+  for (const auto& r : index.lookup_many(queries, 1)) {
+    fold(r.active);
+    fold(r.prefix.base().value());
+    fold(r.prefix.length());
+    fold_double(r.volume);
+    fold(r.asn);
+    fold(r.country);
+    fold(r.domain_mask);
+  }
+  return digest;
+}
+
+TEST_F(ServeSuite, IndexBuildIsPinned) {
+  // Every entry's edges (its base, its last address, the address below
+  // its base) and a uniform sample: the nesting, the slot-table paging
+  // and the misses around both.
+  std::vector<net::Ipv4Addr> queries;
+  for (const auto& epoch : epochs()) {
+    for (const auto& entry : epoch.prefixes) {
+      const std::uint32_t base = entry.prefix.base().value();
+      queries.push_back(net::Ipv4Addr(base));
+      queries.push_back(entry.prefix.last_address());
+      queries.push_back(net::Ipv4Addr(base - 1));
+    }
+  }
+  const auto sample = make_queries(200000, 0x91AE);
+  queries.insert(queries.end(), sample.begin(), sample.end());
+
+  const auto digest_of = [&](std::span<const snapshot::EpochRecord> input) {
+    serve::Service service;
+    service.publish(input);
+    return index_digest(service.acquire()->index(), queries);
+  };
+
+  // Epochs reversed in place: the build must sort them back first.
+  std::vector<snapshot::EpochRecord> reversed = epochs();
+  for (auto& epoch : reversed) {
+    std::reverse(epoch.prefixes.begin(), epoch.prefixes.end());
+  }
+  // Epoch 1 re-attributed to ASes and countries in reversed key order,
+  // published ahead of the chain: its attribution must win every tie, and
+  // the aggregates must still come out sorted by key.
+  std::vector<snapshot::EpochRecord> reattributed{epochs()[1]};
+  for (auto& entry : reattributed.front().prefixes) {
+    if (entry.asn != 0) entry.asn = ~entry.asn;
+    if (entry.country != snapshot::kNoCountry) {
+      entry.country =
+          static_cast<std::uint16_t>(snapshot::kNoCountry - 1 - entry.country);
+    }
+  }
+  reattributed.insert(reattributed.end(), epochs().begin(), epochs().end());
+
+  // The digests of the indexes built by sorting the concatenated epochs.
+  constexpr std::uint64_t kPinned = 0x5A87B547011B2DC4ULL;
+  constexpr std::uint64_t kPinnedReattributed = 0x7A8D76D2327465DEULL;
+  const std::uint64_t sorted = digest_of(chain());
+  const std::uint64_t from_reversed = digest_of(reversed);
+  const std::uint64_t from_reattributed = digest_of(reattributed);
+  EXPECT_EQ(sorted, kPinned) << std::hex << sorted;
+  EXPECT_EQ(from_reversed, kPinned) << std::hex << from_reversed;
+  EXPECT_EQ(from_reattributed, kPinnedReattributed)
+      << std::hex << from_reattributed;
 }
 
 // ------------------------------------------------------------- API surface

@@ -210,6 +210,43 @@ TEST_F(SnapshotSuite, DamagedDeltaSectionDropsOnlyThatEpoch) {
   EXPECT_GE(file->stats.epochs_skipped, 1u);
 }
 
+TEST_F(SnapshotSuite, DamagedEpochBreaksTheDeltaChainUntilAFullEpoch) {
+  // Epoch 0 full, epochs 1 and 2 deltas, then epoch 3 full (a second
+  // file's sections appended). Damaging epoch 1 must drop epoch 2, which
+  // chains off it, and leave epochs 0 and 3 intact.
+  const auto record = [&](std::size_t i, std::uint32_t id) {
+    snapshot::EpochRecord r = epochs()[i];
+    r.epoch_id = id;
+    return r;
+  };
+  std::string file =
+      snapshot::encode({record(0, 0), record(1, 1), record(0, 2)});
+  file.append(snapshot::encode({record(1, 3)}), sizeof(snapshot::kMagic));
+
+  // The last payload byte of epoch 1's prefixes section; a frame header
+  // is 20 bytes.
+  const auto sections = snapshot::section_sizes(file);
+  ASSERT_TRUE(sections.has_value());
+  std::size_t end = sizeof(snapshot::kMagic);
+  std::size_t damage = 0;
+  for (const auto& section : *sections) {
+    end += 20 + section.payload_bytes;
+    if (section.epoch_id == 1 &&
+        snapshot::section_kind_name(section.kind) == "prefixes") {
+      damage = end - 1;
+    }
+  }
+  ASSERT_GT(damage, 0u);
+  file[damage] = static_cast<char>(file[damage] ^ 0x5A);
+
+  const auto decoded = snapshot::decode(file);
+  ASSERT_TRUE(decoded.has_value());
+  ASSERT_EQ(decoded->epochs.size(), 2u);
+  EXPECT_EQ(decoded->epochs[0], record(0, 0));
+  EXPECT_EQ(decoded->epochs[1], record(1, 3));
+  EXPECT_EQ(decoded->stats.epochs_skipped, 2u);
+}
+
 TEST_F(SnapshotSuite, ValidateAcceptsGoodRejectsCorrupt) {
   EXPECT_TRUE(snapshot::validate(bytes()).empty());
   std::string bad = bytes();
