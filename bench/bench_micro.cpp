@@ -1,9 +1,9 @@
 // Microbenchmarks (google-benchmark) for the hot data structures under
-// the measurement pipelines: prefix-trie longest-prefix match, DNS wire
-// codec, resolver cache operations, anycast catchment scoring, the
-// count-min sketch, the campaign's probe path (a warm Google-DNS probe
-// and an event-engine batch drain), and the DITL capture's per-record
-// kernels (name parsing, CRC-32, corpus encoding). Each
+// the measurement pipelines: prefix-trie longest-prefix match, the DNS
+// wire path (the in-place query writer and MessageView::parse), anycast
+// catchment scoring, the count-min sketch, the campaign's probe path (a
+// warm Google-DNS probe and an event-engine batch drain), and the DITL
+// capture's per-record kernels (name parsing, CRC-32, corpus encoding). Each
 // case's real time per iteration is also exported as the gauge
 // `bench.micro.ns_per_op.<case>` (a `/` in the case name becomes `.`).
 
@@ -20,8 +20,7 @@
 #include "core/obs/export.h"
 #include "core/obs/obs.h"
 #include "dns/name.h"
-#include "dns/wire.h"
-#include "dnssrv/cache.h"
+#include "dns/packet.h"
 #include "googledns/google_dns.h"
 #include "net/crc32.h"
 #include "net/prefix_trie.h"
@@ -51,42 +50,38 @@ void BM_TrieLongestMatch(benchmark::State& state) {
 }
 BENCHMARK(BM_TrieLongestMatch);
 
+/// The upstream query the campaign writes: RD=0, ECS 203.0.113.0/24.
+struct SampleQuery {
+  dns::DnsName name = *dns::DnsName::parse("www.google.com");
+  dns::EcsOption ecs =
+      dns::EcsOption::for_query(*net::Prefix::parse("203.0.113.0/24"));
+  std::vector<std::uint8_t> wire = std::vector<std::uint8_t>(
+      dns::query_length(name, ecs));
+
+  std::uint8_t* write() {
+    return dns::write_query(wire.data(), 0x1234, name, dns::RecordType::kA,
+                            /*recursion_desired=*/false, ecs);
+  }
+};
+
 void BM_WireEncode(benchmark::State& state) {
-  auto query = dns::make_query(
-      0x1234, *dns::DnsName::parse("www.google.com"), dns::RecordType::kA,
-      false,
-      dns::EcsOption::for_query(*net::Prefix::parse("203.0.113.0/24")));
+  SampleQuery query;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dns::encode(query));
+    query.write();
+    benchmark::DoNotOptimize(query.wire.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_WireEncode);
 
 void BM_WireDecode(benchmark::State& state) {
-  auto query = dns::make_query(
-      0x1234, *dns::DnsName::parse("www.google.com"), dns::RecordType::kA,
-      false,
-      dns::EcsOption::for_query(*net::Prefix::parse("203.0.113.0/24")));
-  const auto wire = dns::encode(query);
+  SampleQuery query;
+  query.write();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dns::decode(wire));
+    benchmark::DoNotOptimize(dns::MessageView::parse(query.wire));
   }
 }
 BENCHMARK(BM_WireDecode);
-
-void BM_CacheLookupHit(benchmark::State& state) {
-  dnssrv::DnsCache cache(1 << 16);
-  const dnssrv::CacheKey key{*dns::DnsName::parse("www.google.com"),
-                             dns::RecordType::kA,
-                             *net::Prefix::parse("203.0.113.0/24")};
-  dnssrv::CacheEntry entry;
-  entry.expires_at = 1e18;
-  cache.insert(key, entry);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.lookup(key, 1.0));
-  }
-}
-BENCHMARK(BM_CacheLookupHit);
 
 void BM_CatchmentScore(benchmark::State& state) {
   const auto pops = anycast::PopTable::google_default();

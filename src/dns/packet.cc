@@ -1,6 +1,7 @@
 #include "dns/packet.h"
 
 #include <cassert>
+#include <cstring>
 
 #include "net/prefix.h"
 #include "net/rng.h"
@@ -150,96 +151,65 @@ void BufWriter::remember_suffix(std::string_view canonical_suffix) {
 }
 
 void BufWriter::name(const DnsName& name) {
-  const auto& labels = name.labels();
-  // Lay the joined canonical form ("label.label.") out once so every
-  // suffix is a view into it — the same keys the old per-message
-  // std::map<std::string, offset> held, without the allocations.
   arena_.scratch_.clear();
   arena_.starts_.clear();
-  for (const std::string& label : labels) {
+  for (const std::string& label : name.labels()) {
     arena_.starts_.push_back(static_cast<std::uint32_t>(
         arena_.scratch_.size()));
+    arena_.scratch_.push_back(static_cast<char>(label.size()));
     arena_.scratch_.insert(arena_.scratch_.end(), label.begin(), label.end());
-    arena_.scratch_.push_back('.');
   }
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    std::string_view suffix(arena_.scratch_.data() + arena_.starts_[i],
-                            arena_.scratch_.size() - arena_.starts_[i]);
+  write_scratch_name();
+}
+
+void BufWriter::name(const NameView& name) {
+  arena_.scratch_.clear();
+  arena_.starts_.clear();
+  name.for_each_label([this](std::string_view label) {
+    arena_.starts_.push_back(static_cast<std::uint32_t>(
+        arena_.scratch_.size()));
+    arena_.scratch_.push_back(static_cast<char>(label.size()));
+    for (char c : label) arena_.scratch_.push_back(canonical_lower(c));
+  });
+  write_scratch_name();
+}
+
+void BufWriter::write_scratch_name() {
+  // scratch_ holds the name's canonical wire form without the root
+  // octet, so every suffix is a view into it and its bytes are the
+  // labels to write when no earlier suffix matches.
+  const std::size_t labels = arena_.starts_.size();
+  for (std::size_t i = 0; i < labels; ++i) {
+    const std::size_t begin = arena_.starts_[i];
+    const std::string_view suffix(arena_.scratch_.data() + begin,
+                                  arena_.scratch_.size() - begin);
     if (emit_pointer_for(suffix)) return;
     remember_suffix(suffix);
-    u8(static_cast<std::uint8_t>(labels[i].size()));
-    bytes({reinterpret_cast<const std::uint8_t*>(labels[i].data()),
-           labels[i].size()});
+    const std::size_t end =
+        i + 1 < labels ? arena_.starts_[i + 1] : arena_.scratch_.size();
+    bytes({reinterpret_cast<const std::uint8_t*>(suffix.data()),
+           end - begin});
   }
   u8(0);  // root
 }
 
-// -------------------------------------------------------------- encode_into
+// ------------------------------------------------------ in-place messages
 
 namespace {
 
-void encode_rdata(BufWriter& writer, const ResourceRecord& rr) {
-  const std::size_t len_at = writer.size();
-  writer.u16(0);  // placeholder
-  const std::size_t start = writer.size();
-  if (const auto* a = std::get_if<AData>(&rr.rdata)) {
-    writer.u32(a->address.value());
-  } else if (const auto* txt = std::get_if<TxtData>(&rr.rdata)) {
-    // Split into 255-byte character-strings.
-    std::string_view rest = txt->text;
-    do {
-      std::string_view chunk = rest.substr(0, 255);
-      rest.remove_prefix(chunk.size());
-      writer.u8(static_cast<std::uint8_t>(chunk.size()));
-      writer.bytes({reinterpret_cast<const std::uint8_t*>(chunk.data()),
-                    chunk.size()});
-    } while (!rest.empty());
-  } else {
-    const auto& raw = std::get<RawData>(rr.rdata);
-    writer.bytes(raw.bytes);
-  }
-  writer.patch_u16(len_at, static_cast<std::uint16_t>(writer.size() - start));
+constexpr std::size_t kHeaderBytes = 12;
+// OPT: root owner, TYPE, CLASS, TTL, RDLENGTH.
+constexpr std::size_t kOptFixedBytes = 11;
+
+std::uint8_t* put_u16(std::uint8_t* out, std::uint16_t v) {
+  out[0] = static_cast<std::uint8_t>(v >> 8);
+  out[1] = static_cast<std::uint8_t>(v);
+  return out + 2;
 }
 
-void encode_record(BufWriter& writer, const ResourceRecord& rr) {
-  writer.name(rr.name);
-  writer.u16(static_cast<std::uint16_t>(rr.type));
-  writer.u16(rr.rclass);
-  writer.u32(rr.ttl);
-  encode_rdata(writer, rr);
-}
-
-void encode_opt(BufWriter& writer, const EdnsInfo& edns) {
-  writer.u8(0);  // root owner name
-  writer.u16(static_cast<std::uint16_t>(RecordType::kOpt));
-  writer.u16(edns.udp_payload_size);  // CLASS = requestor's UDP payload size
-  writer.u32(0);                      // extended RCODE/flags
-  const std::size_t len_at = writer.size();
-  writer.u16(0);
-  const std::size_t start = writer.size();
-  if (edns.ecs) {
-    const EcsOption& ecs = *edns.ecs;
-    const unsigned addr_bytes = (ecs.source_prefix_length + 7) / 8;
-    writer.u16(EcsOption::kOptionCode);
-    writer.u16(static_cast<std::uint16_t>(4 + addr_bytes));
-    writer.u16(EcsOption::kFamilyIpv4);
-    writer.u8(ecs.source_prefix_length);
-    writer.u8(ecs.scope_prefix_length);
-    const std::uint32_t addr = ecs.address.value();
-    for (unsigned i = 0; i < addr_bytes; ++i) {
-      writer.u8(static_cast<std::uint8_t>(addr >> (24 - 8 * i)));
-    }
-  }
-  writer.patch_u16(len_at, static_cast<std::uint16_t>(writer.size() - start));
-}
-
-}  // namespace
-
-std::span<const std::uint8_t> encode_into(const DnsMessage& message,
-                                          WireArena& arena) {
-  BufWriter writer(arena);
-  const Header& h = message.header;
-  writer.u16(h.id);
+std::uint8_t* put_header(std::uint8_t* out, const Header& h,
+                         std::uint16_t qd, std::uint16_t an,
+                         std::uint16_t ns, std::uint16_t ar) {
   std::uint16_t flags = 0;
   flags |= static_cast<std::uint16_t>(h.qr) << 15;
   flags |= static_cast<std::uint16_t>(h.opcode & 0xF) << 11;
@@ -248,21 +218,123 @@ std::span<const std::uint8_t> encode_into(const DnsMessage& message,
   flags |= static_cast<std::uint16_t>(h.rd) << 8;
   flags |= static_cast<std::uint16_t>(h.ra) << 7;
   flags |= static_cast<std::uint16_t>(h.rcode) & 0xF;
-  writer.u16(flags);
-  writer.u16(static_cast<std::uint16_t>(message.questions.size()));
-  writer.u16(static_cast<std::uint16_t>(message.answers.size()));
-  writer.u16(static_cast<std::uint16_t>(message.authorities.size()));
-  writer.u16(static_cast<std::uint16_t>(message.additionals.size() +
-                                        (message.edns ? 1 : 0)));
-  for (const auto& q : message.questions) {
+  out = put_u16(out, h.id);
+  out = put_u16(out, flags);
+  out = put_u16(out, qd);
+  out = put_u16(out, an);
+  out = put_u16(out, ns);
+  return put_u16(out, ar);
+}
+
+unsigned ecs_address_bytes(const EcsOption& ecs) {
+  return (ecs.source_prefix_length + 7u) / 8u;
+}
+
+std::size_t opt_length(const std::optional<EcsOption>& ecs) {
+  return kOptFixedBytes + (ecs ? 8 + ecs_address_bytes(*ecs) : 0);
+}
+
+std::uint8_t* put_opt(std::uint8_t* out, std::uint16_t udp_payload_size,
+                      const std::optional<EcsOption>& ecs) {
+  *out++ = 0;  // root owner name
+  out = put_u16(out, static_cast<std::uint16_t>(RecordType::kOpt));
+  out = put_u16(out, udp_payload_size);  // CLASS = requestor's UDP size
+  out = put_u16(out, 0);                 // extended RCODE/flags
+  out = put_u16(out, 0);
+  if (!ecs) return put_u16(out, 0);
+  const unsigned addr_bytes = ecs_address_bytes(*ecs);
+  out = put_u16(out, static_cast<std::uint16_t>(8 + addr_bytes));
+  out = put_u16(out, EcsOption::kOptionCode);
+  out = put_u16(out, static_cast<std::uint16_t>(4 + addr_bytes));
+  out = put_u16(out, EcsOption::kFamilyIpv4);
+  *out++ = ecs->source_prefix_length;
+  *out++ = ecs->scope_prefix_length;
+  const std::uint32_t addr = ecs->address.value();
+  for (unsigned i = 0; i < addr_bytes; ++i) {
+    *out++ = static_cast<std::uint8_t>(addr >> (24 - 8 * i));
+  }
+  return out;
+}
+
+}  // namespace
+
+void encode_opt(BufWriter& writer, const EdnsInfo& edns) {
+  put_opt(writer.extend(opt_length(edns.ecs)), edns.udp_payload_size,
+          edns.ecs);
+}
+
+std::size_t query_length(const DnsName& name,
+                         const std::optional<EcsOption>& ecs) {
+  return kHeaderBytes + name.wire_length() + 4 + (ecs ? opt_length(ecs) : 0);
+}
+
+std::uint8_t* write_query(std::uint8_t* out, std::uint16_t id,
+                          const DnsName& name, RecordType type,
+                          bool recursion_desired,
+                          const std::optional<EcsOption>& ecs) {
+  Header header;
+  header.id = id;
+  header.rd = recursion_desired;
+  out = put_header(out, header, 1, 0, 0, ecs ? 1 : 0);
+  for (const std::string& label : name.labels()) {
+    *out++ = static_cast<std::uint8_t>(label.size());
+    std::memcpy(out, label.data(), label.size());
+    out += label.size();
+  }
+  *out++ = 0;  // root
+  out = put_u16(out, static_cast<std::uint16_t>(type));
+  out = put_u16(out, kClassIn);
+  return ecs ? put_opt(out, EdnsInfo{}.udp_payload_size, ecs) : out;
+}
+
+std::span<const std::uint8_t> write_reply(
+    WireArena& arena, const MessageView& query, ReplyFlags flags,
+    const ReplyRecord* answer, std::optional<std::uint8_t> ecs_scope) {
+  Header header = query.header();
+  header.qr = true;
+  header.rcode = flags.rcode;
+  header.aa |= flags.aa;
+  header.ra |= flags.ra;
+  const std::optional<EdnsInfo>& query_edns = query.edns();
+  BufWriter writer(arena);
+  put_header(writer.extend(kHeaderBytes), header,
+             static_cast<std::uint16_t>(query.question_count()),
+             answer != nullptr ? 1 : 0, 0, query_edns ? 1 : 0);
+  query.for_each_question([&writer](const MessageView::QuestionView& q) {
     writer.name(q.name);
     writer.u16(static_cast<std::uint16_t>(q.type));
     writer.u16(q.qclass);
+  });
+  if (answer != nullptr) {
+    writer.name(query.first_question().name);
+    writer.u16(static_cast<std::uint16_t>(answer->type));
+    writer.u16(kClassIn);
+    writer.u32(answer->ttl);
+    const std::size_t len_at = writer.size();
+    writer.u16(0);
+    if (answer->type == RecordType::kTxt) {
+      // One character-string per 255 bytes (an empty text is one empty
+      // string).
+      std::string_view rest = answer->text;
+      do {
+        const std::string_view chunk = rest.substr(0, 255);
+        rest.remove_prefix(chunk.size());
+        writer.u8(static_cast<std::uint8_t>(chunk.size()));
+        writer.bytes({reinterpret_cast<const std::uint8_t*>(chunk.data()),
+                      chunk.size()});
+      } while (!rest.empty());
+    } else {
+      writer.u32(answer->address.value());
+    }
+    writer.patch_u16(len_at,
+                     static_cast<std::uint16_t>(writer.size() - len_at - 2));
   }
-  for (const auto& rr : message.answers) encode_record(writer, rr);
-  for (const auto& rr : message.authorities) encode_record(writer, rr);
-  for (const auto& rr : message.additionals) encode_record(writer, rr);
-  if (message.edns) encode_opt(writer, *message.edns);
+  if (query_edns) {
+    EdnsInfo edns;
+    edns.ecs = query_edns->ecs;
+    if (edns.ecs && ecs_scope) edns.ecs->scope_prefix_length = *ecs_scope;
+    encode_opt(writer, edns);
+  }
   return writer.finish();
 }
 
@@ -489,56 +561,6 @@ bool MessageView::read_record(PacketReader& reader, RecordView& record,
   record.type = static_cast<RecordType>(type);
   is_opt = record.type == RecordType::kOpt;
   return reader.bytes(rdlength, record.rdata);
-}
-
-DnsMessage MessageView::materialize() const {
-  DnsMessage msg;
-  msg.header = header_;
-  PacketReader reader(wire_);
-  reader.seek(questions_off_);
-  msg.questions.reserve(qd_);
-  for (std::size_t i = 0; i < qd_; ++i) {
-    NameView name;
-    Question q;
-    std::uint16_t type = 0;
-    parse_name(reader, &name);
-    reader.u16(type);
-    reader.u16(q.qclass);
-    q.name = name.materialize();
-    q.type = static_cast<RecordType>(type);
-    msg.questions.push_back(std::move(q));
-  }
-
-  std::vector<ResourceRecord>* sections[3] = {&msg.answers, &msg.authorities,
-                                              &msg.additionals};
-  const std::uint16_t declared[3] = {an_, ns_, ar_};
-  for (int section = 0; section < 3; ++section) {
-    sections[section]->reserve(declared[section] - opt_counts_[section]);
-    for (std::size_t i = 0; i < declared[section]; ++i) {
-      RecordView record;
-      bool is_opt = false;
-      read_record(reader, record, is_opt);
-      if (is_opt) continue;
-      ResourceRecord rr;
-      rr.name = record.name.materialize();
-      rr.type = record.type;
-      rr.rclass = record.rclass;
-      rr.ttl = record.ttl;
-      if (auto a = record.a_address()) {
-        rr.rdata = AData{*a};
-      } else if (record.type == RecordType::kTxt &&
-                 record.rclass == kClassIn) {
-        TxtData txt;
-        record.txt_text(&txt.text);  // validated at parse; cannot fail
-        rr.rdata = std::move(txt);
-      } else {
-        rr.rdata = RawData{{record.rdata.begin(), record.rdata.end()}};
-      }
-      sections[section]->push_back(std::move(rr));
-    }
-  }
-  msg.edns = edns_;
-  return msg;
 }
 
 }  // namespace netclients::dns

@@ -1,19 +1,14 @@
 #pragma once
 
-// Zero-copy packet plane for the RFC 1035 wire format.
-//
-// The original codec in wire.h materialized every packet into a DnsMessage
-// (a vector per section, a string per label) before anything could look at
-// it, and allocated a fresh output vector plus a std::map of suffix
-// offsets per encode. At packet-plane rates — every probe, every upstream
-// round trip, every captured DITL packet — both costs dominate the actual
-// protocol work. This header is the allocation-free alternative:
+// The RFC 1035 wire format: the one DNS representation the library
+// reads and writes. Nothing is materialized into per-section vectors or
+// per-label strings: packets are read through views and written in place.
 //
 //  * PacketReader — a bounds-checked forward cursor over immutable wire
 //    bytes; every primitive either advances or records the first error.
 //  * BufWriter / WireArena — an append writer over arena-owned buffers.
 //    The arena keeps its output vector and its name-compression side
-//    tables alive across messages, so steady-state encode performs no
+//    tables alive across messages, so steady-state writes perform no
 //    heap allocation at all.
 //  * NameView — a non-owning DNS name: an offset into the packet plus
 //    cached label/length counts from validation. Labels are handed out as
@@ -21,18 +16,18 @@
 //    on every walk (they were capped and validated once, at parse).
 //  * MessageView — a non-owning decoded message: header and EDNS/ECS
 //    decoded inline (fixed size), sections exposed as validated offsets
-//    iterated on demand. Parsing performs the complete validation pass of
-//    the materializing decoder — same accept/reject set, byte for byte —
-//    but touches no heap; decode-inspect-drop costs no copies.
-//    materialize() produces exactly what dns::decode yields (decode() is
-//    in fact implemented as parse + materialize, so the two cannot drift).
+//    iterated on demand. Parsing performs a complete validation pass but
+//    touches no heap; decode-inspect-drop costs no copies.
+//  * write_query / write_reply — the messages the resolver front ends
+//    exchange, written in place: a one-question query into a buffer the
+//    caller has sized, and a server's reply straight from the query's
+//    view.
 //
 // Ownership and lifetime: a MessageView (and every NameView/RecordView/
 // string_view derived from it) borrows the packet buffer it was parsed
 // from and is valid only while those bytes are alive and unmodified.
-// Spans returned by BufWriter/encode_into borrow their arena and are
-// invalidated by the next encode into the same arena. Consumers that
-// outlive the packet must materialize().
+// Spans returned by BufWriter/write_reply borrow their arena and are
+// invalidated by the next write into the same arena.
 
 #include <cstdint>
 #include <optional>
@@ -41,9 +36,33 @@
 #include <string_view>
 #include <vector>
 
-#include "dns/message.h"
+#include "dns/ecs.h"
+#include "dns/name.h"
+#include "dns/types.h"
+#include "net/ipv4.h"
 
 namespace netclients::dns {
+
+struct Header {
+  std::uint16_t id = 0;
+  bool qr = false;  // response flag
+  bool aa = false;  // authoritative answer
+  bool tc = false;  // truncated
+  bool rd = false;  // recursion desired — cache snooping sets this to FALSE
+  bool ra = false;  // recursion available
+  std::uint8_t opcode = 0;
+  RCode rcode = RCode::kNoError;
+
+  friend bool operator==(const Header&, const Header&) = default;
+};
+
+/// EDNS0 (OPT pseudo-record) state, carrying at most one ECS option.
+struct EdnsInfo {
+  std::uint16_t udp_payload_size = 4096;
+  std::optional<EcsOption> ecs;
+
+  friend bool operator==(const EdnsInfo&, const EdnsInfo&) = default;
+};
 
 /// Bounds-checked forward reader over wire bytes. All primitives return
 /// false (and latch the first error) instead of reading out of bounds.
@@ -117,11 +136,6 @@ class NameView {
   bool is_single_label() const { return label_count_ == 1; }
   /// Uncompressed wire length (label bytes + length octets + terminator).
   std::size_t wire_length() const { return wire_length_; }
-  /// Offset of the name's first byte within the packet it was parsed
-  /// from. Encoders echoing a packet's questions can emit a compression
-  /// pointer (0xC000 | offset) at this offset instead of re-writing the
-  /// name — the netsvc responder's answer owner names work this way.
-  std::size_t packet_offset() const { return offset_; }
 
   /// First label's bytes (raw case). Precondition: !is_root().
   std::string_view first_label() const;
@@ -171,19 +185,19 @@ class NameView {
   std::uint16_t wire_length_ = 1;
 };
 
-/// Validates and indexes the name at the reader's position, mirroring the
-/// materializing decoder's rules exactly: truncation, reserved label
-/// types, forward pointers, the 64-hop cap, and the 255-octet name limit.
-/// Advances the reader past the name's in-place bytes.
+/// Validates and indexes the name at the reader's position: truncation,
+/// reserved label types, forward pointers, the 64-hop cap, and the
+/// 255-octet name limit. Advances the reader past the name's in-place
+/// bytes.
 bool parse_name(PacketReader& reader, NameView* out);
 
-/// Reusable encode state. Keeps the output buffer and the compression
-/// side tables warm across messages; after the first few encodes the hot
-/// path performs no allocation. Not thread-safe — use one arena per
+/// Reusable write state. Keeps the output buffer and the compression
+/// side tables warm across messages; after the first few messages the
+/// hot path performs no allocation. Not thread-safe — use one arena per
 /// thread (the resolver front ends keep one thread_local each).
 class WireArena {
  public:
-  /// Bytes of the most recent encode (valid until the next encode).
+  /// Bytes of the most recent message (valid until the next write).
   std::span<const std::uint8_t> last() const {
     return {out_.data(), out_.size()};
   }
@@ -200,14 +214,17 @@ class WireArena {
   std::vector<std::uint8_t> out_;
   std::vector<Suffix> suffixes_;
   std::vector<char> pool_;
-  std::vector<char> scratch_;          // joined canonical name being written
+  std::vector<char> scratch_;          // canonical wire form being written
   std::vector<std::uint32_t> starts_;  // per-label offsets into scratch_
 };
 
 /// Append-only writer into a WireArena. Big-endian primitives, 16-bit
 /// back-patching for RDLENGTH fields, and RFC 1035 §4.1.4 name
 /// compression: the longest previously emitted suffix is replaced by a
-/// pointer. Compression state lives in the arena (no per-message maps).
+/// pointer. Suffixes are keyed by their canonical wire form (lower-case,
+/// length-prefixed labels), so a label holding a '.' byte never aliases
+/// two shorter labels. Compression state lives in the arena (no
+/// per-message maps).
 class BufWriter {
  public:
   /// Begins a fresh message in `arena`, recycling its buffers.
@@ -233,25 +250,49 @@ class BufWriter {
     arena_.out_[offset] = static_cast<std::uint8_t>(v >> 8);
     arena_.out_[offset + 1] = static_cast<std::uint8_t>(v);
   }
+  /// Appends `count` bytes for the caller to fill in place; the pointer
+  /// is valid until the next write.
+  std::uint8_t* extend(std::size_t count) {
+    const std::size_t at = arena_.out_.size();
+    arena_.out_.resize(at + count);
+    return arena_.out_.data() + at;
+  }
 
   /// Writes `name` with compression against previously written names.
   void name(const DnsName& name);
+  /// Writes a name viewed in a packet, in canonical lower case, with the
+  /// same compression the equal DnsName would get.
+  void name(const NameView& name);
 
   std::size_t size() const { return arena_.out_.size(); }
   std::span<const std::uint8_t> finish() const { return arena_.last(); }
 
  private:
+  /// Writes the name laid out in the arena's scratch_/starts_.
+  void write_scratch_name();
   bool emit_pointer_for(std::string_view canonical_suffix);
   void remember_suffix(std::string_view canonical_suffix);
 
   WireArena& arena_;
 };
 
-/// Encodes into the arena without allocating (steady state). The returned
-/// span borrows the arena and is invalidated by the next encode into it.
-/// Byte-identical to dns::encode (which is a copying wrapper over this).
-std::span<const std::uint8_t> encode_into(const DnsMessage& message,
-                                          WireArena& arena);
+/// Writes the OPT pseudo-record (root owner, CLASS = UDP payload size,
+/// zero TTL) carrying `edns.ecs` as an RFC 7871 option when set.
+void encode_opt(BufWriter& writer, const EdnsInfo& edns);
+
+/// The length of the query `write_query` writes.
+std::size_t query_length(const DnsName& name,
+                         const std::optional<EcsOption>& ecs = std::nullopt);
+
+/// Writes a one-question query in place at `out`, which must hold
+/// `query_length(name, ecs)` bytes: the header (`id`, RD as given,
+/// QDCOUNT 1, ARCOUNT 1 when `ecs` is set), the name's labels
+/// uncompressed, QTYPE, class IN, and, when `ecs` is set, an OPT record
+/// (UDP size 4096) carrying it. Returns one past the last byte written.
+std::uint8_t* write_query(std::uint8_t* out, std::uint16_t id,
+                          const DnsName& name, RecordType type,
+                          bool recursion_desired,
+                          const std::optional<EcsOption>& ecs = std::nullopt);
 
 /// A non-owning decoded DNS message. See the file comment for the
 /// lifetime contract. Parsing runs the full validation pass; accessors
@@ -287,9 +328,8 @@ class MessageView {
 
   enum class Section : std::uint8_t { kAnswer, kAuthority, kAdditional };
 
-  /// Full validation pass, no allocation. Accepts exactly the packets
-  /// dns::decode accepts; on rejection `error` (if given) receives the
-  /// same diagnostic decode would produce.
+  /// Full validation pass, no allocation. On rejection `error` (if
+  /// given) receives the diagnostic.
   static std::optional<MessageView> parse(std::span<const std::uint8_t> wire,
                                           std::string* error = nullptr);
 
@@ -318,7 +358,7 @@ class MessageView {
   }
 
   /// Record count per section, the OPT pseudo-record excluded (it is
-  /// lifted into edns(), mirroring DnsMessage).
+  /// lifted into edns()).
   std::size_t record_count(Section section) const;
 
   /// Visits the section's records in wire order, skipping OPT.
@@ -338,9 +378,6 @@ class MessageView {
   /// EDNS state (OPT + ECS), decoded at parse.
   const std::optional<EdnsInfo>& edns() const { return edns_; }
 
-  /// Deep copy into the owning form — exactly what dns::decode returns.
-  DnsMessage materialize() const;
-
  private:
   std::size_t section_offset(Section section) const;
   std::size_t declared_count(Section section) const;
@@ -358,5 +395,34 @@ class MessageView {
   std::uint32_t additionals_off_ = 0;
   std::optional<EdnsInfo> edns_;
 };
+
+/// The one answer record a server's reply carries, owned by the first
+/// question's name: an A record for `address`, or a TXT record holding
+/// `text`.
+struct ReplyRecord {
+  RecordType type = RecordType::kA;
+  std::uint32_t ttl = 0;
+  net::Ipv4Addr address;
+  std::string_view text;
+};
+
+/// What a reply changes in the query's header besides setting QR.
+struct ReplyFlags {
+  RCode rcode = RCode::kNoError;
+  bool aa = false;  // set AA (else the query's bit is echoed)
+  bool ra = false;  // set RA (else the query's bit is echoed)
+};
+
+/// Writes a server's reply to `query` into `arena`, straight from the
+/// view: the query's header with QR set and `flags` applied; every
+/// question echoed in canonical lower case; `answer`, if given; and, when
+/// the query carried OPT, an OPT record with UDP size 4096 and the
+/// query's ECS option, whose scope byte becomes `ecs_scope` when that is
+/// given. The span borrows the arena until the next write into it; the
+/// query's bytes must not live in `arena`, which the write reuses.
+std::span<const std::uint8_t> write_reply(
+    WireArena& arena, const MessageView& query, ReplyFlags flags,
+    const ReplyRecord* answer = nullptr,
+    std::optional<std::uint8_t> ecs_scope = std::nullopt);
 
 }  // namespace netclients::dns

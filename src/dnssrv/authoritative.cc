@@ -101,63 +101,47 @@ std::optional<EcsAnswer> AuthoritativeServer::resolve(
     std::uint32_t epoch) const {
   const ZoneConfig* z = zone(name);
   if (!z) return std::nullopt;
-  EcsAnswer answer;
-  answer.ttl = z->ttl_seconds;
-  answer.scope_length = z->supports_ecs ? scoped(*z, client_prefix, epoch) : 0;
+  return answer_for(*z, client_prefix, epoch);
+}
+
+EcsAnswer AuthoritativeServer::answer_for(const ZoneConfig& zone,
+                                          net::Prefix client_prefix,
+                                          std::uint32_t epoch) const {
+  EcsAnswer answer{};
+  answer.ttl = zone.ttl_seconds;
+  answer.scope_length =
+      zone.supports_ecs ? scoped(zone, client_prefix, epoch) : 0;
   // Synthetic CDN mapping: the answer address is a deterministic function of
   // the zone and the scope block, mimicking per-region CDN front ends.
   const std::uint32_t block =
       client_prefix.base().value() & net::Prefix::mask(answer.scope_length);
   answer.address = net::Ipv4Addr(static_cast<std::uint32_t>(
-      net::stable_seed(z->seed ^ 0xA0u, std::uint64_t{block})));
+      net::stable_seed(zone.seed ^ 0xA0u, std::uint64_t{block})));
   return answer;
-}
-
-dns::DnsMessage AuthoritativeServer::handle(const dns::DnsMessage& query,
-                                            std::uint32_t epoch) const {
-  if (query.questions.empty()) {
-    return dns::make_response(query, dns::RCode::kFormErr);
-  }
-  const dns::Question& q = query.questions.front();
-  const ZoneConfig* z = zone(q.name);
-  if (!z) return dns::make_response(query, dns::RCode::kNxDomain);
-
-  net::Prefix client_prefix;  // 0.0.0.0/0 when no ECS attached
-  if (query.edns && query.edns->ecs) {
-    client_prefix = query.edns->ecs->source_prefix();
-  }
-  auto answer = resolve(q.name, client_prefix, epoch);
-  dns::DnsMessage response = dns::make_response(query, dns::RCode::kNoError);
-  response.header.aa = true;
-  if (q.type == dns::RecordType::kA) {
-    response.answers.push_back(dns::ResourceRecord{
-        q.name, dns::RecordType::kA, dns::kClassIn, answer->ttl,
-        dns::AData{answer->address}});
-  }
-  if (response.edns && response.edns->ecs) {
-    response.edns->ecs->scope_prefix_length = answer->scope_length;
-  }
-  return response;
 }
 
 std::span<const std::uint8_t> AuthoritativeServer::handle_wire(
     std::span<const std::uint8_t> query_wire, std::uint32_t epoch,
     dns::WireArena& arena) const {
-  auto view = dns::MessageView::parse(query_wire);
+  const auto view = dns::MessageView::parse(query_wire);
   if (!view) return {};
-  // handle() and make_response() read only the header, the questions, and
-  // the EDNS state, so the query's RR sections are never materialized —
-  // the reduced message below yields the exact response a full
-  // materialize() would.
-  dns::DnsMessage query;
-  query.header = view->header();
-  query.questions.reserve(view->question_count());
-  view->for_each_question([&query](const dns::MessageView::QuestionView& q) {
-    query.questions.push_back(
-        dns::Question{q.name.materialize(), q.type, q.qclass});
-  });
-  query.edns = view->edns();
-  return dns::encode_into(handle(query, epoch), arena);
+  if (view->question_count() == 0) {
+    return dns::write_reply(arena, *view, {.rcode = dns::RCode::kFormErr});
+  }
+  const dns::MessageView::QuestionView& q = view->first_question();
+  const ZoneConfig* z = zone(q.name);
+  if (!z) {
+    return dns::write_reply(arena, *view, {.rcode = dns::RCode::kNxDomain});
+  }
+  net::Prefix client_prefix;  // 0.0.0.0/0 when no ECS attached
+  if (view->edns() && view->edns()->ecs) {
+    client_prefix = view->edns()->ecs->source_prefix();
+  }
+  const EcsAnswer a = answer_for(*z, client_prefix, epoch);
+  const dns::ReplyRecord record{dns::RecordType::kA, a.ttl, a.address, {}};
+  return dns::write_reply(arena, *view, {.aa = true},
+                          q.type == dns::RecordType::kA ? &record : nullptr,
+                          a.scope_length);
 }
 
 }  // namespace netclients::dnssrv

@@ -6,7 +6,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "dns/message.h"
 #include "dns/packet.h"
 #include "net/prefix.h"
 #include "net/prefix_trie.h"
@@ -99,10 +98,10 @@ class AuthoritativeServer {
     topology_ = topology;
   }
 
-  /// Direct-API resolution used by the resolver front ends and at bench
-  /// scale. `epoch` distinguishes the scope-discovery pass from the probing
-  /// campaign (Table 2 measures the drift between them). Returns nullopt
-  /// for unknown zones.
+  /// Direct-API resolution: the answer `handle_wire` puts on the wire for
+  /// the same name, client prefix and epoch. `epoch` distinguishes the
+  /// scope-discovery pass from the probing campaign (Table 2 measures the
+  /// drift between them). Returns nullopt for unknown zones.
   std::optional<EcsAnswer> resolve(const dns::DnsName& name,
                                    net::Prefix client_prefix,
                                    std::uint32_t epoch = 0) const;
@@ -114,20 +113,15 @@ class AuthoritativeServer {
                                         net::Prefix client_prefix,
                                         std::uint32_t epoch = 0) const;
 
-  /// Wire-level entry point: parses nothing itself (callers decode), takes
-  /// a query message and produces the authoritative response, including the
-  /// echoed ECS option with the assigned scope.
-  dns::DnsMessage handle(const dns::DnsMessage& query,
-                         std::uint32_t epoch = 0) const;
-
-  /// RFC 1035 wire front end: parses the query packet in place, answers via
-  /// `handle`, and encodes the response into `arena` (no allocation at
-  /// steady state). Returns an empty span for unparseable queries — the
-  /// same packets a structured-mode caller would have dropped at decode.
-  /// The result borrows the arena and is invalidated by the next encode
-  /// into it. Byte-identical to encode(handle(decode(wire))) by
-  /// construction: the response depends only on the query's header,
-  /// questions, and EDNS state, so the query's RR sections stay unread.
+  /// RFC 1035 wire front end: parses the query packet in place and writes
+  /// the reply into `arena` straight from the view (no allocation at
+  /// steady state). FORMERR without a question, NXDOMAIN for an unknown
+  /// zone; otherwise an AA answer — an A record for an A question — and
+  /// the query's ECS option echoed with the assigned scope. Returns an
+  /// empty span for unparseable queries. The reply depends only on the
+  /// query's header, questions and EDNS state, so its RR sections stay
+  /// unread. The result borrows the arena and is invalidated by the next
+  /// write into it; `query_wire` must not live in `arena`.
   std::span<const std::uint8_t> handle_wire(
       std::span<const std::uint8_t> query_wire, std::uint32_t epoch,
       dns::WireArena& arena) const;
@@ -158,10 +152,12 @@ class AuthoritativeServer {
     }
   };
 
+  EcsAnswer answer_for(const ZoneConfig& zone, net::Prefix client_prefix,
+                       std::uint32_t epoch) const;
   std::uint8_t base_scope(const ZoneConfig& zone,
                           net::Prefix client_prefix) const;
   std::uint8_t scoped(const ZoneConfig& zone, net::Prefix client_prefix,
-                      std::uint32_t epoch) const;
+                          std::uint32_t epoch) const;
 
   std::unordered_map<dns::DnsName, ZoneConfig, ZoneKeyHash, ZoneKeyEq> zones_;
   const net::PrefixTrie<std::uint32_t>* topology_ = nullptr;

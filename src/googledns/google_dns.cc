@@ -1,6 +1,7 @@
 #include "googledns/google_dns.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "core/obs/obs.h"
@@ -14,8 +15,8 @@ namespace {
 
 // Per-probe outcome telemetry. Counters only (integer-commutative, so
 // concurrent PoP shards stay deterministic in total); every counter is
-// bumped exactly once per probe/client_query call, never on memo fills or
-// other interleaving-dependent events.
+// bumped at most once per probe call, never on memo fills or other
+// interleaving-dependent events.
 struct ProbeMetrics {
   obs::Counter& sent = obs::Registry::global().counter("googledns.probe.sent");
   obs::Counter& rate_limited =
@@ -26,15 +27,9 @@ struct ProbeMetrics {
       obs::Registry::global().counter("googledns.probe.scope_zero");
   obs::Counter& scope_drift_miss =
       obs::Registry::global().counter("googledns.probe.scope_drift_miss");
-  obs::Counter& hit_explicit =
-      obs::Registry::global().counter("googledns.probe.hit_explicit");
   obs::Counter& hit_analytic =
       obs::Registry::global().counter("googledns.probe.hit_analytic");
   obs::Counter& miss = obs::Registry::global().counter("googledns.probe.miss");
-  obs::Counter& client_queries =
-      obs::Registry::global().counter("googledns.client_query.sent");
-  obs::Counter& client_cached =
-      obs::Registry::global().counter("googledns.client_query.cached");
 
   static ProbeMetrics& get() {
     static ProbeMetrics metrics;
@@ -68,12 +63,7 @@ GooglePublicDns::GooglePublicDns(const anycast::PopTable* pops,
       upstream_(upstream),
       config_(config),
       activity_(activity),
-      states_(pops->size()) {
-  for (PopState& state : states_) {
-    state.pools.assign(static_cast<std::size_t>(config_.pools_per_pop),
-                       dnssrv::DnsCache(config_.pool_capacity));
-  }
-}
+      states_(pops->size()) {}
 
 const dns::DnsName& GooglePublicDns::myaddr_name() {
   static const dns::DnsName name =
@@ -104,20 +94,23 @@ dnssrv::TokenBucket& GooglePublicDns::limiter(
 
 std::optional<dnssrv::EcsAnswer> GooglePublicDns::upstream_resolve(
     const dns::DnsName& domain, net::Prefix source) const {
-  // One RFC 1035 round trip. Arenas are per-thread so concurrent PoP
-  // shards never share encode state, and the reply view borrows the reply
-  // arena only within this frame.
-  thread_local dns::WireArena query_arena;
+  // One RFC 1035 round trip. The reply arena is per-thread so concurrent
+  // PoP shards never share write state, and the reply view borrows it
+  // only within this frame.
   thread_local dns::WireArena reply_arena;
   const auto id = static_cast<std::uint16_t>(net::stable_seed(
       config_.seed ^ 0x3135u, domain.hash(),
       std::uint64_t{source.base().value()}, std::uint64_t{source.length()},
       std::uint64_t{config_.epoch}));
-  const dns::DnsMessage query =
-      dns::make_query(id, domain, dns::RecordType::kA, /*recursion_desired=*/
-                      false, dns::EcsOption::for_query(source));
+  // A name is at most 255 octets; with the header, the question's tail and
+  // an OPT+ECS record a query stays well under 512 bytes.
+  std::array<std::uint8_t, 512> query{};
+  const std::uint8_t* end =
+      dns::write_query(query.data(), id, domain, dns::RecordType::kA,
+                       /*recursion_desired=*/false,
+                       dns::EcsOption::for_query(source));
   const auto reply = upstream_->handle_wire(
-      dns::encode_into(query, query_arena), config_.epoch, reply_arena);
+      {query.data(), end}, config_.epoch, reply_arena);
   const auto view = dns::MessageView::parse(reply);
   if (!view || view->header().rcode != dns::RCode::kNoError) {
     return std::nullopt;  // unknown zone (NXDOMAIN) or unparseable reply
@@ -139,40 +132,6 @@ std::optional<dnssrv::EcsAnswer> GooglePublicDns::upstream_resolve(
     answer.scope_length = view->edns()->ecs->scope_prefix_length;
   }
   return answer;
-}
-
-std::optional<std::uint8_t> GooglePublicDns::upstream_scope(
-    const dns::DnsName& domain, net::Prefix block) const {
-  // The authoritative's wire reply scopes its answer exactly as scope_for
-  // would (scope 0 for ECS-oblivious zones, NXDOMAIN for unknown ones).
-  auto answer = upstream_resolve(domain, block);
-  if (!answer) return std::nullopt;
-  return answer->scope_length;
-}
-
-void GooglePublicDns::client_query(PopId pop, const dns::DnsName& domain,
-                                   net::Ipv4Addr client, net::SimTime now) {
-  PopState& pop_state = states_.at(static_cast<std::size_t>(pop));
-  // Google forwards the client's /24 as the ECS source (rarely more
-  // specific, per [34]) and caches under the scope the authoritative
-  // returns.
-  const net::Prefix source = net::Prefix::slash24_of(client);
-  ProbeMetrics::get().client_queries.add();
-  auto answer = upstream_resolve(domain, source);
-  if (!answer) return;
-  ProbeMetrics::get().client_cached.add();
-  const net::Prefix scope_block = source.widen_to(answer->scope_length);
-  const int pool_index = static_cast<int>(net::stable_seed(
-                             config_.seed ^ 0xC11E27u, client.value(),
-                             static_cast<std::uint64_t>(now * 1000)) %
-                         static_cast<std::uint64_t>(config_.pools_per_pop));
-  dnssrv::CacheKey key{domain, dns::RecordType::kA, scope_block};
-  dnssrv::CacheEntry entry;
-  entry.rdata = dns::AData{answer->address};
-  entry.scope_length = answer->scope_length;
-  entry.original_ttl = answer->ttl;
-  entry.expires_at = now + answer->ttl;
-  pop_state.pools[static_cast<std::size_t>(pool_index)].insert(key, entry);
 }
 
 bool GooglePublicDns::analytic_present(PopId pop, int pool_index,
@@ -308,10 +267,13 @@ ProbeResult GooglePublicDns::probe(PopId pop, const dns::DnsName& domain,
       ProbeMetrics::get().unknown_zone.add();
       return result;  // unknown zone: nothing could be cached
     }
+    // The authoritative's wire reply scopes its answer exactly as
+    // scope_for would (scope 0 for ECS-oblivious zones).
+    const auto answer = upstream_resolve(domain, query_scope);
     memo = pop_state.scope_memo
                .emplace(memo_key,
-                        ScopeMemo{zone, upstream_scope(domain, query_scope)
-                                            .value_or(255)})
+                        ScopeMemo{zone, answer ? answer->scope_length
+                                               : std::uint8_t{255}})
                .first;
   }
   const dnssrv::ZoneConfig& zone = *memo->second.zone;
@@ -324,23 +286,10 @@ ProbeResult GooglePublicDns::probe(PopId pop, const dns::DnsName& domain,
   const net::Prefix entry_block = query_scope.widen_to(entry_scope);
 
   // Eviction storm: the entry this probe would have found is gone from its
-  // pool, whatever either occupancy source says.
+  // pool, whatever the occupancy model says.
   if (evicted) {
     fault_counter("googledns.fault.evicted").add();
     ProbeMetrics::get().miss.add();
-    return result;
-  }
-
-  // Explicit (event-driven) pool contents take precedence: exact state.
-  dnssrv::DnsCache& pool =
-      pop_state.pools[static_cast<std::size_t>(pool_index)];
-  if (const dnssrv::CacheEntry* entry = pool.lookup(
-          dnssrv::CacheKeyRef{domain, dns::RecordType::kA, entry_block},
-          now)) {
-    ProbeMetrics::get().hit_explicit.add();
-    result.cache_hit = true;
-    result.return_scope = entry->scope_length;
-    result.remaining_ttl = entry->remaining_ttl(now);
     return result;
   }
 
@@ -365,106 +314,67 @@ ProbeResult GooglePublicDns::probe(PopId pop, const dns::DnsName& domain,
   return result;
 }
 
-std::size_t GooglePublicDns::explicit_entries() const {
-  std::size_t total = 0;
-  for (const PopState& pop_state : states_) {
-    for (const dnssrv::DnsCache& p : pop_state.pools) total += p.size();
-  }
-  return total;
-}
-
-dns::DnsMessage GooglePublicDns::handle(const dns::DnsMessage& query,
-                                        net::LatLon source,
-                                        std::uint64_t route_key,
-                                        net::SimTime now, Transport transport,
-                                        int vp_id,
-                                        const anycast::RouteBias& bias) {
-  if (query.questions.empty()) {
-    return dns::make_response(query, dns::RCode::kFormErr);
-  }
-  const dns::Question& q = query.questions.front();
-  const PopId pop = pop_for(source, route_key, bias);
-
-  // PoP identification service: TXT o-o.myaddr.l.google.com.
-  if (q.name == myaddr_name() && q.type == dns::RecordType::kTxt) {
-    dns::DnsMessage response = dns::make_response(query, dns::RCode::kNoError);
-    response.header.ra = true;
-    response.answers.push_back(dns::ResourceRecord{
-        q.name, dns::RecordType::kTxt, dns::kClassIn, 60,
-        dns::TxtData{pops_->site(pop).city}});
-    return response;
-  }
-
-  if (query.header.rd) {
-    // Full recursion: resolve and cache (explicit mode).
-    net::Ipv4Addr client(static_cast<std::uint32_t>(route_key));
-    if (query.edns && query.edns->ecs) {
-      client = query.edns->ecs->address;
-    }
-    client_query(pop, q.name, client, now);
-    auto answer = upstream_resolve(q.name, net::Prefix::slash24_of(client));
-    if (!answer) return dns::make_response(query, dns::RCode::kNxDomain);
-    dns::DnsMessage response = dns::make_response(query, dns::RCode::kNoError);
-    response.header.ra = true;
-    response.answers.push_back(dns::ResourceRecord{
-        q.name, dns::RecordType::kA, dns::kClassIn, answer->ttl,
-        dns::AData{answer->address}});
-    if (response.edns && response.edns->ecs) {
-      response.edns->ecs->scope_prefix_length = answer->scope_length;
-    }
-    return response;
-  }
-
-  // RD=0: cache snooping.
-  net::Prefix query_scope;  // defaults to 0.0.0.0/0
-  if (query.edns && query.edns->ecs) {
-    query_scope = query.edns->ecs->source_prefix();
-  }
-  ProbeResult pr = probe(pop, q.name, query_scope, now, transport, vp_id,
-                         query.header.id);
-  if (pr.status == ProbeStatus::kRateLimited) {
-    return dns::make_response(query, dns::RCode::kRefused);
-  }
-  if (pr.status == ProbeStatus::kServfail) {
-    return dns::make_response(query, dns::RCode::kServFail);
-  }
-  // An injected timeout has no wire answer at all; the closest in-band
-  // signal for the synchronous front end is SERVFAIL after the wait.
-  if (pr.status == ProbeStatus::kTimeout) {
-    return dns::make_response(query, dns::RCode::kServFail);
-  }
-  dns::DnsMessage response = dns::make_response(query, dns::RCode::kNoError);
-  response.header.ra = true;
-  if (pr.cache_hit) {
-    auto answer = upstream_resolve(q.name, query_scope);
-    response.answers.push_back(dns::ResourceRecord{
-        q.name, dns::RecordType::kA, dns::kClassIn, pr.remaining_ttl,
-        dns::AData{answer ? answer->address : net::Ipv4Addr(0)}});
-    if (response.edns && response.edns->ecs) {
-      response.edns->ecs->scope_prefix_length = pr.return_scope;
-    }
-  }
-  return response;
-}
-
 std::span<const std::uint8_t> GooglePublicDns::handle_wire(
     std::span<const std::uint8_t> query_wire, net::LatLon source,
     std::uint64_t route_key, net::SimTime now, Transport transport,
     dns::WireArena& arena, int vp_id, const anycast::RouteBias& bias) {
-  auto view = dns::MessageView::parse(query_wire);
+  const auto view = dns::MessageView::parse(query_wire);
   if (!view) return {};
-  // handle() reads only the header, the questions, and the EDNS state, so
-  // the query's RR sections are never materialized.
-  dns::DnsMessage query;
-  query.header = view->header();
-  query.questions.reserve(view->question_count());
-  view->for_each_question([&query](const dns::MessageView::QuestionView& q) {
-    query.questions.push_back(
-        dns::Question{q.name.materialize(), q.type, q.qclass});
-  });
-  query.edns = view->edns();
-  return dns::encode_into(
-      handle(query, source, route_key, now, transport, vp_id, bias), arena);
+  if (view->question_count() == 0) {
+    return dns::write_reply(arena, *view, {.rcode = dns::RCode::kFormErr});
+  }
+  const dns::MessageView::QuestionView& q = view->first_question();
+  const PopId pop = pop_for(source, route_key, bias);
+
+  // PoP identification service: TXT o-o.myaddr.l.google.com.
+  if (q.type == dns::RecordType::kTxt && q.name.equals(myaddr_name())) {
+    const dns::ReplyRecord record{dns::RecordType::kTxt, 60, {},
+                                  pops_->site(pop).city};
+    return dns::write_reply(arena, *view, {.ra = true}, &record);
+  }
+
+  const dns::DnsName qname = q.name.materialize();
+  std::optional<dns::EcsOption> ecs;
+  if (view->edns()) ecs = view->edns()->ecs;
+  if (view->header().rd) {
+    // Full recursion: one upstream round trip with the client's /24 as
+    // the ECS source. Nothing is cached: occupancy comes only from the
+    // activity model. The PoP is checked like every other branch's.
+    (void)states_.at(static_cast<std::size_t>(pop));
+    const net::Ipv4Addr client =
+        ecs ? ecs->address
+            : net::Ipv4Addr(static_cast<std::uint32_t>(route_key));
+    const auto answer =
+        upstream_resolve(qname, net::Prefix::slash24_of(client));
+    if (!answer) {
+      return dns::write_reply(arena, *view,
+                              {.rcode = dns::RCode::kNxDomain});
+    }
+    const dns::ReplyRecord record{dns::RecordType::kA, answer->ttl,
+                                  answer->address, {}};
+    return dns::write_reply(arena, *view, {.ra = true}, &record,
+                            answer->scope_length);
+  }
+
+  // RD=0: cache snooping.
+  const net::Prefix query_scope = ecs ? ecs->source_prefix() : net::Prefix();
+  const ProbeResult pr = probe(pop, qname, query_scope, now, transport, vp_id,
+                               view->header().id);
+  if (pr.status == ProbeStatus::kRateLimited) {
+    return dns::write_reply(arena, *view, {.rcode = dns::RCode::kRefused});
+  }
+  // An injected timeout has no wire answer at all; the closest in-band
+  // signal for the synchronous front end is SERVFAIL after the wait.
+  if (pr.failed()) {
+    return dns::write_reply(arena, *view, {.rcode = dns::RCode::kServFail});
+  }
+  if (!pr.cache_hit) return dns::write_reply(arena, *view, {.ra = true});
+  const auto answer = upstream_resolve(qname, query_scope);
+  const dns::ReplyRecord record{dns::RecordType::kA, pr.remaining_ttl,
+                                answer ? answer->address : net::Ipv4Addr(0),
+                                {}};
+  return dns::write_reply(arena, *view, {.ra = true}, &record,
+                          pr.return_scope);
 }
 
 }  // namespace netclients::googledns

@@ -9,10 +9,8 @@
 #include "anycast/catchment.h"
 #include "anycast/pop.h"
 #include "anycast/vantage.h"
-#include "dns/message.h"
 #include "dns/packet.h"
 #include "dnssrv/authoritative.h"
-#include "dnssrv/cache.h"
 #include "dnssrv/rate_limiter.h"
 #include "googledns/activity_model.h"
 #include "net/sim_time.h"
@@ -45,7 +43,7 @@ struct FailureInjection {
   std::vector<TimeWindow> surge_windows;
   /// Cache-eviction storms: inside each window, the entry a probe would
   /// have found has this probability of having been evicted from its pool
-  /// (both the explicit pools and the analytic occupancy are suppressed).
+  /// (the probe misses whatever the occupancy model says).
   double eviction_probability = 0;
   std::vector<TimeWindow> eviction_windows;
 
@@ -58,15 +56,14 @@ struct FailureInjection {
 
 struct GoogleDnsConfig {
   int pools_per_pop = 4;
-  std::size_t pool_capacity = 1 << 18;
   // The paper found repeated UDP probing of the same domains trips a limit
   // far below the documented 1,500 QPS, forcing the campaign onto TCP.
   double udp_repeated_qps_limit = 20.0;
   double tcp_qps_limit = 1500.0;
   std::uint64_t seed = 0x600613;
-  // Epoch used when fetching scope/answers for client-driven entries; the
-  // probing campaign runs in a later epoch than scope discovery, producing
-  // Table 2's drift.
+  // Epoch used when fetching scopes and answers from the authoritative;
+  // the probing campaign runs in a later epoch than scope discovery,
+  // producing Table 2's drift.
   std::uint32_t epoch = 1;
   // Service time of an answered (or refused) probe, per transport — the
   // virtual-time cost the async engine charges for a completed round trip.
@@ -108,20 +105,18 @@ struct ProbeResult {
 /// independent cache pools, honoring client-supplied ECS prefixes and
 /// answering non-recursive (RD=0) queries strictly from cache.
 ///
-/// Concurrency discipline (see DESIGN.md "Concurrency model"): `probe`,
-/// `client_query` and `handle` may be called concurrently as long as
-/// concurrent calls target *distinct PoPs*. Everything the front end
-/// mutates — cache pools, token-bucket flows, the scope memo — lives in
-/// that PoP's own state, created up front for every PopTable entry, so
-/// concurrent calls for different PoPs share only read-only data and take
-/// no locks. A PoP id outside the table throws std::out_of_range.
+/// Concurrency discipline (see DESIGN.md "Concurrency model"): `probe`
+/// and `handle_wire` may be called concurrently as long as concurrent
+/// calls target *distinct PoPs*. Everything the front end mutates —
+/// token-bucket flows and the scope memo — lives in that PoP's own state,
+/// created up front for every PopTable entry, so concurrent calls for
+/// different PoPs share only read-only data and take no locks. A PoP id
+/// outside the table throws std::out_of_range.
 ///
-/// Two occupancy sources compose:
-///  * an explicit per-pool DnsCache populated by `client_query` — exact,
-///    used by tests/examples at small scale;
-///  * a lazy analytic model driven by a ClientActivityModel — used at
-///    Internet scale, sampling whether a Poisson client-arrival process
-///    would have refreshed the entry within its TTL.
+/// Cache occupancy has one source: the ClientActivityModel. A probe
+/// samples whether a Poisson client-arrival process at the model's rate
+/// (split across the PoP's pools) would have refreshed the entry within
+/// its TTL; without a model every pool is empty.
 class GooglePublicDns {
  public:
   GooglePublicDns(const anycast::PopTable* pops,
@@ -135,12 +130,6 @@ class GooglePublicDns {
   anycast::PopId pop_for(net::LatLon location, std::uint64_t route_key,
                          const anycast::RouteBias& bias = {}) const;
 
-  /// A recursive (RD=1) query from a real client: resolves upstream with
-  /// the client's /24 as ECS source and caches under the returned scope in
-  /// one explicit pool of the serving PoP.
-  void client_query(anycast::PopId pop, const dns::DnsName& domain,
-                    net::Ipv4Addr client, net::SimTime now);
-
   /// A cache-snooping probe: RD=0, ECS = `query_scope`, sent over
   /// `transport` by vantage `vp_id` to PoP `pop`. `attempt` selects which
   /// cache pool the query lands in (the paper sends 5 redundant queries to
@@ -153,28 +142,20 @@ class GooglePublicDns {
                     Transport transport, int vp_id, int attempt,
                     int retry = 0);
 
-  /// Full wire-format front end for packet-level tests and examples:
-  /// decodes nothing (caller passes the message), applies anycast routing,
-  /// myaddr TXT service, RD=0 snooping and RD=1 recursion.
-  dns::DnsMessage handle(const dns::DnsMessage& query, net::LatLon source,
-                         std::uint64_t route_key, net::SimTime now,
-                         Transport transport, int vp_id = 0,
-                         const anycast::RouteBias& bias = {});
-
-  /// RFC 1035 wire front end: zero-copy parse of the query packet, `handle`
-  /// for the answer, arena-encoded response. Returns an empty span for
-  /// unparseable queries (the packets a structured caller would drop at
-  /// decode); otherwise byte-identical to encode(handle(decode(wire))).
-  /// The span borrows `arena` until the next encode into it.
+  /// RFC 1035 wire front end for packet-level tests and examples: parses
+  /// the query in place, routes it to a PoP by anycast, and writes the
+  /// reply into `arena` straight from the view. It serves the myaddr TXT
+  /// service, RD=0 snooping through `probe` (attempt = the message id),
+  /// and RD=1 recursion, which resolves upstream with the client's /24
+  /// (the ECS address, else the route key) and caches nothing. FORMERR
+  /// without a question; unparseable queries get an empty span. The span
+  /// borrows `arena` until the next write into it; `query_wire` must not
+  /// live in `arena`.
   std::span<const std::uint8_t> handle_wire(
       std::span<const std::uint8_t> query_wire, net::LatLon source,
       std::uint64_t route_key, net::SimTime now, Transport transport,
       dns::WireArena& arena, int vp_id = 0,
       const anycast::RouteBias& bias = {});
-
-  /// Total explicit cache entries across all pools (diagnostics; not
-  /// while calls are in flight).
-  std::size_t explicit_entries() const;
 
   const anycast::PopTable& pops() const { return *pops_; }
 
@@ -193,7 +174,6 @@ class GooglePublicDns {
   /// Everything the front end mutates on behalf of one PoP. Padded to a
   /// cache line so shards probing neighbouring PoPs never share one.
   struct alignas(64) PopState {
-    std::vector<dnssrv::DnsCache> pools;
     /// One limiter per (vantage, transport, domain loop): the prober runs a
     /// separate query loop per domain, each its own flow; Google's limits
     /// apply per flow. Each loop's timestamps are monotone.
@@ -208,13 +188,11 @@ class GooglePublicDns {
                                Transport transport,
                                const dns::DnsName& domain) const;
 
-  /// Upstream fetches, each one RFC 1035 round trip: encode into a
-  /// thread_local arena, AuthoritativeServer::handle_wire, zero-copy parse
-  /// of the reply.
+  /// An upstream fetch, one RFC 1035 round trip: `dns::write_query` into
+  /// a stack buffer, AuthoritativeServer::handle_wire into a thread_local
+  /// arena, zero-copy parse of the reply. Nullopt for an unknown zone.
   std::optional<dnssrv::EcsAnswer> upstream_resolve(const dns::DnsName& domain,
                                                     net::Prefix source) const;
-  std::optional<std::uint8_t> upstream_scope(const dns::DnsName& domain,
-                                             net::Prefix block) const;
 
   /// Lazy occupancy: would a Poisson arrival process at `rate` (per pool)
   /// have an arrival within the TTL window ending at `now`?

@@ -2,11 +2,11 @@
 
 // DNS services as bus endpoints. The bus has always carried raw bytes;
 // these helpers put the two resolver front ends behind addresses so that
-// every query/response crosses the wire as an RFC 1035 packet: a
-// MessageView parse of the incoming packet, `handle_wire`, and an
-// arena-backed encode of the reply (no per-message codec allocation; the
-// bus still owns its payload copies). Unparseable queries are dropped (no
-// reply).
+// every query/response crosses the wire as an RFC 1035 packet: the front
+// end's `handle_wire` parses the incoming packet in place and writes the
+// reply straight from that view into the endpoint's arena (no
+// per-message allocation; the bus still owns its payload copies).
+// Unparseable queries are dropped (no reply).
 
 #include <cstdint>
 #include <functional>

@@ -2,70 +2,25 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "dns/message.h"
-#include "roots/trace.h"
-
 namespace netclients::roots {
 
-/// Capture policy of one root letter in a DITL collection year. The paper
-/// uses J, H, M, A, K and D root for 2020 — "the roots that offer
-/// un-anonymized, complete traces".
-struct RootConfig {
-  char letter = 'a';
-  bool participates_in_ditl = true;
-  bool anonymized = false;  // anonymized traces are useless for attribution
-  bool complete = true;     // partial captures under-count
-  double capture_fraction = 1.0;  // effective when !complete
-};
-
-/// One root DNS server: answers referrals for real TLDs, NXDOMAIN for junk
-/// (Chromium probes land here precisely because their random labels have no
-/// TLD and can't be cached), and captures queries per its DITL policy.
-class RootServer {
- public:
-  RootServer(RootConfig config, const std::vector<std::string>* tlds,
-             std::uint64_t seed);
-
-  /// Handles a query: records a trace entry (per capture policy) and
-  /// returns NXDOMAIN / referral. Non-message variant for bulk simulation.
-  void observe(net::Ipv4Addr source, const dns::DnsName& qname,
-               dns::RecordType qtype, net::SimTime now);
-
-  dns::DnsMessage handle(const dns::DnsMessage& query, net::Ipv4Addr source,
-                         net::SimTime now);
-
-  /// True when `name`'s last label is a delegated TLD.
-  bool known_tld(const dns::DnsName& name) const;
-
-  const RootConfig& config() const { return config_; }
-  const std::vector<TraceRecord>& trace() const { return trace_; }
-  std::uint64_t queries_received() const { return received_; }
-  void clear_trace() { trace_.clear(); }
-
- private:
-  RootConfig config_;
-  const std::vector<std::string>* tlds_;
-  std::uint64_t seed_;
-  std::vector<TraceRecord> trace_;
-  std::uint64_t received_ = 0;
-};
-
-/// The 13-letter root system plus the DITL collection view over it.
+/// The 13-letter root system as the DITL collection sees it: which letters
+/// exist, which of them the DNS-logs technique can read, and which letter
+/// each of a resolver's queries reaches. The captures themselves are
+/// written by `sim::generate_ditl`.
 class RootSystem {
  public:
-  /// Mirrors 2020 DITL: a–m exist; j, h, m, a, k, d offer complete,
-  /// un-anonymized captures; others are anonymized, partial or absent.
+  /// Mirrors 2020 DITL: a–m exist; j, h, m, a, k and d offer complete,
+  /// un-anonymized captures — the only ones the paper reads (§3.2).
   static RootSystem ditl_2020(std::uint64_t seed);
 
-  RootServer& root(char letter);
-  const RootServer& root(char letter) const;
+  /// Every letter, a–m.
   std::vector<char> letters() const;
 
-  /// Letters usable for the DNS-logs technique.
+  /// Letters usable for the DNS-logs technique, in letter order.
   std::vector<char> usable_ditl_letters() const;
 
   /// A resolver's stable letter preference: the three letters it favours,
@@ -90,18 +45,13 @@ class RootSystem {
     return pick_letter(letter_preference(resolver_key), nonce);
   }
 
-  /// Concatenated trace of the usable letters — the DNS-logs input.
-  std::vector<TraceRecord> ditl_trace() const;
-
-  const std::vector<std::string>& tlds() const { return *tlds_; }
+  /// The delegated TLDs (sorted), for the background-traffic generators.
+  const std::vector<std::string>& tlds() const { return tlds_; }
 
  private:
   RootSystem() = default;
 
-  std::vector<RootServer> roots_;
-  // Heap-allocated: each RootServer keeps a pointer to the table, which
-  // must stay valid when the RootSystem is moved.
-  std::shared_ptr<std::vector<std::string>> tlds_;
+  std::vector<std::string> tlds_;
   std::uint64_t seed_ = 0;
 };
 

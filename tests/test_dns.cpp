@@ -1,19 +1,20 @@
-// Tests for the DNS substrate: names, ECS, message building, and the RFC
-// 1035 wire codec (encode/decode round trips, compression, malformed
-// input rejection).
+// Tests for the DNS substrate: names, ECS, and the RFC 1035 wire plane
+// (MessageView, the in-place query writer, name compression, malformed
+// input rejection), checked against the structured codec in
+// dns_testing.h, whose round trips are tested here too.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "dns/message.h"
 #include "dns/name.h"
 #include "dns/packet.h"
-#include "dns/wire.h"
+#include "dns_testing.h"
 #include "net/rng.h"
 
 namespace netclients::dns {
@@ -230,6 +231,28 @@ TEST(Wire, CompressionShrinksRepeatedNames) {
   const std::size_t uncompressed_estimate =
       12 + (16 + 4) + 4 * (16 + 10 + 4) + 23;
   EXPECT_LT(wire.size(), uncompressed_estimate - 3 * 10);
+}
+
+TEST(Wire, CompressionKeysOnWholeLabels) {
+  // A label may hold a '.' byte: "a.b" + "c" and "a" + "b" + "c" share a
+  // dotted spelling but are different names, so the second must not be
+  // compressed to a pointer at the first.
+  DnsMessage msg;
+  msg.questions.push_back(
+      Question{*DnsName::from_labels({"a.b", "c"}), RecordType::kA});
+  msg.questions.push_back(
+      Question{*DnsName::from_labels({"a", "b", "c"}), RecordType::kA});
+  const auto wire = encode(msg);
+  const DecodeResult decoded = decode(wire);
+  ASSERT_TRUE(decoded.ok) << decoded.error;
+  EXPECT_EQ(decoded.message, msg);
+  ASSERT_EQ(decoded.message.questions.size(), 2u);
+  EXPECT_EQ(decoded.message.questions[1].name.label_count(), 3u);
+  // The shared suffix "c" is still compressed: a, b, then a pointer at
+  // the first question's "c" (offset 12 + 4).
+  const std::vector<std::uint8_t> second = {1, 'a', 1, 'b', 0xC0, 16};
+  EXPECT_TRUE(std::search(wire.begin(), wire.end(), second.begin(),
+                          second.end()) != wire.end());
 }
 
 TEST(Wire, EcsScopeLongerSourceRoundTrip) {
@@ -466,7 +489,7 @@ TEST(Packet, ViewParityWithMaterializingDecode) {
     ASSERT_TRUE(view.has_value()) << error;
     const DecodeResult decoded = decode(wire);
     ASSERT_TRUE(decoded.ok);
-    EXPECT_EQ(view->materialize(), decoded.message);
+    EXPECT_EQ(materialize(*view), decoded.message);
     EXPECT_EQ(view->header(), msg.header);
   }
 }
@@ -501,6 +524,38 @@ TEST(Packet, ViewAccessorsExposeSectionsWithoutMaterializing) {
   EXPECT_EQ(txt, "pop=grq");
 }
 
+TEST(Packet, WriteQueryMatchesTheOracle) {
+  // The in-place query writer against the structured encoder: with and
+  // without ECS (sources /0, /12, /24 and /32), both RD values, the root
+  // name and probe-shaped names.
+  std::vector<DnsName> names = {*DnsName::parse("www.google.com"),
+                                DnsName{}};
+  for (const DnsMessage& msg : probe_corpus()) {
+    names.push_back(msg.questions.front().name);
+  }
+  const std::vector<std::optional<EcsOption>> options = {
+      std::nullopt,
+      EcsOption::for_query(*net::Prefix::parse("0.0.0.0/0")),
+      EcsOption::for_query(*net::Prefix::parse("10.16.0.0/12")),
+      EcsOption::for_query(*net::Prefix::parse("203.0.113.0/24")),
+      EcsOption::for_query(*net::Prefix::parse("203.0.113.7/32"))};
+  std::uint16_t id = 0;
+  for (const DnsName& name : names) {
+    for (const auto& ecs : options) {
+      for (const bool rd : {false, true}) {
+        const auto type = id / 2 % 2 ? RecordType::kTxt : RecordType::kA;
+        std::vector<std::uint8_t> wire(query_length(name, ecs));
+        const std::uint8_t* end =
+            write_query(wire.data(), id, name, type, rd, ecs);
+        EXPECT_EQ(end, wire.data() + wire.size());
+        EXPECT_EQ(wire, encode(make_query(id, name, type, rd, ecs)))
+            << name.to_string();
+        ++id;
+      }
+    }
+  }
+}
+
 TEST(Packet, TruncationSweepEveryOffsetAgrees) {
   // Both decoders must agree — accept/reject and diagnostic — on every
   // prefix of a feature-dense packet and of every probe-shaped message,
@@ -519,7 +574,7 @@ TEST(Packet, TruncationSweepEveryOffsetAgrees) {
         EXPECT_EQ(decoded.error, view_error)
             << "message " << m << " cut at " << cut;
       } else {
-        EXPECT_EQ(view->materialize(), decoded.message)
+        EXPECT_EQ(materialize(*view), decoded.message)
             << "message " << m << " cut at " << cut;
       }
     }

@@ -1,18 +1,18 @@
-// Tests for the resolver-side substrate: ECS-aware authoritative server
-// (scope consistency, drift, wire handling), the TTL+LRU cache, and the
-// token-bucket rate limiter.
+// Tests for the resolver-side substrate: the ECS-aware authoritative
+// server (scope consistency, drift, and its in-place wire replies checked
+// against the reference server in dns_testing.h) and the token-bucket
+// rate limiter.
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "core/obs/obs.h"
 #include "dns/packet.h"
-#include "dns/wire.h"
+#include "dns_testing.h"
 #include "dnssrv/authoritative.h"
-#include "dnssrv/cache.h"
 #include "dnssrv/rate_limiter.h"
 #include "net/rng.h"
 
@@ -67,10 +67,43 @@ TEST(Authoritative, ZoneLookupByNameViewAvoidsMaterializing) {
   EXPECT_EQ(server.zone(other_view->first_question().name), nullptr);
 }
 
+/// The server's wire reply to `query`, decoded by the oracle.
+dns::DecodeResult wire_reply(const AuthoritativeServer& server,
+                             const dns::DnsMessage& query,
+                             std::uint32_t epoch = 0) {
+  dns::WireArena arena;
+  return dns::decode(server.handle_wire(dns::encode(query), epoch, arena));
+}
+
 TEST(Authoritative, HandleWireByteIdenticalToStructuredPath) {
+  // Every reply must be the oracle's bytes: encode(reference_reply(
+  // decode(query))). The corner cases first — upper-case and compressed
+  // questions, OPT with and without ECS, records and flags in the query,
+  // non-A questions, the root name, no question, an unparseable packet —
+  // for a served zone and an unknown one, then a random stream.
   AuthoritativeServer server;
   server.add_zone(test_zone());
   dns::WireArena arena;
+  const auto expect_oracle_bytes = [&](std::span<const std::uint8_t> query,
+                                       std::uint32_t epoch) {
+    const auto got = server.handle_wire(query, epoch, arena);
+    const auto decoded = dns::decode(query);
+    if (!decoded.ok) {
+      EXPECT_TRUE(got.empty());
+      return;
+    }
+    EXPECT_EQ(dns::encode(dns_testing::reference_reply(
+                  server, decoded.message, epoch)),
+              std::vector<std::uint8_t>(got.begin(), got.end()));
+  };
+  for (const char* name : {"www.example.com", "unknown.example"}) {
+    for (const bool rd : {false, true}) {
+      for (const auto& query : dns_testing::corner_case_queries(
+               *dns::DnsName::parse(name), rd)) {
+        expect_oracle_bytes(query, rd ? 1 : 0);
+      }
+    }
+  }
   net::Rng rng(0xD11);
   for (int i = 0; i < 200; ++i) {
     const auto qname = rng.bernoulli(0.7)
@@ -85,16 +118,42 @@ TEST(Authoritative, HandleWireByteIdenticalToStructuredPath) {
     const auto query = dns::make_query(static_cast<std::uint16_t>(rng()),
                                        qname, dns::RecordType::kA,
                                        rng.bernoulli(0.5), ecs);
-    const auto query_wire = dns::encode(query);
-    const std::uint32_t epoch = static_cast<std::uint32_t>(rng.below(3));
-    // Structured reference: decode, handle, encode.
-    const auto decoded = dns::decode(query_wire);
-    ASSERT_TRUE(decoded.ok);
-    const auto expected = dns::encode(server.handle(decoded.message, epoch));
-    // Wire path: straight through the packet plane.
-    const auto got = server.handle_wire(query_wire, epoch, arena);
-    EXPECT_EQ(expected, std::vector<std::uint8_t>(got.begin(), got.end()));
+    expect_oracle_bytes(dns::encode(query),
+                        static_cast<std::uint32_t>(rng.below(3)));
   }
+}
+
+TEST(Authoritative, HandleWireKeepsDottedLabelsApart) {
+  // A query naming "a.b" + "c" (a label holding a '.' byte), then "a" +
+  // "b" + "c": the reply must echo them as the two-label and the
+  // three-label names they are, not compress the second into the first.
+  AuthoritativeServer server;
+  ZoneConfig zone = test_zone();
+  zone.name = *dns::DnsName::from_labels({"a.b", "c"});
+  server.add_zone(zone);
+  const std::vector<std::uint8_t> query = {
+      0x12, 0x34, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      3, 'a', '.', 'b', 1, 'c', 0, 0x00, 0x01, 0x00, 0x01,
+      1, 'a', 1, 'b', 1, 'c', 0, 0x00, 0x01, 0x00, 0x01};
+  dns::WireArena arena;
+  const auto reply = server.handle_wire(query, 0, arena);
+  const auto decoded = dns::decode(reply);
+  ASSERT_TRUE(decoded.ok) << decoded.error;
+  ASSERT_EQ(decoded.message.questions.size(), 2u);
+  EXPECT_EQ(decoded.message.questions[0].name, zone.name);
+  EXPECT_EQ(decoded.message.questions[1].name,
+            *dns::DnsName::from_labels({"a", "b", "c"}));
+  ASSERT_EQ(decoded.message.answers.size(), 1u);
+  EXPECT_EQ(decoded.message.answers[0].name, zone.name);
+  // The second question shares only "c" with the first (a pointer at
+  // offset 16), and the answer's owner is a pointer at the first.
+  const std::vector<std::uint8_t> expected = {
+      3, 'a', '.', 'b', 1, 'c', 0, 0x00, 0x01, 0x00, 0x01,
+      1, 'a', 1, 'b', 0xC0, 16, 0x00, 0x01, 0x00, 0x01,
+      0xC0, 12};
+  ASSERT_GE(reply.size(), 12 + expected.size());
+  EXPECT_TRUE(std::equal(expected.begin(), expected.end(),
+                         reply.begin() + 12));
 }
 
 TEST(Authoritative, HandleWireDropsUnparseableQueries) {
@@ -208,7 +267,9 @@ TEST(Authoritative, WireHandleAnswersWithEcsScope) {
   const auto query = dns::make_query(
       99, *dns::DnsName::parse("www.example.com"), dns::RecordType::kA, true,
       dns::EcsOption::for_query(*net::Prefix::parse("100.64.5.0/24")));
-  const auto response = server.handle(query);
+  const auto reply = wire_reply(server, query);
+  ASSERT_TRUE(reply.ok) << reply.error;
+  const dns::DnsMessage& response = reply.message;
   EXPECT_EQ(response.header.rcode, dns::RCode::kNoError);
   EXPECT_TRUE(response.header.aa);
   ASSERT_EQ(response.answers.size(), 1u);
@@ -223,13 +284,15 @@ TEST(Authoritative, WireHandleNxdomainForUnknownZone) {
   server.add_zone(test_zone());
   const auto query = dns::make_query(
       1, *dns::DnsName::parse("nope.example.net"), dns::RecordType::kA, true);
-  EXPECT_EQ(server.handle(query).header.rcode, dns::RCode::kNxDomain);
+  EXPECT_EQ(wire_reply(server, query).message.header.rcode,
+            dns::RCode::kNxDomain);
 }
 
 TEST(Authoritative, WireHandleFormErrForEmptyQuestion) {
   AuthoritativeServer server;
   dns::DnsMessage query;
-  EXPECT_EQ(server.handle(query).header.rcode, dns::RCode::kFormErr);
+  EXPECT_EQ(wire_reply(server, query).message.header.rcode,
+            dns::RCode::kFormErr);
 }
 
 TEST(Authoritative, TopologyClampNeverWidensPastAnnouncement) {
@@ -257,119 +320,6 @@ TEST(Authoritative, TopologyClampNeverWidensPastAnnouncement) {
       *server.scope_for(name, *net::Prefix::parse("100.65.0.0/24"));
   EXPECT_GE(unrouted, 16);
   EXPECT_LE(unrouted, 24);
-}
-
-// ------------------------------------------------------------------- cache
-
-CacheKey key_for(const char* name, const char* prefix) {
-  return CacheKey{*dns::DnsName::parse(name), dns::RecordType::kA,
-                  *net::Prefix::parse(prefix)};
-}
-
-CacheEntry entry_expiring(net::SimTime at) {
-  CacheEntry entry;
-  entry.rdata = dns::AData{net::Ipv4Addr(1)};
-  entry.original_ttl = 300;
-  entry.expires_at = at;
-  return entry;
-}
-
-TEST(DnsCache, HitWithinTtlMissAfter) {
-  DnsCache cache(16);
-  cache.insert(key_for("a.example", "1.2.3.0/24"), entry_expiring(100));
-  EXPECT_NE(cache.lookup(key_for("a.example", "1.2.3.0/24"), 50), nullptr);
-  EXPECT_EQ(cache.lookup(key_for("a.example", "1.2.3.0/24"), 100), nullptr);
-  EXPECT_EQ(cache.size(), 0u);  // expired entry dropped
-}
-
-TEST(DnsCache, ScopeIsPartOfKey) {
-  DnsCache cache(16);
-  cache.insert(key_for("a.example", "1.2.0.0/16"), entry_expiring(100));
-  EXPECT_EQ(cache.lookup(key_for("a.example", "1.2.3.0/24"), 1), nullptr);
-  EXPECT_NE(cache.lookup(key_for("a.example", "1.2.0.0/16"), 1), nullptr);
-}
-
-TEST(DnsCache, LruEvictsOldest) {
-  DnsCache cache(2);
-  cache.insert(key_for("a.example", "1.0.0.0/24"), entry_expiring(1e9));
-  cache.insert(key_for("b.example", "2.0.0.0/24"), entry_expiring(1e9));
-  // Touch a, making b the LRU victim.
-  EXPECT_NE(cache.lookup(key_for("a.example", "1.0.0.0/24"), 1), nullptr);
-  cache.insert(key_for("c.example", "3.0.0.0/24"), entry_expiring(1e9));
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_NE(cache.lookup(key_for("a.example", "1.0.0.0/24"), 1), nullptr);
-  EXPECT_EQ(cache.lookup(key_for("b.example", "2.0.0.0/24"), 1), nullptr);
-}
-
-TEST(DnsCache, ReinsertRefreshesEntry) {
-  DnsCache cache(4);
-  cache.insert(key_for("a.example", "1.0.0.0/24"), entry_expiring(10));
-  cache.insert(key_for("a.example", "1.0.0.0/24"), entry_expiring(100));
-  EXPECT_EQ(cache.size(), 1u);
-  const CacheEntry* entry = cache.lookup(key_for("a.example", "1.0.0.0/24"),
-                                         50);
-  ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->remaining_ttl(50), 50u);
-}
-
-TEST(DnsCache, CountsHitsAndMisses) {
-  DnsCache cache(4);
-  cache.insert(key_for("a.example", "1.0.0.0/24"), entry_expiring(1e9));
-  cache.lookup(key_for("a.example", "1.0.0.0/24"), 1);
-  cache.lookup(key_for("z.example", "9.0.0.0/24"), 1);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-}
-
-TEST(DnsCache, BorrowedKeyLookupMatchesOwnedKey) {
-  // The probe path looks up through a CacheKeyRef; it must behave exactly
-  // like an owned-key lookup: hits, misses, expiry (the expired entry
-  // erased), LRU order after a hit, and every counter.
-  const char* const kCacheCounters[] = {
-      "dnssrv.cache.hit", "dnssrv.cache.miss", "dnssrv.cache.expired",
-      "dnssrv.cache.insert", "dnssrv.cache.evicted"};
-  const auto run = [&](bool borrowed) {
-    std::vector<std::uint64_t> before;
-    for (const char* name : kCacheCounters) {
-      before.push_back(obs::Registry::global().counter(name).value());
-    }
-    DnsCache cache(2);
-    std::ostringstream trace;
-    const auto lookup = [&](const CacheKey& key, net::SimTime now) {
-      const CacheEntry* entry =
-          borrowed ? cache.lookup(CacheKeyRef{key.name, key.type, key.scope},
-                                  now)
-                   : cache.lookup(key, now);
-      trace << (entry ? static_cast<int>(entry->remaining_ttl(now)) : -1)
-            << ':' << cache.size() << ' ';
-    };
-    const CacheKey a = key_for("a.example", "1.0.0.0/24");
-    const CacheKey b = key_for("b.example", "2.0.0.0/24");
-    const CacheKey c = key_for("c.example", "3.0.0.0/24");
-    cache.insert(a, entry_expiring(1000));
-    cache.insert(b, entry_expiring(50));
-    lookup(a, 1);                                   // hit
-    lookup(key_for("a.example", "1.0.0.0/16"), 1);  // scope differs: miss
-    lookup(b, 60);                                  // expired: erased
-    cache.insert(b, entry_expiring(1000));          // LRU: b, a
-    lookup(a, 70);                                  // hit; LRU: a, b
-    cache.insert(c, entry_expiring(1000));          // evicts b
-    lookup(b, 80);
-    lookup(a, 80);
-    lookup(c, 80);
-    trace << "| " << cache.hits() << ' ' << cache.misses() << ' '
-          << cache.evictions();
-    for (std::size_t i = 0; i < before.size(); ++i) {
-      trace << ' '
-            << obs::Registry::global().counter(kCacheCounters[i]).value() -
-                   before[i];
-    }
-    return trace.str();
-  };
-  const std::string owned = run(false);
-  EXPECT_EQ(owned, "999:2 -1:2 -1:1 930:2 -1:2 920:2 920:2 | 4 3 1 4 3 1 4 1");
-  EXPECT_EQ(run(true), owned);
 }
 
 // ------------------------------------------------------------ token bucket

@@ -1,16 +1,19 @@
 // Robustness fuzzing for the DNS wire decoder: random mutations of valid
 // messages and fully random buffers must never crash, never loop, and —
 // when a mutant still decodes — must re-encode to something that decodes
-// to the same message (decode∘encode idempotence).
+// to the same message (decode∘encode idempotence), and the authoritative's
+// in-place reply to it must be the reference server's bytes.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <span>
 
 #include "dns/packet.h"
-#include "dns/wire.h"
+#include "dns_testing.h"
+#include "dnssrv/authoritative.h"
 #include "net/rng.h"
 #include "roots/trace.h"
 #include "trace_testing.h"
@@ -36,6 +39,23 @@ DnsMessage base_message(net::Rng& rng) {
         60, TxtData{"some text payload"}});
   }
   return msg;
+}
+
+/// The authoritative's in-place reply to an accepted packet must be the
+/// oracle's: encode(reference_reply(decode(packet))).
+void expect_reply_matches_oracle(std::span<const std::uint8_t> wire,
+                                 const DnsMessage& decoded) {
+  static const dnssrv::AuthoritativeServer server = [] {
+    dnssrv::AuthoritativeServer s;
+    dnssrv::ZoneConfig zone;
+    zone.name = *DnsName::parse("www.example.com");
+    s.add_zone(zone);
+    return s;
+  }();
+  thread_local WireArena arena;
+  const auto reply = server.handle_wire(wire, 1, arena);
+  EXPECT_EQ(std::vector<std::uint8_t>(reply.begin(), reply.end()),
+            encode(dns_testing::reference_reply(server, decoded, 1)));
 }
 
 class WireFuzz : public ::testing::TestWithParam<std::uint64_t> {};
@@ -74,7 +94,8 @@ TEST_P(WireFuzz, MutatedMessagesNeverCrashAndStayIdempotent) {
       EXPECT_EQ(first.error, view_error);
       continue;  // rejected: fine
     }
-    EXPECT_EQ(view->materialize(), first.message);
+    EXPECT_EQ(materialize(*view), first.message);
+    expect_reply_matches_oracle(wire, first.message);
     // Accepted mutants must survive a re-encode/decode cycle unchanged.
     const auto rewire = encode(first.message);
     const DecodeResult second = decode(rewire);
@@ -105,7 +126,8 @@ TEST(WireFuzz, SeedCorpusProperties) {
       EXPECT_EQ(first.error, view_error);
       continue;
     }
-    EXPECT_EQ(view->materialize(), first.message);
+    EXPECT_EQ(materialize(*view), first.message);
+    expect_reply_matches_oracle(wire, first.message);
     const auto rewire = encode(first.message);
     const DecodeResult second = decode(rewire);
     ASSERT_TRUE(second.ok) << second.error;

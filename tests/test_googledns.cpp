@@ -1,20 +1,23 @@
 // Tests for the Google Public DNS model (labels: determinism, tsan): RD=0
-// cache-snooping semantics, ECS scope matching, pool redundancy, rate
-// limiting, the o-o.myaddr service, consistency between the explicit
-// (event-driven) cache and the analytic occupancy model, and the per-PoP
-// concurrency contract.
+// cache-snooping semantics over the activity model's occupancy (clients
+// planted per PoP, domain and scope block, or a flat rate), ECS scope
+// matching, pool redundancy, rate limiting, the o-o.myaddr service, the
+// in-place wire front end against the reference server in dns_testing.h,
+// and the per-PoP concurrency contract.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <memory>
 #include <stdexcept>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "core/obs/obs.h"
 #include "dns/packet.h"
-#include "dns/wire.h"
+#include "dns_testing.h"
 #include "googledns/google_dns.h"
 #include "net/rng.h"
 
@@ -33,9 +36,12 @@ class FixedRateActivity final : public ClientActivityModel {
   double rate_;
 };
 
+// A flat `analytic_rate` everywhere when it is >= 0; otherwise the clients
+// planted in `planted` (none until a test plants them).
 struct Fixture {
   explicit Fixture(double analytic_rate = -1, std::uint8_t min_scope = 20,
-                   std::uint8_t max_scope = 24, double drift = 0.0)
+                   std::uint8_t max_scope = 24, double drift = 0.0,
+                   GoogleDnsConfig config = {})
       : pops(anycast::PopTable::google_default()),
         catchment(&pops, 42, 0.22) {
     dnssrv::ZoneConfig zone;
@@ -54,15 +60,17 @@ struct Fixture {
     if (analytic_rate >= 0) {
       activity = std::make_unique<FixedRateActivity>(analytic_rate);
     }
-    gdns = std::make_unique<GooglePublicDns>(&pops, &catchment, &auth,
-                                             GoogleDnsConfig{},
-                                             activity.get());
+    gdns = std::make_unique<GooglePublicDns>(
+        &pops, &catchment, &auth, config,
+        activity ? static_cast<const ClientActivityModel*>(activity.get())
+                 : &planted);
   }
 
   anycast::PopTable pops;
   anycast::CatchmentModel catchment;
   dnssrv::AuthoritativeServer auth;
   std::unique_ptr<FixedRateActivity> activity;
+  dns_testing::PlantedActivity planted;
   std::unique_ptr<GooglePublicDns> gdns;
   const dns::DnsName domain = *dns::DnsName::parse("www.example.com");
 };
@@ -83,11 +91,23 @@ TEST(GoogleDns, SnoopMissesEmptyCache) {
   EXPECT_EQ(probe.status, ProbeStatus::kOk);
 }
 
-TEST(GoogleDns, ClientQueryThenSnoopHits) {
+/// The reply `f` writes for `query`, read back through the oracle.
+dns::DnsMessage wire_reply(Fixture& f, const dns::DnsMessage& query,
+                           net::LatLon source, std::uint64_t route_key,
+                           net::SimTime now, Transport transport,
+                           int vp_id = 0) {
+  dns::WireArena arena;
+  const auto decoded = dns::decode(f.gdns->handle_wire(
+      dns::encode(query), source, route_key, now, transport, arena, vp_id));
+  EXPECT_TRUE(decoded.ok) << decoded.error;
+  return decoded.message;
+}
+
+TEST(GoogleDns, PlantedClientsThenSnoopHits) {
   Fixture f;
   const net::Ipv4Addr client = *net::Ipv4Addr::parse("100.64.5.9");
   // Redundant attempts (paper: 5) cover the independent cache pools.
-  f.gdns->client_query(0, f.domain, client, 10.0);
+  f.planted.plant(0, f.domain, scope_block_for(f, client), 1.0);
   bool hit = false;
   std::uint8_t return_scope = 0;
   for (int attempt = 0; attempt < 16 && !hit; ++attempt) {
@@ -100,29 +120,20 @@ TEST(GoogleDns, ClientQueryThenSnoopHits) {
   EXPECT_GT(return_scope, 0);
 }
 
-TEST(GoogleDns, HitExpiresWithTtl) {
-  Fixture f;
-  const net::Ipv4Addr client = *net::Ipv4Addr::parse("100.64.5.9");
-  f.gdns->client_query(0, f.domain, client, 10.0);
-  bool hit = false;
-  for (int attempt = 0; attempt < 16 && !hit; ++attempt) {
-    hit = f.gdns->probe(0, f.domain, scope_block_for(f, client), 10.0 + 400,
-                        Transport::kTcp, 0, attempt)
-              .cache_hit;
-  }
-  EXPECT_FALSE(hit) << "entry outlived its 300s TTL";
-}
-
 TEST(GoogleDns, CacheIsPerPop) {
   Fixture f;
   const net::Ipv4Addr client = *net::Ipv4Addr::parse("100.64.5.9");
-  f.gdns->client_query(3, f.domain, client, 10.0);
-  bool hit_other_pop = false;
+  f.planted.plant(3, f.domain, scope_block_for(f, client), 1.0);
+  bool hit_own_pop = false, hit_other_pop = false;
   for (int attempt = 0; attempt < 16; ++attempt) {
+    hit_own_pop |= f.gdns->probe(3, f.domain, scope_block_for(f, client),
+                                 20.0, Transport::kTcp, 0, attempt)
+                       .cache_hit;
     hit_other_pop |= f.gdns->probe(7, f.domain, scope_block_for(f, client),
                                    20.0, Transport::kTcp, 0, attempt)
                          .cache_hit;
   }
+  EXPECT_TRUE(hit_own_pop);
   EXPECT_FALSE(hit_other_pop)
       << "anycast PoPs have independent caches (§3.1.1)";
 }
@@ -133,7 +144,7 @@ TEST(GoogleDns, QueryScopeNarrowerThanEntryStillHits) {
   // wider — the calibration stage relies on this.
   Fixture f;
   const net::Ipv4Addr client = *net::Ipv4Addr::parse("100.64.5.9");
-  f.gdns->client_query(0, f.domain, client, 10.0);
+  f.planted.plant(0, f.domain, scope_block_for(f, client), 1.0);
   bool hit = false;
   for (int attempt = 0; attempt < 16 && !hit; ++attempt) {
     hit = f.gdns->probe(0, f.domain, net::Prefix::slash24_of(client), 20.0,
@@ -148,7 +159,7 @@ TEST(GoogleDns, QueryScopeWiderThanEntryMisses) {
   // query whose ECS source is the /16 containing it.
   Fixture f;
   const net::Ipv4Addr client = *net::Ipv4Addr::parse("100.64.5.9");
-  f.gdns->client_query(0, f.domain, client, 10.0);
+  f.planted.plant(0, f.domain, scope_block_for(f, client), 1.0);
   bool hit = false;
   for (int attempt = 0; attempt < 16; ++attempt) {
     hit |= f.gdns->probe(0, f.domain, net::Prefix(client, 16), 20.0,
@@ -299,7 +310,7 @@ TEST(GoogleDns, MyaddrWireServiceReportsPop) {
                                      dns::RecordType::kTxt, true);
   const net::LatLon groningen{53.2, 6.6};
   const auto response =
-      f.gdns->handle(query, groningen, 77, 0.0, Transport::kUdp);
+      wire_reply(f, query, groningen, 77, 0.0, Transport::kUdp);
   ASSERT_EQ(response.answers.size(), 1u);
   const auto& txt = std::get<dns::TxtData>(response.answers[0].rdata);
   const anycast::PopId expected = f.gdns->pop_for(groningen, 77);
@@ -307,45 +318,83 @@ TEST(GoogleDns, MyaddrWireServiceReportsPop) {
 }
 
 TEST(GoogleDns, WireSnoopPathMatchesDirectProbe) {
-  Fixture f;
+  // RD=0 ECS snoops over the wire answer exactly what `probe` gives a
+  // second front end with the same planted clients: a hit is one A record
+  // with the remaining TTL and the ECS option carrying the return scope.
+  Fixture f, direct;
   const net::Ipv4Addr client = *net::Ipv4Addr::parse("100.64.5.9");
   const net::LatLon vp_loc{39.0, -77.5};
   const anycast::PopId pop = f.gdns->pop_for(vp_loc, 1);
-  f.gdns->client_query(pop, f.domain, client, 10.0);
-  // Snoop over the wire: RD=0 + ECS, via encode/decode round trip.
-  bool hit = false;
-  for (std::uint16_t id = 0; id < 16 && !hit; ++id) {
-    auto query = dns::make_query(
-        id, f.domain, dns::RecordType::kA, false,
-        dns::EcsOption::for_query(scope_block_for(f, client)));
-    const auto wire = dns::encode(query);
-    const auto decoded = dns::decode(wire);
-    ASSERT_TRUE(decoded.ok);
-    const auto response =
-        f.gdns->handle(decoded.message, vp_loc, 1, 20.0, Transport::kTcp, 1);
-    hit = !response.answers.empty();
-    if (hit) {
-      ASSERT_TRUE(response.edns && response.edns->ecs);
-      EXPECT_GT(response.edns->ecs->scope_prefix_length, 0);
-    }
+  const net::Prefix block = scope_block_for(f, client);
+  f.planted.plant(pop, f.domain, block, 0.01);
+  direct.planted.plant(pop, f.domain, block, 0.01);
+  int hits = 0;
+  for (std::uint16_t id = 0; id < 16; ++id) {
+    const double now = 20.0 + 40.0 * id;
+    const auto response = wire_reply(
+        f,
+        dns::make_query(id, f.domain, dns::RecordType::kA, false,
+                        dns::EcsOption::for_query(block)),
+        vp_loc, 1, now, Transport::kTcp, 1);
+    const auto probe = direct.gdns->probe(pop, f.domain, block, now,
+                                          Transport::kTcp, 1, id);
+    ASSERT_EQ(response.answers.size(), probe.cache_hit ? 1u : 0u)
+        << "id " << id;
+    ASSERT_TRUE(response.edns && response.edns->ecs);
+    if (!probe.cache_hit) continue;
+    ++hits;
+    EXPECT_EQ(response.answers[0].ttl, probe.remaining_ttl);
+    EXPECT_EQ(response.edns->ecs->scope_prefix_length, probe.return_scope);
+    EXPECT_GT(probe.return_scope, 0);
   }
-  EXPECT_TRUE(hit);
+  EXPECT_GT(hits, 0);
+  EXPECT_LT(hits, 16);
 }
 
-TEST(GoogleDns, RecursiveWireQueryPopulatesCache) {
+TEST(GoogleDns, RecursiveWireQueryResolvesWithoutCaching) {
+  // RD=1 resolves upstream with the client's /24 and answers with the
+  // authoritative's record and scope, but caches nothing: a snoop of the
+  // answer's scope block misses until clients are planted there.
   Fixture f;
-  auto query = dns::make_query(
-      5, f.domain, dns::RecordType::kA, true,
-      dns::EcsOption::for_query(*net::Prefix::parse("100.64.5.0/24")));
-  const auto response =
-      f.gdns->handle(query, {39.0, -77.5}, 2, 1.0, Transport::kUdp);
-  EXPECT_EQ(response.answers.size(), 1u);
-  EXPECT_GE(f.gdns->explicit_entries(), 1u);
+  const net::LatLon source{39.0, -77.5};
+  const net::Prefix slash24 = *net::Prefix::parse("100.64.5.0/24");
+  const auto response = wire_reply(
+      f,
+      dns::make_query(5, f.domain, dns::RecordType::kA, true,
+                      dns::EcsOption::for_query(slash24)),
+      source, 2, 1.0, Transport::kUdp);
+  const auto expected =
+      f.auth.resolve(f.domain, slash24, f.gdns->config().epoch);
+  ASSERT_TRUE(expected.has_value());
+  EXPECT_EQ(response.header.rcode, dns::RCode::kNoError);
+  EXPECT_TRUE(response.header.ra);
+  ASSERT_EQ(response.answers.size(), 1u);
+  EXPECT_EQ(response.answers[0].ttl, expected->ttl);
+  EXPECT_EQ(std::get<dns::AData>(response.answers[0].rdata).address,
+            expected->address);
+  ASSERT_TRUE(response.edns && response.edns->ecs);
+  EXPECT_EQ(response.edns->ecs->scope_prefix_length, expected->scope_length);
+
+  const anycast::PopId pop = f.gdns->pop_for(source, 2);
+  const net::Prefix block = slash24.widen_to(expected->scope_length);
+  const auto snoop_hits = [&](double now) {
+    int hits = 0;
+    for (int attempt = 0; attempt < 8; ++attempt) {
+      hits += f.gdns->probe(pop, f.domain, block, now, Transport::kTcp, 0,
+                            attempt)
+                  .cache_hit;
+    }
+    return hits;
+  };
+  EXPECT_EQ(snoop_hits(2.0), 0);
+  f.planted.plant(pop, f.domain, block, 1.0);
+  EXPECT_GT(snoop_hits(3.0), 0);
 }
 
 TEST(GoogleDns, UpstreamProbeStreamPinned) {
-  // Client fills and snoops over an ECS zone, an ECS-oblivious zone and an
-  // unknown one: every upstream fetch is an RFC 1035 round trip to the
+  // Snoops over an ECS zone, an ECS-oblivious zone and an unknown one,
+  // with clients planted at each known zone's scope block at a low or a
+  // high rate: every upstream fetch is an RFC 1035 round trip to the
   // authoritative. Each probe's outcome is folded into a pinned digest,
   // and every hit must carry the scope the authoritative assigns the
   // client's /24.
@@ -362,11 +411,16 @@ TEST(GoogleDns, UpstreamProbeStreamPinned) {
                                               : f.domain;
     const auto pop = static_cast<anycast::PopId>(rng.below(4));
     const double t = 10.0 + i;
-    f.gdns->client_query(pop, domain, client, t);
+    const net::Prefix slash24 = net::Prefix::slash24_of(client);
+    const auto scope =
+        f.auth.scope_for(domain, slash24, f.gdns->config().epoch);
+    if (scope) {
+      f.planted.plant(pop, domain, slash24.widen_to(*scope),
+                      i % 3 == 0 ? 0.002 : 0.05);
+    }
     for (int attempt = 0; attempt < 6; ++attempt) {
-      const auto query_scope = domain == f.domain
-                                   ? scope_block_for(f, client)
-                                   : net::Prefix::slash24_of(client);
+      const auto query_scope =
+          domain == f.domain ? scope_block_for(f, client) : slash24;
       const auto probe = f.gdns->probe(pop, domain, query_scope, t + 5,
                                        Transport::kTcp, 0, attempt);
       digest = net::stable_seed(digest, probe.cache_hit, probe.return_scope,
@@ -375,27 +429,66 @@ TEST(GoogleDns, UpstreamProbeStreamPinned) {
                                 static_cast<std::uint64_t>(probe.pop));
       if (!probe.cache_hit) continue;
       ++hits;
-      const auto scope = f.auth.scope_for(
-          domain, net::Prefix::slash24_of(client), f.gdns->config().epoch);
       ASSERT_TRUE(scope.has_value()) << "iter " << i;
       EXPECT_EQ(probe.return_scope, *scope) << "iter " << i;
     }
   }
-  EXPECT_EQ(hits, 106);
-  EXPECT_EQ(digest, 17292499017138000010ull);
+  EXPECT_EQ(hits, 105);
+  EXPECT_EQ(digest, 9503693147333419034ull);
 }
 
 TEST(GoogleDns, HandleWireByteIdenticalToStructuredPath) {
   // Two fixtures fed the identical query stream, one through handle_wire,
-  // one through decode → handle → encode: stateful effects (cache fills,
-  // rate limiting) evolve in lockstep, so every response must be
-  // byte-identical. (handle() mutates state, so replaying both entry
-  // points on one instance would double-charge it.)
-  Fixture f, ref;
+  // one through the reference server: the probe state (rate limiting,
+  // the scope memo) evolves in lockstep, so every reply must be the
+  // oracle's bytes. The corner cases come first, for the snooped zone and
+  // the myaddr name, then a random stream. Clients at a flat rate make
+  // about half the snoops hit, and injected faults give SERVFAILs.
+  GoogleDnsConfig config;
+  config.faults.servfail_probability = 0.05;
+  config.faults.timeout_probability = 0.05;
+  Fixture f(0.01, 20, 24, 0.0, config), ref(0.01, 20, 24, 0.0, config);
   dns::WireArena arena;
   const net::LatLon vp_loc{39.0, -77.5};
+  std::map<dns::RCode, int> rcodes;
+  int answered = 0;
+  const auto expect_oracle_bytes = [&](std::span<const std::uint8_t> query,
+                                       double now, Transport transport) {
+    const auto got =
+        f.gdns->handle_wire(query, vp_loc, 7, now, transport, arena, 1);
+    const auto decoded = dns::decode(query);
+    if (!decoded.ok) {
+      EXPECT_TRUE(got.empty());
+      return;
+    }
+    const auto expected = dns::encode(dns_testing::reference_reply(
+        *ref.gdns, ref.auth, decoded.message, vp_loc, 7, now, transport, 1));
+    EXPECT_EQ(expected, std::vector<std::uint8_t>(got.begin(), got.end()));
+    const auto reply = dns::decode(got);
+    ASSERT_TRUE(reply.ok);
+    ++rcodes[reply.message.header.rcode];
+    answered += !reply.message.answers.empty();
+  };
+  double now = 1.0;
+  int k = 0;
+  for (const dns::DnsName& name : {f.domain, GooglePublicDns::myaddr_name()}) {
+    for (const bool rd : {false, true}) {
+      for (const auto& query : dns_testing::corner_case_queries(name, rd)) {
+        expect_oracle_bytes(query, now += 0.001,
+                            k++ % 3 ? Transport::kUdp : Transport::kTcp);
+      }
+    }
+  }
+  // Back-to-back UDP snoops trip the repeated-query limit.
+  for (std::uint16_t id = 0; id < 32; ++id) {
+    expect_oracle_bytes(
+        dns::encode(dns::make_query(id, f.domain, dns::RecordType::kA, false,
+                                    dns::EcsOption::for_query(
+                                        *net::Prefix::parse("10.1.2.0/24")))),
+        now, Transport::kUdp);
+  }
   net::Rng rng(0x77);
-  for (int i = 0; i < 60; ++i) {
+  for (int i = 0; i < 200; ++i) {
     std::optional<dns::EcsOption> ecs;
     if (rng.bernoulli(0.7)) {
       ecs = dns::EcsOption::for_query(
@@ -407,23 +500,21 @@ TEST(GoogleDns, HandleWireByteIdenticalToStructuredPath) {
         myaddr ? GooglePublicDns::myaddr_name() : f.domain,
         myaddr ? dns::RecordType::kTxt : dns::RecordType::kA,
         rng.bernoulli(0.5), ecs);
-    const auto query_wire = dns::encode(query);
-    const double now = 1.0 + i;
     const auto transport = rng.bernoulli(0.5) ? Transport::kUdp
                                               : Transport::kTcp;
-    const auto decoded = dns::decode(query_wire);
-    ASSERT_TRUE(decoded.ok);
-    const auto expected = dns::encode(
-        ref.gdns->handle(decoded.message, vp_loc, 7, now, transport, 1));
-    const auto got = f.gdns->handle_wire(query_wire, vp_loc, 7, now,
-                                         transport, arena, 1);
-    EXPECT_EQ(expected, std::vector<std::uint8_t>(got.begin(), got.end()));
+    expect_oracle_bytes(dns::encode(query), now += 1.0, transport);
   }
+  // Every branch was taken: answers, misses, FORMERR, REFUSED, SERVFAIL.
+  EXPECT_GT(answered, 0);
+  EXPECT_GT(rcodes[dns::RCode::kNoError], answered);
+  EXPECT_GT(rcodes[dns::RCode::kFormErr], 0);
+  EXPECT_GT(rcodes[dns::RCode::kRefused], 0);
+  EXPECT_GT(rcodes[dns::RCode::kServFail], 0);
 }
 
-// One PoP's probe stream: client fills, then UDP probes fast enough to
-// trip the repeated-query limit and TCP probes with scopes discovered one
-// epoch before the probing epoch, so some have drifted.
+// One PoP's probe stream: UDP probes fast enough to trip the
+// repeated-query limit and TCP probes with scopes discovered one epoch
+// before the probing epoch, so some have drifted.
 std::vector<ProbeResult> probe_one_pop(Fixture& f, anycast::PopId pop) {
   std::vector<ProbeResult> results;
   net::Rng rng(net::stable_seed(0xD15C, static_cast<std::uint64_t>(pop)));
@@ -433,7 +524,6 @@ std::vector<ProbeResult> probe_one_pop(Fixture& f, anycast::PopId pop) {
     const net::Prefix query = block.widen_to(*f.auth.scope_for(
         f.domain, block, f.gdns->config().epoch - 1));
     const double t = 10.0 + i * 0.01;
-    if (i % 3 == 0) f.gdns->client_query(pop, f.domain, client, t);
     for (int attempt = 0; attempt < 3; ++attempt) {
       const Transport transport =
           attempt == 0 ? Transport::kUdp : Transport::kTcp;
@@ -496,28 +586,23 @@ TEST(GoogleDns, ConcurrentDistinctPopsMatchSerial) {
       EXPECT_EQ(a.pop, b.pop);
     }
   }
-  EXPECT_EQ(concurrent.gdns->explicit_entries(),
-            serial.gdns->explicit_entries());
 }
 
 TEST(GoogleDns, OutOfRangePopIdIsRejected) {
   // kNoPop is what an all-inactive catchment returns; a RouteBias
   // alternate can hold any id. Either must throw before touching any
-  // state or counter — never alias or invent a PoP's caches.
+  // state or counter — never alias or invent a PoP's state — on every
+  // branch of the wire front end too.
   Fixture f(10.0);
   const anycast::PopId past_end = static_cast<anycast::PopId>(f.pops.size());
   obs::Counter& sent =
       obs::Registry::global().counter("googledns.probe.sent");
-  obs::Counter& client_sent =
-      obs::Registry::global().counter("googledns.client_query.sent");
   const auto sent0 = sent.value();
-  const auto client_sent0 = client_sent.value();
   const net::Ipv4Addr client = *net::Ipv4Addr::parse("100.64.5.9");
+  dns::WireArena arena;
   for (const anycast::PopId pop : {anycast::kNoPop, past_end}) {
     EXPECT_THROW(f.gdns->probe(pop, f.domain, net::Prefix::slash24_of(client),
                                1.0, Transport::kTcp, 0, 0),
-                 std::out_of_range);
-    EXPECT_THROW(f.gdns->client_query(pop, f.domain, client, 1.0),
                  std::out_of_range);
 
     anycast::RouteBias misroute;
@@ -532,22 +617,13 @@ TEST(GoogleDns, OutOfRangePopIdIsRejected) {
     const auto myaddr = dns::make_query(3, GooglePublicDns::myaddr_name(),
                                         dns::RecordType::kTxt, true);
     for (const dns::DnsMessage& query : {snoop, recurse, myaddr}) {
-      EXPECT_THROW(f.gdns->handle(query, {39.0, -77.5}, 7, 1.0,
-                                  Transport::kUdp, 0, misroute),
+      EXPECT_THROW(f.gdns->handle_wire(dns::encode(query), {39.0, -77.5}, 7,
+                                       1.0, Transport::kUdp, arena, 0,
+                                       misroute),
                    std::out_of_range);
     }
   }
   EXPECT_EQ(sent.value(), sent0);
-  EXPECT_EQ(client_sent.value(), client_sent0);
-  EXPECT_EQ(f.gdns->explicit_entries(), 0u);
-}
-
-TEST(GoogleDns, ExplicitEntriesCountsCacheContents) {
-  Fixture f;
-  EXPECT_EQ(f.gdns->explicit_entries(), 0u);
-  f.gdns->client_query(0, f.domain, *net::Ipv4Addr::parse("100.64.5.9"), 1);
-  f.gdns->client_query(0, f.domain, *net::Ipv4Addr::parse("200.1.2.3"), 1);
-  EXPECT_EQ(f.gdns->explicit_entries(), 2u);
 }
 
 }  // namespace

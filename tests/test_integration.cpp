@@ -16,7 +16,7 @@
 #include "core/chromium/chromium.h"
 #include "core/compare/compare.h"
 #include "core/datasets/datasets.h"
-#include "dns/wire.h"
+#include "dns_testing.h"
 #include "roots/corpus.h"
 #include "roots/root_server.h"
 #include "scan_testing.h"
@@ -198,12 +198,25 @@ TEST(EndToEnd, ResolverCentricDatasetsAgree) {
 }
 
 TEST(EndToEnd, WirePacketFlowThroughFullStack) {
-  // A miniature packet-level run: a client populates the cache through the
-  // recursive front end, a prober discovers its PoP via myaddr and snoops
-  // it — all via encoded/decoded DNS messages.
+  // A miniature packet-level run: a client resolves through the recursive
+  // front end, a prober discovers its PoP via myaddr and snoops the
+  // client's scope block there, where clients are planted — all as wire
+  // packets written and read by the oracle codec.
   const sim::World& world = study().world;
+  dns_testing::PlantedActivity planted;
   auto gdns = std::make_unique<googledns::GooglePublicDns>(
-      &world.pops(), &world.catchment(), &world.authoritative());
+      &world.pops(), &world.catchment(), &world.authoritative(),
+      googledns::GoogleDnsConfig{}, &planted);
+  dns::WireArena arena;
+  const auto exchange = [&](const dns::DnsMessage& query, net::LatLon source,
+                            std::uint64_t route_key, net::SimTime now,
+                            googledns::Transport transport, int vp_id) {
+    const auto decoded = dns::decode(gdns->handle_wire(
+        dns::encode(query), source, route_key, now, transport, arena,
+        vp_id));
+    EXPECT_TRUE(decoded.ok) << decoded.error;
+    return decoded.message;
+  };
 
   // Pick a real client block.
   const sim::Slash24Block* block = nullptr;
@@ -218,61 +231,41 @@ TEST(EndToEnd, WirePacketFlowThroughFullStack) {
   const auto& domain = world.domains()[0].name;
 
   // 1. Client resolves through Google Public DNS (RD=1).
-  {
-    auto query = dns::make_query(1, domain, dns::RecordType::kA, true,
-                                 dns::EcsOption::for_query(
-                                     net::Prefix::slash24_of(client)));
-    const auto decoded = dns::decode(dns::encode(query));
-    ASSERT_TRUE(decoded.ok);
-    const auto response =
-        gdns->handle(decoded.message, block->location, block->index, 100.0,
-                     googledns::Transport::kUdp);
-    ASSERT_EQ(response.answers.size(), 1u);
-  }
+  const auto resolved = exchange(
+      dns::make_query(1, domain, dns::RecordType::kA, true,
+                      dns::EcsOption::for_query(
+                          net::Prefix::slash24_of(client))),
+      block->location, block->index, 100.0, googledns::Transport::kUdp, 0);
+  ASSERT_EQ(resolved.answers.size(), 1u);
 
   // 2. Prober finds the client's PoP with a myaddr query from the client's
   // own location (we cheat the VP location to guarantee the same PoP).
-  const auto myaddr_query = dns::make_query(
-      2, googledns::GooglePublicDns::myaddr_name(), dns::RecordType::kTxt,
-      true);
-  const auto myaddr = gdns->handle(myaddr_query, block->location,
-                                   block->index, 101.0,
-                                   googledns::Transport::kUdp);
+  const auto myaddr = exchange(
+      dns::make_query(2, googledns::GooglePublicDns::myaddr_name(),
+                      dns::RecordType::kTxt, true),
+      block->location, block->index, 101.0, googledns::Transport::kUdp, 0);
   ASSERT_EQ(myaddr.answers.size(), 1u);
+  const anycast::PopId pop = gdns->pop_for(block->location, block->index);
+  EXPECT_EQ(std::get<dns::TxtData>(myaddr.answers[0].rdata).text,
+            world.pops().site(pop).city);
 
-  // 3. RD=0 ECS snoop for the client's scope block hits.
+  // 3. RD=0 ECS snoop for the client's scope block hits once its clients
+  // are active at that PoP.
   const auto scope = world.authoritative().scope_for(
       domain, net::Prefix::slash24_of(client), gdns->config().epoch);
   ASSERT_TRUE(scope.has_value());
+  const net::Prefix scope_block =
+      net::Prefix::slash24_of(client).widen_to(*scope);
+  planted.plant(pop, domain, scope_block, 1.0);
   bool hit = false;
   for (std::uint16_t id = 0; id < 16 && !hit; ++id) {
-    auto probe = dns::make_query(
-        id, domain, dns::RecordType::kA, false,
-        dns::EcsOption::for_query(
-            net::Prefix::slash24_of(client).widen_to(*scope)));
-    const auto decoded = dns::decode(dns::encode(probe));
-    ASSERT_TRUE(decoded.ok);
-    const auto response =
-        gdns->handle(decoded.message, block->location, block->index, 102.0,
-                     googledns::Transport::kTcp, 1);
+    const auto response = exchange(
+        dns::make_query(id, domain, dns::RecordType::kA, false,
+                        dns::EcsOption::for_query(scope_block)),
+        block->location, block->index, 102.0, googledns::Transport::kTcp, 1);
     hit = !response.answers.empty();
   }
   EXPECT_TRUE(hit);
-}
-
-TEST(EndToEnd, RootServerWirePathCapturesChromiumProbe) {
-  roots::RootSystem roots = roots::RootSystem::ditl_2020(3);
-  auto& j_root = roots.root('j');
-  const auto probe = dns::make_query(
-      7, *dns::DnsName::parse("qxrwmzkpvt"), dns::RecordType::kA, false);
-  const auto decoded = dns::decode(dns::encode(probe));
-  ASSERT_TRUE(decoded.ok);
-  const auto response = j_root.handle(decoded.message,
-                                      *net::Ipv4Addr::parse("10.0.0.53"),
-                                      12.0);
-  EXPECT_EQ(response.header.rcode, dns::RCode::kNxDomain);
-  ASSERT_EQ(j_root.trace().size(), 1u);
-  EXPECT_TRUE(core::matches_chromium_signature(j_root.trace()[0].qname));
 }
 
 }  // namespace

@@ -1,12 +1,13 @@
 // Tests for the packet-level message bus: delivery ordering, latency,
-// UDP truncation + TCP retry, and a full DNS request/response exchange
-// between bus endpoints using the wire codec.
+// UDP truncation + TCP retry, and full DNS request/response exchanges
+// between bus endpoints, checked with the structured codec in
+// dns_testing.h.
 
 #include <gtest/gtest.h>
 
 #include "anycast/catchment.h"
 #include "anycast/pop.h"
-#include "dns/wire.h"
+#include "dns_testing.h"
 #include "dnssrv/authoritative.h"
 #include "googledns/google_dns.h"
 #include "netsim/bus.h"
@@ -127,11 +128,12 @@ TEST(Bus, FullDnsExchangeWithTcpFallback) {
   zone.name = *dns::DnsName::parse("www.example.com");
   auth.add_zone(zone);
 
+  dns::WireArena arena;
   bus.attach(kServer, [&](const Datagram& d, net::SimTime now) {
-    const auto query = dns::decode(d.payload);
-    if (!query.ok) return;
-    bus.send(kServer, d.src, d.proto,
-             dns::encode(auth.handle(query.message)), now, 0.02);
+    const auto reply = auth.handle_wire(d.payload, 0, arena);
+    if (reply.empty()) return;
+    bus.send(kServer, d.src, d.proto, {reply.begin(), reply.end()}, now,
+             0.02);
   });
 
   int answers_received = 0;
@@ -157,8 +159,8 @@ TEST(Bus, FullDnsExchangeWithTcpFallback) {
 
 TEST(DnsEndpoint, AuthoritativeRepliesMatchTheCodecOnBus) {
   // The endpoint answers straight from wire bytes; each reply datagram
-  // must be the bytes the codec gives for the same query: decode, handle,
-  // encode.
+  // must be the bytes the oracle gives for the same query: decode, the
+  // reference server, encode.
   dnssrv::AuthoritativeServer auth;
   dnssrv::ZoneConfig zone;
   zone.name = *dns::DnsName::parse("www.example.com");
@@ -185,8 +187,8 @@ TEST(DnsEndpoint, AuthoritativeRepliesMatchTheCodecOnBus) {
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const auto query = dns::decode(queries[i]);
     ASSERT_TRUE(query.ok);
-    EXPECT_EQ(replies[i],
-              dns::encode(auth.handle(query.message, options.epoch)))
+    EXPECT_EQ(replies[i], dns::encode(dns_testing::reference_reply(
+                              auth, query.message, options.epoch)))
         << "query " << i;
     const auto reply = dns::decode(replies[i]);
     ASSERT_TRUE(reply.ok);
@@ -197,7 +199,8 @@ TEST(DnsEndpoint, AuthoritativeRepliesMatchTheCodecOnBus) {
 
 TEST(DnsEndpoint, GoogleEndpointAnswersSnoopTraffic) {
   // End-to-end over the bus against the wire-mode Google front end: an
-  // RD=1 client fill followed by RD=0 ECS snoops must eventually hit.
+  // RD=1 client query is answered, and RD=0 ECS snoops of the scope block
+  // where clients are planted at the endpoint's PoP must eventually hit.
   anycast::PopTable pops = anycast::PopTable::google_default();
   anycast::CatchmentModel catchment(&pops, 42);
   dnssrv::AuthoritativeServer auth;
@@ -206,7 +209,8 @@ TEST(DnsEndpoint, GoogleEndpointAnswersSnoopTraffic) {
   zone.min_scope = 20;
   zone.max_scope = 24;
   auth.add_zone(zone);
-  googledns::GooglePublicDns gdns(&pops, &catchment, &auth);
+  dns_testing::PlantedActivity planted;
+  googledns::GooglePublicDns gdns(&pops, &catchment, &auth, {}, &planted);
 
   MessageBus bus;
   const auto google = *net::Ipv4Addr::parse("8.8.8.8");
@@ -216,12 +220,12 @@ TEST(DnsEndpoint, GoogleEndpointAnswersSnoopTraffic) {
 
   const auto domain = *dns::DnsName::parse("www.example.com");
   const auto client = *net::Ipv4Addr::parse("100.64.5.9");
-  int snoop_hits = 0;
+  int recursive_answers = 0, snoop_hits = 0;
   bus.attach(kClient, [&](const Datagram& d, net::SimTime) {
     const auto response = dns::decode(d.payload);
     ASSERT_TRUE(response.ok);
-    if (response.message.header.rd) return;  // echo of the fill query
-    if (!response.message.answers.empty()) ++snoop_hits;
+    const int answers = static_cast<int>(response.message.answers.size());
+    (response.message.header.rd ? recursive_answers : snoop_hits) += answers;
   });
   bus.send(kClient, google, Proto::kUdp,
            dns::encode(dns::make_query(
@@ -231,6 +235,8 @@ TEST(DnsEndpoint, GoogleEndpointAnswersSnoopTraffic) {
   const auto scope =
       *auth.scope_for(domain, net::Prefix::slash24_of(client),
                       gdns.config().epoch);
+  planted.plant(gdns.pop_for(opts.locate(kClient), kClient.value()), domain,
+                net::Prefix::slash24_of(client).widen_to(scope), 1.0);
   for (std::uint16_t attempt = 0; attempt < 16; ++attempt) {
     bus.send(kClient, google, Proto::kTcp,
              dns::encode(dns::make_query(
@@ -241,6 +247,7 @@ TEST(DnsEndpoint, GoogleEndpointAnswersSnoopTraffic) {
              1.0 + attempt * 0.1, 0.01);
   }
   bus.run_until(10.0);
+  EXPECT_EQ(recursive_answers, 1);
   EXPECT_GT(snoop_hits, 0);
 }
 

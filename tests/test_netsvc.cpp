@@ -38,7 +38,7 @@
 #include "core/scenario/scenario.h"
 #include "core/serve/service.h"
 #include "core/snapshot/snapshot.h"
-#include "dns/wire.h"
+#include "dns_testing.h"
 #include "net/rng.h"
 #include "netsim/bus.h"
 #include "netsim/fault.h"

@@ -1,7 +1,7 @@
 // Packet-framed (NCP1) trace suite (labels: determinism, tsan): the
 // capture-shaped sibling of test_trace_view. write_packet_trace must
 // round-trip records through real RFC 1035 packets (byte for byte the
-// codec's encoding of each record's query), the framing cursor
+// oracle codec's encoding of each record's query), the framing cursor
 // must skip-and-count damaged tails exactly like the NCD1 cursor, and the
 // corpus scan of an NCP1 file — which pays a full zero-copy wire parse per
 // packet inside the parallel scan — must produce byte-identical results to
@@ -19,6 +19,7 @@
 
 #include "core/chromium/chromium.h"
 #include "dns/packet.h"
+#include "dns_testing.h"
 #include "net/rng.h"
 #include "roots/corpus.h"
 #include "roots/packet_trace.h"
@@ -241,9 +242,10 @@ TEST(PacketTrace, FuzzedFramesNeverCrash) {
 }
 
 TEST(PacketTrace, FrameMatchesEncodedQuery) {
-  // TraceImage writes each NCP1 query in place rather than through the
-  // codec. Every frame must still hold, byte for byte, the query the codec
-  // encodes for the same id, name and type, and parse as one. The names
+  // TraceImage writes each NCP1 query in place with dns::write_query.
+  // Every frame must hold, byte for byte, the query the oracle codec
+  // (dns_testing.h) encodes for the same id, name and type, and parse as
+  // one. The names
   // span one and several labels, a 63-octet label and a 255-octet name;
   // past 65,536 records the 16-bit id wraps.
   const std::string label63(63, 'x');

@@ -1,6 +1,5 @@
-// Tests for the root-server system: DITL capture policies, trace file
-// round trips, NXDOMAIN/referral behaviour, anonymization, and letter
-// selection.
+// Tests for the root-server system: the letters and the usable DITL
+// captures, letter selection, and trace file round trips.
 
 #include <gtest/gtest.h>
 
@@ -29,72 +28,6 @@ TEST(RootSystem, UsableLettersAreTheSixCompleteOnes) {
   const auto letters = system.usable_ditl_letters();
   const std::set<char> usable(letters.begin(), letters.end());
   EXPECT_EQ(usable, (std::set<char>{'a', 'd', 'h', 'j', 'k', 'm'}));
-}
-
-TEST(RootServer, JunkGetsNxdomainTldGetsReferral) {
-  RootSystem system = RootSystem::ditl_2020(2);
-  RootServer& root = system.root('j');
-  const auto junk = dns::make_query(1, *dns::DnsName::parse("sdhfjssf"),
-                                    dns::RecordType::kA, false);
-  EXPECT_EQ(root.handle(junk, net::Ipv4Addr(1), 0.0).header.rcode,
-            dns::RCode::kNxDomain);
-  const auto legit = dns::make_query(
-      2, *dns::DnsName::parse("www.example.com"), dns::RecordType::kA,
-      false);
-  const auto response = root.handle(legit, net::Ipv4Addr(1), 0.0);
-  EXPECT_EQ(response.header.rcode, dns::RCode::kNoError);
-  EXPECT_EQ(response.authorities.size(), 1u);
-}
-
-TEST(RootServer, ObserveCapturesSource) {
-  RootSystem system = RootSystem::ditl_2020(3);
-  RootServer& root = system.root('k');
-  root.observe(*net::Ipv4Addr::parse("9.9.9.9"),
-               *dns::DnsName::parse("abcdefgh"), dns::RecordType::kA, 5.0);
-  ASSERT_EQ(root.trace().size(), 1u);
-  EXPECT_EQ(root.trace()[0].source.to_string(), "9.9.9.9");
-  EXPECT_EQ(root.trace()[0].root_letter, 'k');
-  EXPECT_EQ(root.trace()[0].timestamp, 5.0);
-}
-
-TEST(RootServer, AnonymizedRootHidesSourceButKeepsConsistency) {
-  RootSystem system = RootSystem::ditl_2020(4);
-  RootServer& root = system.root('b');  // anonymized in our 2020 model
-  ASSERT_TRUE(root.config().anonymized);
-  const auto source = *net::Ipv4Addr::parse("9.9.9.9");
-  root.observe(source, *dns::DnsName::parse("abcdefgh"),
-               dns::RecordType::kA, 1.0);
-  root.observe(source, *dns::DnsName::parse("zzzzzzzz"),
-               dns::RecordType::kA, 2.0);
-  ASSERT_EQ(root.trace().size(), 2u);
-  EXPECT_NE(root.trace()[0].source, source);
-  // Prefix-preserving-style anonymization: same source maps consistently.
-  EXPECT_EQ(root.trace()[0].source, root.trace()[1].source);
-}
-
-TEST(RootServer, PartialRootCapturesFraction) {
-  RootSystem system = RootSystem::ditl_2020(5);
-  RootServer& root = system.root('c');  // partial captures
-  ASSERT_FALSE(root.config().complete);
-  for (int i = 0; i < 2000; ++i) {
-    root.observe(net::Ipv4Addr(static_cast<std::uint32_t>(i)),
-                 *dns::DnsName::parse("abcdefgh"), dns::RecordType::kA, i);
-  }
-  const double fraction = root.trace().size() / 2000.0;
-  EXPECT_NEAR(fraction, root.config().capture_fraction, 0.05);
-}
-
-TEST(RootSystem, DitlTraceOnlyFromUsableLetters) {
-  RootSystem system = RootSystem::ditl_2020(6);
-  system.root('j').observe(net::Ipv4Addr(1),
-                           *dns::DnsName::parse("aaaaaaaa"),
-                           dns::RecordType::kA, 0);
-  system.root('b').observe(net::Ipv4Addr(2),
-                           *dns::DnsName::parse("bbbbbbbb"),
-                           dns::RecordType::kA, 0);
-  const auto trace = system.ditl_trace();
-  ASSERT_EQ(trace.size(), 1u);
-  EXPECT_EQ(trace[0].root_letter, 'j');
 }
 
 TEST(RootSystem, PickLetterStablePerResolverAndSpread) {
