@@ -1,10 +1,10 @@
 // Microbenchmarks (google-benchmark) for the hot data structures under
 // the measurement pipelines: prefix-trie longest-prefix match, the DNS
 // wire path (the in-place query writer and MessageView::parse), anycast
-// catchment scoring, the count-min sketch, the campaign's probe path (a
-// warm Google-DNS probe and an event-engine batch drain), and the DITL
-// capture's per-record kernels (name parsing, CRC-32, corpus encoding). Each
-// case's real time per iteration is also exported as the gauge
+// catchment scoring, the campaign's probe path (a warm Google-DNS probe and
+// an event-engine batch drain), and the DITL capture's per-record kernels
+// (name parsing, CRC-32, corpus encoding). Each case's real time per
+// iteration is also exported as the gauge
 // `bench.micro.ns_per_op.<case>` (a `/` in the case name becomes `.`).
 
 #include <benchmark/benchmark.h>
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "anycast/catchment.h"
-#include "core/chromium/sketch.h"
 #include "core/engine/engine.h"
 #include "core/obs/export.h"
 #include "core/obs/obs.h"
@@ -93,17 +92,6 @@ void BM_CatchmentScore(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CatchmentScore);
-
-void BM_SketchAddEstimate(benchmark::State& state) {
-  core::CountMinSketch sketch(1 << 20, 4, 5);
-  net::Rng rng(4);
-  for (auto _ : state) {
-    const std::uint64_t key = rng();
-    sketch.add(key);
-    benchmark::DoNotOptimize(sketch.estimate(key));
-  }
-}
-BENCHMARK(BM_SketchAddEstimate);
 
 /// A flat client-activity rate, so probes exercise the analytic
 /// occupancy draw the campaign pays for.

@@ -1,11 +1,12 @@
 #include "core/chromium/chromium.h"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <utility>
+#include <vector>
 
 #include "core/chromium/count_table.h"
-#include "core/chromium/sketch.h"
 #include "core/exec/exec.h"
 #include "core/exec/steal.h"
 #include "core/obs/obs.h"
@@ -99,15 +100,67 @@ std::uint32_t effective_threshold(const ChromiumOptions& options) {
              options.daily_collision_threshold * options.sample_rate)));
 }
 
-constexpr std::size_t kPrefetchAhead = 8;
+/// A match key's 32-bit fingerprint. Equal keys have equal fingerprints,
+/// so a key never occurs more often than its fingerprint does.
+std::uint32_t fingerprint(std::uint64_t key) {
+  return static_cast<std::uint32_t>(key >> 32);
+}
 
-/// Per-chunk pass-2 partial: a flat open-addressing count table plus
-/// integer tallies. Integer sums, so any canonical-order merge of partials
-/// is thread-count independent.
-struct ChunkPartial {
-  ScanCountTable counts;
-  std::uint64_t matches = 0;
-  std::uint64_t rejected = 0;
+/// Fingerprint ranges (by top byte) the count phase fans out over.
+constexpr std::size_t kFingerprintRanges = 256;
+
+/// Sorts fingerprints ascending: an LSD radix sort over the four bytes,
+/// with every byte's histogram taken in one pass up front. A byte all
+/// values share (a count range's top byte) costs no pass.
+void sort_fingerprints(std::vector<std::uint32_t>& values) {
+  if (values.empty()) return;
+  std::array<std::array<std::size_t, 256>, 4> offsets{};
+  for (const std::uint32_t v : values) {
+    for (int b = 0; b < 4; ++b) ++offsets[b][(v >> (8 * b)) & 0xFF];
+  }
+  std::vector<std::uint32_t> scratch(values.size());
+  for (int b = 0; b < 4; ++b) {
+    std::array<std::size_t, 256>& offset = offsets[b];
+    if (offset[(values[0] >> (8 * b)) & 0xFF] == values.size()) continue;
+    std::size_t next = 0;
+    for (std::size_t& slot : offset) next += std::exchange(slot, next);
+    for (const std::uint32_t v : values) {
+      scratch[offset[(v >> (8 * b)) & 0xFF]++] = v;
+    }
+    values.swap(scratch);
+  }
+}
+
+/// The repeated fingerprints, sorted, behind a bitmap over their top
+/// bits. A clear bit proves a fingerprint absent in one cache-resident
+/// probe; only a set bit (at most 1 in 16 of the bitmap) pays the binary
+/// search that makes the answer exact.
+class FingerprintSet {
+ public:
+  explicit FingerprintSet(std::vector<std::uint32_t> sorted)
+      : sorted_(std::move(sorted)) {
+    int bits = 6;
+    while (bits < 26 && (std::size_t{1} << bits) < 16 * sorted_.size()) {
+      ++bits;
+    }
+    shift_ = 32 - bits;
+    bitmap_.assign((std::size_t{1} << bits) / 64, 0);
+    for (const std::uint32_t fp : sorted_) {
+      const std::uint32_t slot = fp >> shift_;
+      bitmap_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+    }
+  }
+
+  bool contains(std::uint32_t fp) const {
+    const std::uint32_t slot = fp >> shift_;
+    if (((bitmap_[slot >> 6] >> (slot & 63)) & 1) == 0) return false;
+    return std::binary_search(sorted_.begin(), sorted_.end(), fp);
+  }
+
+ private:
+  std::vector<std::uint32_t> sorted_;
+  std::vector<std::uint64_t> bitmap_;
+  int shift_ = 0;
 };
 
 /// Record-aligned partition of one view: a serial boundary walk validates
@@ -135,108 +188,81 @@ std::vector<exec::RecordChunk> partition_view(const ViewT& view,
   return chunker.finish(cursor.offset());
 }
 
-/// Pass-1 kernel for one chunk: decode, collect match keys into a flat
-/// buffer (one allocation per chunk), then scatter the buffer into the
-/// shared sketch. Two loops, not one fused loop: at DITL match rates the
-/// sketch's random row accesses dominate the scan, and the tight scatter
-/// loop lets the core overlap those misses across iterations — fusing the
-/// decode into the same loop measurably serializes them. A short prefetch
-/// distance covers hardware where the hint helps; reordering is
-/// irrelevant either way (commutative adds). `serial` skips the atomic
-/// RMW when the whole scan runs inline on one thread.
-template <typename RefT, typename ViewT>
-void pass1_chunk(const ViewT& view, const exec::RecordChunk& chunk,
-                 CountMinSketch& sketch, bool serial) {
+/// The decode loop both passes share: calls fn(key, source) for every
+/// signature match of one chunk, in record order.
+template <typename RefT, typename ViewT, typename Fn>
+void scan_chunk(const ViewT& view, const exec::RecordChunk& chunk, Fn& fn) {
   typename ViewT::Cursor cursor = view.cursor_at(chunk.begin,
                                                  chunk.first_record);
   RefT ref;
-  std::vector<std::uint64_t> keys;
-  keys.reserve(static_cast<std::size_t>(chunk.records));
   for (std::uint64_t r = 0; r < chunk.records; ++r) {
     if (!cursor.next(&ref)) break;  // unreachable: chunk pre-validated
     std::string_view label;
     if (single_label_of(ref, &label) &&
         matches_chromium_signature_bytes(label)) {
-      keys.push_back(name_day_key(label, ref.timestamp()));
-    }
-  }
-  for (std::size_t j = 0; j < keys.size(); ++j) {
-    if (j + kPrefetchAhead < keys.size()) {
-      sketch.prefetch(keys[j + kPrefetchAhead]);
-    }
-    if (serial) {
-      sketch.add_serial(keys[j]);
-    } else {
-      sketch.add(keys[j]);
+      fn(name_day_key(label, ref.timestamp()), ref.source().value());
     }
   }
 }
 
-/// Pass-2 kernel for one chunk: attribute surviving matches to their
-/// resolver. Same two-loop shape as pass 1 (sketch estimates only read
-/// here); the returned partial is merged by the caller in canonical chunk
-/// order.
-template <typename RefT, typename ViewT>
-ChunkPartial pass2_chunk(const ViewT& view, const exec::RecordChunk& chunk,
-                         const CountMinSketch& sketch,
-                         std::uint32_t threshold) {
-  ChunkPartial partial;
-  typename ViewT::Cursor cursor = view.cursor_at(chunk.begin,
-                                                 chunk.first_record);
-  RefT ref;
-  struct Match {
-    std::uint64_t key;
-    std::uint32_t source;
-  };
-  std::vector<Match> matches;
-  matches.reserve(static_cast<std::size_t>(chunk.records));
-  for (std::uint64_t r = 0; r < chunk.records; ++r) {
-    if (!cursor.next(&ref)) break;  // unreachable, as above
-    std::string_view label;
-    if (single_label_of(ref, &label) &&
-        matches_chromium_signature_bytes(label)) {
-      matches.push_back(
-          Match{name_day_key(label, ref.timestamp()), ref.source().value()});
-    }
+template <typename Fn>
+void for_each_match(const roots::CorpusView::Member& member,
+                    const exec::RecordChunk& chunk, Fn&& fn) {
+  if (member.trace) {
+    scan_chunk<roots::TraceRecordRef>(*member.trace, chunk, fn);
+  } else {
+    scan_chunk<roots::PacketRecordRef>(*member.packets, chunk, fn);
   }
-  partial.matches = matches.size();
-  for (std::size_t j = 0; j < matches.size(); ++j) {
-    if (j + kPrefetchAhead < matches.size()) {
-      sketch.prefetch(matches[j + kPrefetchAhead].key);
-    }
-    if (sketch.below(matches[j].key, threshold)) {
-      partial.counts.add(matches[j].source);
-    } else {
-      ++partial.rejected;
-    }
-  }
-  return partial;
 }
 
-/// Folds canonically-ordered pass-2 partials into the result and applies
-/// the 1/sample_rate scaling once: integer sums, then one multiply, so
-/// results are byte-identical at any thread count.
-void merge_partials(const std::vector<ChunkPartial>& partials,
-                    double sample_rate, ChromiumResult* result) {
+/// A match whose fingerprint is repeated: its key decides at the merge.
+struct Candidate {
+  std::uint64_t key = 0;
+  std::uint32_t source = 0;
+};
+
+/// Per-chunk pass-2 partial: sources of the matches already proven below
+/// the threshold, in a flat open-addressing count table, plus the
+/// chunk's candidates in record order.
+struct ChunkPartial {
+  ScanCountTable counts;
+  std::vector<Candidate> candidates;
+  std::uint64_t matches = 0;
+};
+
+/// Folds canonically-ordered pass-2 partials into the result and returns
+/// the number of candidates. Every occurrence of a candidate's key is a
+/// candidate, so counting the candidates' keys counts them exactly.
+/// Integer sums, then one multiply by 1/sample_rate: byte-identical at any
+/// thread count.
+std::uint64_t merge_partials(const std::vector<ChunkPartial>& partials,
+                             std::uint32_t threshold, double sample_rate,
+                             ChromiumResult* result) {
+  std::unordered_map<std::uint64_t, std::uint32_t> key_counts;
+  std::uint64_t candidates = 0;
+  for (const ChunkPartial& partial : partials) {
+    for (const Candidate& c : partial.candidates) ++key_counts[c.key];
+    candidates += partial.candidates.size();
+  }
   std::unordered_map<std::uint32_t, std::uint64_t> counts;
   for (const ChunkPartial& partial : partials) {
     result->signature_matches += partial.matches;
-    result->rejected_collisions += partial.rejected;
     partial.counts.for_each([&](std::uint32_t source, std::uint64_t count) {
       counts[source] += count;
     });
+    for (const Candidate& c : partial.candidates) {
+      if (key_counts[c.key] < threshold) {
+        ++counts[c.source];
+      } else {
+        ++result->rejected_collisions;
+      }
+    }
   }
   const double scale = 1.0 / sample_rate;
   for (const auto& [source, count] : counts) {
     result->probes_by_resolver[source] = static_cast<double>(count) * scale;
   }
-}
-
-/// True when the scan's shard loops run inline on one thread, so the
-/// sketch scatter can skip the atomic RMW (a full fence per add on x86) —
-/// same cells, same values, fraction of the cost.
-bool serial_scan(const ChromiumOptions& options) {
-  return (options.threads > 0 ? options.threads : exec::thread_count()) <= 1;
+  return candidates;
 }
 
 }  // namespace
@@ -293,31 +319,64 @@ ChromiumResult ChromiumCounter::process_corpus(
   // Members the manifest promised but the open skipped entirely.
   result.records_skipped += corpus.stats().records_skipped;
 
-  // Pass 1: one shared sketch across all files — commutative atomic adds,
-  // so steal order (and the member split) is invisible.
-  CountMinSketch sketch(options_.sketch_width, options_.sketch_depth,
-                        options_.seed);
-  const bool serial = serial_scan(options_);
+  // Pass 1: each task's match fingerprints, sorted into a run.
+  std::vector<std::vector<std::uint32_t>> runs;
   exec::StealTelemetry pass1_telemetry;
   {
-    obs::StageSpan span("chromium.scan.pass1_sketch");
-    exec::steal_map(
+    obs::StageSpan span("chromium.scan.pass1_fingerprints");
+    runs = exec::steal_map(
         tasks.size(), options_.threads,
         [&](std::size_t t) {
-          const CorpusTask& task = tasks[t];
-          if (members[task.member].trace) {
-            pass1_chunk<roots::TraceRecordRef>(*members[task.member].trace,
-                                               task.chunk, sketch, serial);
-          } else {
-            pass1_chunk<roots::PacketRecordRef>(*members[task.member].packets,
-                                                task.chunk, sketch, serial);
-          }
-          return 0;
+          std::vector<std::uint32_t> run;
+          run.reserve(static_cast<std::size_t>(tasks[t].chunk.records));
+          for_each_match(members[tasks[t].member], tasks[t].chunk,
+                         [&](std::uint64_t key, std::uint32_t) {
+                           run.push_back(fingerprint(key));
+                         });
+          sort_fingerprints(run);
+          return run;
         },
         &pass1_telemetry);
   }
 
-  // Pass 2: per-task partials, returned by task index (canonical order)
+  // Count: one shard per fingerprint range gathers its slice of every
+  // run and keeps the fingerprints seen at least `threshold` times. The
+  // ranges are disjoint and ascending, so their concatenation is sorted.
+  std::vector<std::uint32_t> repeated;
+  {
+    obs::StageSpan span("chromium.scan.count");
+    const auto per_range = exec::parallel_map(
+        kFingerprintRanges, options_.threads, [&](std::size_t r) {
+          const auto lo = static_cast<std::uint32_t>(r << 24);
+          std::vector<std::uint32_t> slice;
+          for (const std::vector<std::uint32_t>& run : runs) {
+            const auto first = std::lower_bound(run.begin(), run.end(), lo);
+            const auto last =
+                r + 1 == kFingerprintRanges
+                    ? run.end()
+                    : std::lower_bound(first, run.end(), lo + (1u << 24));
+            slice.insert(slice.end(), first, last);
+          }
+          sort_fingerprints(slice);
+          std::vector<std::uint32_t> kept;
+          for (std::size_t i = 0; i < slice.size();) {
+            std::size_t j = i + 1;
+            while (j < slice.size() && slice[j] == slice[i]) ++j;
+            if (j - i >= threshold) kept.push_back(slice[i]);
+            i = j;
+          }
+          return kept;
+        });
+    runs = {};
+    for (const std::vector<std::uint32_t>& kept : per_range) {
+      repeated.insert(repeated.end(), kept.begin(), kept.end());
+    }
+  }
+  const FingerprintSet repeated_set(std::move(repeated));
+
+  // Pass 2: a match whose fingerprint is not repeated is below the
+  // threshold and counts for its source now; the rest become candidates.
+  // Per-task partials come back by task index (canonical order)
   // regardless of who executed them.
   std::vector<ChunkPartial> partials;
   exec::StealTelemetry pass2_telemetry;
@@ -326,17 +385,23 @@ ChromiumResult ChromiumCounter::process_corpus(
     partials = exec::steal_map(
         tasks.size(), options_.threads,
         [&](std::size_t t) {
-          const CorpusTask& task = tasks[t];
-          if (members[task.member].trace) {
-            return pass2_chunk<roots::TraceRecordRef>(
-                *members[task.member].trace, task.chunk, sketch, threshold);
-          }
-          return pass2_chunk<roots::PacketRecordRef>(
-              *members[task.member].packets, task.chunk, sketch, threshold);
+          ChunkPartial partial;
+          for_each_match(
+              members[tasks[t].member], tasks[t].chunk,
+              [&](std::uint64_t key, std::uint32_t source) {
+                ++partial.matches;
+                if (repeated_set.contains(fingerprint(key))) {
+                  partial.candidates.push_back(Candidate{key, source});
+                } else {
+                  partial.counts.add(source);
+                }
+              });
+          return partial;
         },
         &pass2_telemetry);
   }
-  merge_partials(partials, options_.sample_rate, &result);
+  const std::uint64_t candidates =
+      merge_partials(partials, threshold, options_.sample_rate, &result);
 
   if (telemetry) {
     telemetry->tasks = pass1_telemetry.tasks + pass2_telemetry.tasks;
@@ -353,12 +418,13 @@ ChromiumResult ChromiumCounter::process_corpus(
   registry.counter("chromium.records_scanned").add(result.records_scanned);
   registry.counter("chromium.signature_matches")
       .add(result.signature_matches);
-  registry.counter("chromium.sketch.rejected_collisions")
+  registry.counter("chromium.rejected_collisions")
       .add(result.rejected_collisions);
   registry.gauge("chromium.resolvers")
       .set(static_cast<double>(result.probes_by_resolver.size()));
   registry.counter("chromium.scan.records").add(result.records_scanned);
   registry.counter("chromium.scan.chunks").add(tasks.size());
+  registry.counter("chromium.scan.candidates").add(candidates);
   registry.counter("chromium.scan.bytes").add(corpus.payload_bytes());
   registry.counter("chromium.scan.files").add(corpus.stats().members_opened);
   if (result.records_skipped > 0) {

@@ -45,9 +45,8 @@ struct ChromiumOptions {
   /// back by 1/sample_rate, and the collision threshold scales with it
   /// (a name sampled k times at rate s was queried ~k/s times in full).
   double sample_rate = 1.0;
-  double trace_days = 2.0;
-  std::size_t sketch_width = 1 << 22;
-  int sketch_depth = 4;
+  /// No longer affects anything: the scan counts names exactly and draws
+  /// no randomness. Kept only because perfbench still sets it.
   std::uint64_t seed = 0xC520;
 
   /// Parallelism degree for the chunked trace scan. 0 = exec::thread_count()
@@ -82,13 +81,19 @@ struct ChromiumResult {
 /// DITL-scale traces cannot be materialized, so the counter scans a
 /// `roots::CorpusView` in place: the capture files a DITL collection
 /// arrives as, each mapped zero-copy. A lone trace file is a one-member
-/// corpus. Pass 1 builds a per-(name, day) frequency sketch; pass 2
-/// attributes each surviving signature match to its source address.
+/// corpus. Each match's (name, day) key is counted exactly, in 4 bytes
+/// per match: pass 1 sorts each chunk's 32-bit key fingerprints, a count
+/// phase keeps the fingerprints seen at least the threshold times, and
+/// pass 2 attributes every other match to its source address. The few
+/// matches with a repeated fingerprint are candidates whose full keys are
+/// counted at the merge; a key never occurs more often than its
+/// fingerprint, so the result is exact.
 ///
 /// Both passes shard the corpus into fixed-size record chunks processed in
-/// parallel: pass 1 scatters into the shared sketch with commutative
-/// atomic increments, pass 2 accumulates per-chunk integer partials merged
-/// in chunk order — so counts are identical for every thread count.
+/// parallel, and the count into fixed fingerprint ranges; every step is a
+/// sort or an integer sum over per-shard results merged in shard order,
+/// with no shared mutable state — so counts are identical for every
+/// thread count.
 class ChromiumCounter {
  public:
   explicit ChromiumCounter(ChromiumOptions options = {})

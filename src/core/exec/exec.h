@@ -13,8 +13,7 @@
 //  * Any randomness a shard needs comes from `shard_seed(seed, shard_id)`
 //    — a stable hash of the logical shard, never of thread identity.
 //  * Shared accumulators are either commutative over integers (atomic
-//    counter increments, count-min sketch cells) or per-shard partials
-//    merged in shard order.
+//    counter increments) or per-shard partials merged in shard order.
 //
 // `REPRO_THREADS` (env) selects the parallelism degree; `1` forces the
 // serial path (the shard loop runs inline on the calling thread, visiting

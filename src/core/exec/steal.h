@@ -13,8 +13,8 @@
 // Determinism: execution order is intentionally racy (who steals what
 // depends on timing), and that is fine *because nothing observable depends
 // on it*. Each task writes only results[i]; shared accumulators a task
-// touches must be commutative (atomic integer adds, sketch cells), exactly
-// the parallel_map rules. The caller merges results in task-index order,
+// touches must be commutative (atomic integer adds), exactly the
+// parallel_map rules. The caller merges results in task-index order,
 // so `ChromiumResult` and friends stay byte-identical at any REPRO_THREADS
 // and any steal interleaving.
 //

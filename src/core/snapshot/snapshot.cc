@@ -779,9 +779,6 @@ std::uint64_t options_digest(const ChromiumOptions& options) {
   auto mix_u = [&](std::uint64_t v) { h = net::hash_combine(h, v); };
   mix_u(options.daily_collision_threshold);
   mix_f(options.sample_rate);
-  mix_f(options.trace_days);
-  mix_u(options.sketch_width);
-  mix_u(static_cast<std::uint64_t>(options.sketch_depth));
   return h;
 }
 

@@ -107,7 +107,10 @@ std::optional<CorpusManifest> CorpusManifest::decode(std::string_view text) {
       fields.push_back(line.substr(field_pos, tab - field_pos));
       field_pos = tab + 1;
     }
-    if (fields.size() != 5 || fields[0].empty()) return std::nullopt;
+    // Exactly five fields: text after the fifth is damage, not a comment.
+    if (fields.size() != 5 || field_pos <= line.size() || fields[0].empty()) {
+      return std::nullopt;
+    }
     CorpusMember member;
     member.file = std::string(fields[0]);
     const auto format = parse_format(fields[1]);

@@ -1,5 +1,6 @@
 #include "roots/file_bytes.h"
 
+#include <filesystem>
 #include <fstream>
 
 #include "core/obs/obs.h"
@@ -17,6 +18,10 @@ namespace netclients::roots {
 std::optional<FileBytes> FileBytes::open(const std::string& path,
                                          Backing backing,
                                          std::size_t min_mmap_size) {
+  // Only a regular file has a length to read: a directory's end offset
+  // would size the slurp below at exabytes, and a FIFO would block it.
+  std::error_code ec;
+  if (!std::filesystem::is_regular_file(path, ec)) return std::nullopt;
   FileBytes bytes;
 #ifdef NETCLIENTS_TRACE_MMAP
   if (backing != Backing::kBuffer) {

@@ -27,8 +27,9 @@ class FileBytes {
 
   /// Opens `path`. mmap is attempted only for files of at least
   /// `min_mmap_size` bytes (zero-length mappings are invalid); smaller
-  /// files fall through to the buffer path. Returns nullopt when the file
-  /// cannot be opened/read, or when `backing` is kMmap and mapping failed.
+  /// files fall through to the buffer path. Returns nullopt when `path` is
+  /// not a regular file or cannot be opened/read, or when `backing` is
+  /// kMmap and mapping failed.
   static std::optional<FileBytes> open(const std::string& path,
                                        Backing backing,
                                        std::size_t min_mmap_size = 1);

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "core/chromium/chromium.h"
-#include "core/chromium/sketch.h"
 #include "net/crc32.h"
 #include "net/rng.h"
 #include "net/sim_time.h"
@@ -33,11 +32,12 @@
 namespace netclients::core::scan_testing {
 
 /// The Chromium scan from its definitions (§3.2.1), serially: a record
-/// matches when `matches_chromium_signature` accepts its qname; its sketch
-/// key is the (canonical, lowercased) label's hash combined with its day;
-/// a match is a collision when the sketch counts its key at least
-/// max(2, round(daily_collision_threshold × sample_rate)) times; surviving
-/// matches are counted per source and scaled by 1/sample_rate.
+/// matches when `matches_chromium_signature` accepts its qname; its key is
+/// the (canonical, lowercased) label's hash combined with its day; a match
+/// is a collision when its key occurs at least
+/// max(2, round(daily_collision_threshold × sample_rate)) times in the
+/// records, counted exactly; surviving matches are counted per source and
+/// scaled by 1/sample_rate.
 inline ChromiumResult reference_scan(
     const ChromiumOptions& options,
     const std::vector<roots::TraceRecord>& records) {
@@ -49,10 +49,9 @@ inline ChromiumResult reference_scan(
   const std::uint32_t threshold = std::max<std::uint32_t>(
       2, static_cast<std::uint32_t>(std::lround(
              options.daily_collision_threshold * options.sample_rate)));
-  CountMinSketch sketch(options.sketch_width, options.sketch_depth,
-                        options.seed);
+  std::unordered_map<std::uint64_t, std::uint32_t> key_counts;
   for (const roots::TraceRecord& rec : records) {
-    if (matches_chromium_signature(rec.qname)) sketch.add(key(rec));
+    if (matches_chromium_signature(rec.qname)) ++key_counts[key(rec)];
   }
   ChromiumResult result;
   std::unordered_map<std::uint32_t, std::uint64_t> counts;
@@ -60,7 +59,7 @@ inline ChromiumResult reference_scan(
     ++result.records_scanned;
     if (!matches_chromium_signature(rec.qname)) continue;
     ++result.signature_matches;
-    if (sketch.estimate(key(rec)) >= threshold) {
+    if (key_counts.at(key(rec)) >= threshold) {
       ++result.rejected_collisions;
     } else {
       ++counts[rec.source.value()];

@@ -1,18 +1,16 @@
 // Tests for the DNS-logs (Chromium-counting) pipeline: signature matching,
-// the count-min sketch, collision filtering, sampling-aware counting, and
-// accuracy against planted ground truth.
+// exact collision filtering (fingerprint collisions included),
+// sampling-aware counting, and accuracy against planted ground truth.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <filesystem>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/chromium/chromium.h"
-#include "core/chromium/sketch.h"
-#include "net/rng.h"
+#include "core/obs/obs.h"
 #include "roots/corpus.h"
 #include "roots/root_server.h"
 #include "roots/trace.h"
@@ -55,58 +53,6 @@ INSTANTIATE_TEST_SUITE_P(
                       SignatureCase{"abc1defg", false},      // digit
                       SignatureCase{"abc-defg", false}));    // hyphen
 
-// ------------------------------------------------------------------ sketch
-
-TEST(Sketch, NeverUnderestimates) {
-  CountMinSketch sketch(1 << 10, 4, 1);
-  net::Rng rng(1);
-  std::unordered_map<std::uint64_t, std::uint32_t> truth;
-  for (int i = 0; i < 5000; ++i) {
-    const std::uint64_t key = rng.below(800);
-    sketch.add(key);
-    ++truth[key];
-  }
-  for (const auto& [key, count] : truth) {
-    EXPECT_GE(sketch.estimate(key), count);
-  }
-}
-
-TEST(Sketch, AccurateWhenUnderLoaded) {
-  CountMinSketch sketch(1 << 16, 4, 2);
-  for (std::uint64_t key = 0; key < 100; ++key) {
-    for (std::uint64_t i = 0; i <= key % 5; ++i) sketch.add(key * 7919);
-  }
-  for (std::uint64_t key = 0; key < 100; ++key) {
-    EXPECT_EQ(sketch.estimate(key * 7919), key % 5 + 1);
-  }
-}
-
-TEST(Sketch, ClearResets) {
-  CountMinSketch sketch(1 << 8, 2, 3);
-  sketch.add(42, 10);
-  EXPECT_GE(sketch.estimate(42), 10u);
-  sketch.clear();
-  EXPECT_EQ(sketch.estimate(42), 0u);
-}
-
-TEST(Sketch, RejectsSizesItCannotHold) {
-  // Width 0 used to mask every key to an out-of-bounds cell; depth 0 made
-  // every estimate UINT32_MAX; a negative depth wrapped to a huge row count.
-  EXPECT_THROW(CountMinSketch(0, 4, 1), std::invalid_argument);
-  EXPECT_THROW(CountMinSketch(1 << 8, 0, 1), std::invalid_argument);
-  EXPECT_THROW(CountMinSketch(1 << 8, -1, 1), std::invalid_argument);
-  const CountMinSketch smallest(1, 1, 1);
-  EXPECT_EQ(smallest.memory_bytes(), sizeof(std::uint32_t));
-  EXPECT_EQ(smallest.estimate(42), 0u);
-}
-
-TEST(Sketch, MemoryBytesIsWidthTimesDepthCells) {
-  const CountMinSketch pow2(1 << 10, 4, 1);
-  EXPECT_EQ(pow2.memory_bytes(), (std::size_t{1} << 10) * 4 * 4);
-  const CountMinSketch odd(1000, 3, 1);  // modulo slot fallback
-  EXPECT_EQ(odd.memory_bytes(), std::size_t{1000} * 3 * 4);
-}
-
 // ----------------------------------------------------------------- counter
 
 roots::TraceRecord record(std::uint32_t source, const char* qname,
@@ -142,24 +88,6 @@ TEST(Counter, CountsUniqueSignatureNamesPerSource) {
   EXPECT_DOUBLE_EQ(result.probes_by_resolver.at(0x0A000002), 1.0);
   scan_testing::expect_identical(result,
                                  scan_testing::reference_scan({}, trace));
-}
-
-TEST(Counter, RejectsUnusableSketchOptions) {
-  // A zero-width sketch used to crash the scan; a zero-depth one silently
-  // rejected every match as a collision. Both now fail loudly up front.
-  const std::string manifest = scan_testing::write_test_corpus(
-      "chromium_bad_sketch", {record(0x0A000001, "qwertzuiop", 10)});
-  const auto corpus = roots::CorpusView::open(manifest);
-  ASSERT_TRUE(corpus.has_value());
-  ChromiumOptions zero_width;
-  zero_width.sketch_width = 0;
-  EXPECT_THROW(ChromiumCounter(zero_width).process_corpus(*corpus),
-               std::invalid_argument);
-  ChromiumOptions zero_depth;
-  zero_depth.sketch_depth = 0;
-  EXPECT_THROW(ChromiumCounter(zero_depth).process_corpus(*corpus),
-               std::invalid_argument);
-  scan_testing::remove_corpus(manifest);
 }
 
 TEST(Counter, CollisionThresholdRejectsRepeatedNames) {
@@ -294,21 +222,34 @@ TEST(Counter, CorruptTailIsSkippedAndCounted) {
   std::filesystem::remove(path);
 }
 
+// The pinned corpus: a 1/8192 world's DITL capture sampled at 1/4,
+// generated once for the cases below.
+constexpr double kPinnedSampleRate = 1.0 / 4;
+
+const std::vector<roots::TraceRecord>& pinned_trace() {
+  static const auto* trace = [] {
+    sim::WorldConfig config;
+    config.scale = 1.0 / 8192;
+    const sim::World world = sim::World::generate(config);
+    const roots::RootSystem roots = roots::RootSystem::ditl_2020(config.seed);
+    sim::DitlOptions ditl;
+    ditl.sample_rate = kPinnedSampleRate;
+    auto* records = new std::vector<roots::TraceRecord>;
+    sim::generate_ditl(world, roots, ditl,
+                       [&](const roots::TraceRecord& rec) {
+                         records->push_back(rec);
+                       });
+    return records;
+  }();
+  return *trace;
+}
+
 TEST(Counter, CorpusScanResultPinned) {
   // The parity suites compare the scan against scan_testing's reference;
   // a bug both share would pass them all, so the totals are also pinned,
   // for every format, member count and thread count. A change that moves
   // them changes scan results and must say so.
-  sim::WorldConfig config;
-  config.scale = 1.0 / 8192;
-  const sim::World world = sim::World::generate(config);
-  const roots::RootSystem roots = roots::RootSystem::ditl_2020(config.seed);
-  sim::DitlOptions ditl;
-  ditl.sample_rate = 1.0 / 4;
-  std::vector<roots::TraceRecord> trace;
-  sim::generate_ditl(world, roots, ditl, [&](const roots::TraceRecord& rec) {
-    trace.push_back(rec);
-  });
+  const auto& trace = pinned_trace();
   for (const auto format :
        {roots::CorpusFormat::kNcd1, roots::CorpusFormat::kNcp1}) {
     for (const std::size_t files : {std::size_t{1}, std::size_t{3}}) {
@@ -317,7 +258,7 @@ TEST(Counter, CorpusScanResultPinned) {
                      " files=" + std::to_string(files) +
                      " threads=" + std::to_string(threads));
         ChromiumOptions options;
-        options.sample_rate = ditl.sample_rate;
+        options.sample_rate = kPinnedSampleRate;
         options.threads = threads;
         const ChromiumResult result = scan_testing::scan_as_corpus(
             options, trace, "chromium_pinned", files, format);
@@ -327,14 +268,37 @@ TEST(Counter, CorpusScanResultPinned) {
         }
         EXPECT_EQ(result.records_scanned, 665998u);
         EXPECT_EQ(result.signature_matches, 639664u);
-        EXPECT_EQ(result.rejected_collisions, 62433u);
+        EXPECT_EQ(result.rejected_collisions, 62275u);
         EXPECT_EQ(result.probes_by_resolver.size(), 150u);
-        // 4 × (639664 − 62433) surviving matches: integer-valued, so the
+        // 4 × (639664 − 62275) surviving matches: integer-valued, so the
         // sum is exact in any order.
-        EXPECT_EQ(probes, 2308924.0);
+        EXPECT_EQ(probes, 2309556.0);
         EXPECT_EQ(result.records_skipped, 0u);
       }
     }
+  }
+}
+
+TEST(Counter, FingerprintCollisionsAreResolvedExactly) {
+  // Pass 1 counts 32-bit fingerprints of the 64-bit (name, day) keys. The
+  // pinned corpus's ~600K distinct keys put a few dozen pairs of them on
+  // one fingerprint, so more matches become candidates than the threshold
+  // rejects, and the merge must tell them apart by their full keys.
+  const auto& trace = pinned_trace();
+  ChromiumOptions options;
+  options.sample_rate = kPinnedSampleRate;
+  const ChromiumResult want = scan_testing::reference_scan(options, trace);
+  const obs::Counter& candidates =
+      obs::Registry::global().counter("chromium.scan.candidates");
+  for (const int threads : {1, 4}) {
+    options.threads = threads;
+    const std::uint64_t before = candidates.value();
+    const ChromiumResult got = scan_testing::scan_as_corpus(
+        options, trace, "chromium_fingerprints");
+    EXPECT_GT(candidates.value() - before, got.rejected_collisions)
+        << "threads=" << threads;
+    scan_testing::expect_identical(got, want,
+                                   "threads=" + std::to_string(threads));
   }
 }
 

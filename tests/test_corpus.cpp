@@ -15,6 +15,7 @@
 #include <fstream>
 #include <iterator>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "core/exec/exec.h"
 #include "core/exec/steal.h"
 #include "net/crc32.h"
+#include "net/rng.h"
 #include "roots/corpus.h"
 #include "roots/root_server.h"
 #include "roots/trace.h"
@@ -200,6 +202,9 @@ TEST(CorpusManifest, RejectsDamage) {
   EXPECT_FALSE(roots::CorpusManifest::decode(
                    "NCCORPUS v1\nfile.ncd1\tncd1\tten\t20\t00000000\n")
                    .has_value());  // non-numeric
+  EXPECT_FALSE(roots::CorpusManifest::decode(
+                   "NCCORPUS v1\nfile.ncd1\tncd1\t10\t20\t00000000\t\n")
+                   .has_value());  // a sixth field
 }
 
 TEST(CorpusManifest, WriteReportsAFullDisk) {
@@ -329,26 +334,148 @@ TEST(Corpus, WriteCorpusSplitsNearEqually) {
   }
 }
 
+/// One seeded manifest mutant: one to three edits, each a bit flip, a
+/// truncation, a tab inserted or deleted, or a digit run rewritten.
+std::string mutate_manifest(std::string text, net::Rng& rng) {
+  static const char* const kNumbers[] = {
+      "",   "0",  "1",    "007",        "4294967296", "18446744073709551615",
+      "-1", "+5", "0x10", "ffffffff",   "FFFFFFFF",   "18446744073709551616"};
+  const std::uint64_t edits = 1 + rng.below(3);
+  for (std::uint64_t e = 0; e < edits; ++e) {
+    switch (rng.below(4)) {
+      case 0:
+        if (!text.empty()) {
+          text[rng.below(text.size())] ^=
+              static_cast<char>(1u << rng.below(8));
+        }
+        break;
+      case 1:
+        text.resize(rng.below(text.size() + 1));
+        break;
+      case 2: {
+        const std::size_t at = rng.below(text.size() + 1);
+        const std::size_t tab = text.find('\t', at);
+        if (tab == std::string::npos || rng.below(2) == 0) {
+          text.insert(at, 1, '\t');
+        } else {
+          text.erase(tab, 1);
+        }
+        break;
+      }
+      default: {
+        const std::size_t at =
+            text.find_first_of("0123456789", rng.below(text.size() + 1));
+        if (at == std::string::npos) break;
+        const std::size_t end = text.find_first_not_of("0123456789", at);
+        text.replace(at, end == std::string::npos ? end : end - at,
+                     kNumbers[rng.below(std::size(kNumbers))]);
+        break;
+      }
+    }
+  }
+  return text;
+}
+
+TEST(CorpusManifest, SeededMutantsRejectOrRoundTripAndOpenTolerantly) {
+  // `CorpusView::open` trusts what `CorpusManifest::decode` accepts, so
+  // every mutant of a valid manifest must decode to nullopt or to rows
+  // that survive encode → decode unchanged, and opening and scanning an
+  // accepted one must skip and count its unreadable members, never throw.
+  const auto& f = fixture();
+  ASSERT_GE(f.records.size(), 64u);
+  const std::vector<roots::TraceRecord> records(f.records.begin(),
+                                                f.records.begin() + 64);
+  ASSERT_TRUE(roots::write_corpus("corpus_mutant_ncd1.manifest", records, 3,
+                                  roots::CorpusFormat::kNcd1));
+  ASSERT_TRUE(roots::write_corpus("corpus_mutant_ncp1.manifest", records, 2,
+                                  roots::CorpusFormat::kNcp1));
+  const auto ncd1 = roots::CorpusManifest::read("corpus_mutant_ncd1.manifest");
+  const auto ncp1 = roots::CorpusManifest::read("corpus_mutant_ncp1.manifest");
+  ASSERT_TRUE(ncd1.has_value() && ncp1.has_value());
+  // A third seed mixes both formats with rows open must skip: a
+  // directory, a missing file, and an NCD1 member declared as NCP1.
+  roots::CorpusManifest mixed;
+  mixed.members = {ncd1->members[0], ncp1->members[1],
+                   {".", roots::CorpusFormat::kNcd1, 7, 4096, 0},
+                   {"corpus_mutant_missing.ncd1", roots::CorpusFormat::kNcd1,
+                    5, 100, 0xFFFFFFFF},
+                   ncd1->members[1]};
+  mixed.members.back().format = roots::CorpusFormat::kNcp1;
+  const std::vector<std::string> seeds = {ncd1->encode(), ncp1->encode(),
+                                          mixed.encode()};
+
+  const std::string path = "corpus_mutant.manifest";
+  net::Rng rng(20211102);
+  int accepted = 0;
+  int rejected = 0;
+  for (const std::string& seed : seeds) {
+    for (int i = 0; i < 400; ++i) {
+      const std::string mutant = i == 0 ? seed : mutate_manifest(seed, rng);
+      SCOPED_TRACE(mutant);
+      const auto decoded = roots::CorpusManifest::decode(mutant);
+      if (!decoded) {
+        ++rejected;
+        continue;
+      }
+      ++accepted;
+      const auto again = roots::CorpusManifest::decode(decoded->encode());
+      ASSERT_TRUE(again.has_value());
+      EXPECT_EQ(again->members, decoded->members);
+
+      ASSERT_TRUE(roots::write_file(path, mutant));
+      std::optional<roots::CorpusView> view;
+      EXPECT_NO_THROW(view = roots::CorpusView::open(path));
+      ASSERT_TRUE(view.has_value());
+      const auto& stats = view->stats();
+      ASSERT_EQ(view->members().size(), decoded->members.size());
+      EXPECT_EQ(stats.members_opened + stats.members_skipped,
+                decoded->members.size());
+      std::uint64_t declared_by_skipped = 0;
+      for (const auto& member : view->members()) {
+        if (!member.readable()) declared_by_skipped += member.meta.records;
+      }
+      EXPECT_EQ(stats.records_skipped, declared_by_skipped);
+      ChromiumResult result;
+      EXPECT_NO_THROW(
+          result = ChromiumCounter(scan_options(1)).process_corpus(*view));
+      EXPECT_EQ(result.records_scanned + result.records_skipped,
+                view->declared_records() + stats.records_skipped);
+    }
+  }
+  // Both outcomes occur, or the mutants are not reaching the parser.
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 100);
+  std::filesystem::remove(path);
+  scan_testing::remove_corpus("corpus_mutant_ncd1.manifest");
+  scan_testing::remove_corpus("corpus_mutant_ncp1.manifest");
+}
+
 TEST(Corpus, ParityAcrossThreadsAndSplits) {
   const auto& f = fixture();
-  // Different member splits of the same records must all scan to the
-  // reference, at every thread count — the partition invariance the
-  // work-stealing merge order guarantees.
-  for (const std::size_t files : {std::size_t{1}, std::size_t{3},
-                                  std::size_t{4}}) {
-    const std::string manifest_path =
-        "corpus_parity_" + std::to_string(files) + ".manifest";
-    ASSERT_TRUE(roots::write_corpus(manifest_path, f.records, files));
-    const auto corpus = roots::CorpusView::open(manifest_path);
-    ASSERT_TRUE(corpus.has_value());
-    ASSERT_EQ(corpus->stats().members_skipped, 0u);
-    for (const int threads : {1, 2, 8}) {
-      const auto result =
-          ChromiumCounter(scan_options(threads)).process_corpus(*corpus);
-      expect_identical(result, f.reference,
-                       ("files=" + std::to_string(files) +
-                        " threads=" + std::to_string(threads))
-                           .c_str());
+  // Different member splits of the same records, in either format, must
+  // all scan to the reference at every thread count — the partition
+  // invariance the work-stealing merge order guarantees.
+  for (const auto format :
+       {roots::CorpusFormat::kNcd1, roots::CorpusFormat::kNcp1}) {
+    for (const std::size_t files : {std::size_t{1}, std::size_t{3},
+                                    std::size_t{4}}) {
+      const std::string what =
+          std::string(roots::corpus_format_name(format)) +
+          " files=" + std::to_string(files);
+      const std::string manifest_path =
+          "corpus_parity_" + std::to_string(files) + ".manifest";
+      ASSERT_TRUE(
+          roots::write_corpus(manifest_path, f.records, files, format));
+      const auto corpus = roots::CorpusView::open(manifest_path);
+      ASSERT_TRUE(corpus.has_value());
+      ASSERT_EQ(corpus->stats().members_skipped, 0u);
+      for (const int threads : {1, 2, 8}) {
+        const auto result =
+            ChromiumCounter(scan_options(threads)).process_corpus(*corpus);
+        expect_identical(result, f.reference,
+                         what + " threads=" + std::to_string(threads));
+      }
+      scan_testing::remove_corpus(manifest_path);
     }
   }
 }

@@ -253,7 +253,7 @@ TEST(ByteMatcher, UppercaseRawBytesCountLikeTheirCanonicalForm) {
   // Hand-craft a trace whose raw label bytes are mixed-case — DnsName
   // never writes these, but the format doesn't forbid them, and the
   // materializing reader lowercases on read. The scan must agree with the
-  // reference over the lowercased records, including the sketch keys
+  // reference over the lowercased records, including the match keys
   // (same name, different casing, same day must collide with itself).
   const std::string path = "trace_view_case.bin";
   std::vector<std::uint8_t> bytes = {'N', 'C', 'D', '1'};
