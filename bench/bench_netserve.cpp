@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "common.h"
+#include "core/scenario/scenario.h"
 #include "core/serve/service.h"
 #include "net/rng.h"
 #include "netsim/bus.h"

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common.h"
+#include "core/scenario/scenario.h"
 #include "core/serve/service.h"
 #include "core/serve/workload.h"
 #include "core/snapshot/snapshot.h"

@@ -10,7 +10,6 @@
 #include <cstring>
 #include <optional>
 #include <string>
-#include <utility>
 
 #include "core/obs/export.h"
 #include "apnic/apnic.h"
@@ -18,9 +17,6 @@
 #include "core/compare/compare.h"
 #include "core/report/report.h"
 #include "core/scenario/scenario.h"
-#include "roots/corpus.h"
-#include "roots/root_server.h"
-#include "sim/ditl.h"
 
 using namespace netclients;
 
@@ -39,30 +35,11 @@ int main(int argc, char** argv) {
   const auto probing_as = core::to_as_dataset(
       "cache probing", probing.to_prefix_dataset("p"), world);
 
-  const roots::RootSystem roots =
-      roots::RootSystem::ditl_2020(world.config().seed);
   // The sampled DITL capture, written as a corpus of NCD1 files (the
   // shape a DITL collection arrives in), scanned in place, and removed.
-  sim::DitlOptions ditl;
-  ditl.sample_rate = 1.0 / 64;
   const std::string manifest = "country_report_ditl.manifest";
-  roots::CorpusWriter writer(
-      manifest, {roots::CorpusFormat::kNcd1, std::uint64_t{1} << 18});
-  sim::generate_ditl(world, roots, ditl,
-                     [&](const roots::TraceRecord& rec) { writer.add(rec); });
-  std::optional<core::ChromiumResult> chromium;
-  if (writer.finish()) {
-    if (const auto corpus = roots::CorpusView::open(manifest)) {
-      core::ChromiumOptions chromium_options;
-      chromium_options.sample_rate = ditl.sample_rate;
-      chromium =
-          core::ChromiumCounter(chromium_options).process_corpus(*corpus);
-    }
-  }
-  for (const auto& member : writer.manifest().members) {
-    std::remove(member.file.c_str());
-  }
-  std::remove(manifest.c_str());
+  const std::optional<core::ChromiumResult> chromium =
+      scenario.dns_logs(1.0 / 64, manifest);
   if (!chromium) {
     std::fprintf(stderr, "cannot write or read back %s\n", manifest.c_str());
     return 1;

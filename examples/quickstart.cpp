@@ -9,7 +9,6 @@
 #include <cstdlib>
 #include <optional>
 #include <string>
-#include <utility>
 
 #include "core/obs/export.h"
 #include "apnic/apnic.h"
@@ -18,9 +17,6 @@
 #include "core/compare/compare.h"
 #include "core/report/report.h"
 #include "core/scenario/scenario.h"
-#include "roots/corpus.h"
-#include "roots/root_server.h"
-#include "sim/ditl.h"
 
 using namespace netclients;
 
@@ -51,32 +47,14 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(probing.slash24_lower_bound()),
       static_cast<unsigned long long>(probing.slash24_upper_bound()));
 
-  // 3. Technique 2 — Chromium probes in root DITL traces.
-  const roots::RootSystem root_system =
-      roots::RootSystem::ditl_2020(world.config().seed);
-  sim::DitlOptions ditl;
-  // DITL is captured with uniform sampling (the pipeline scales counts
-  // back up); see DESIGN.md on laptop-scale trace handling. The capture is
-  // written as a corpus of NCD1 files, the shape a DITL collection
-  // arrives in, scanned in place, and removed.
-  ditl.sample_rate = 1.0 / 64;
+  // 3. Technique 2 — Chromium probes in root DITL traces. DITL is
+  // captured with uniform sampling (the pipeline scales counts back up);
+  // see DESIGN.md on laptop-scale trace handling. The capture is written
+  // as a corpus of NCD1 files, the shape a DITL collection arrives in,
+  // scanned in place, and removed.
   const std::string manifest = "quickstart_ditl.manifest";
-  roots::CorpusWriter writer(
-      manifest, {roots::CorpusFormat::kNcd1, std::uint64_t{1} << 18});
-  sim::generate_ditl(world, root_system, ditl,
-                     [&](const roots::TraceRecord& rec) { writer.add(rec); });
-  std::optional<core::ChromiumResult> scanned;
-  if (writer.finish()) {
-    if (const auto corpus = roots::CorpusView::open(manifest)) {
-      core::ChromiumOptions chromium_options;
-      chromium_options.sample_rate = ditl.sample_rate;
-      scanned = core::ChromiumCounter(chromium_options).process_corpus(*corpus);
-    }
-  }
-  for (const auto& member : writer.manifest().members) {
-    std::remove(member.file.c_str());
-  }
-  std::remove(manifest.c_str());
+  const std::optional<core::ChromiumResult> scanned =
+      scenario.dns_logs(1.0 / 64, manifest);
   if (!scanned) {
     std::fprintf(stderr, "cannot write or read back %s\n", manifest.c_str());
     return 1;

@@ -1,9 +1,13 @@
 #include "core/scenario/scenario.h"
 
 #include <algorithm>
+#include <filesystem>
 
 #include "anycast/vantage.h"
 #include "net/rng.h"
+#include "roots/corpus.h"
+#include "roots/root_server.h"
+#include "sim/ditl.h"
 
 namespace netclients::core {
 
@@ -52,6 +56,35 @@ std::unique_ptr<serve::Service> Scenario::serve_epochs(
   return service;
 }
 
+std::optional<ChromiumResult> Scenario::dns_logs(
+    double sample_rate, const std::string& manifest) const {
+  const roots::RootSystem root_system =
+      roots::RootSystem::ditl_2020(world().config().seed);
+  sim::DitlOptions ditl;
+  ditl.sample_rate = sample_rate;
+  roots::CorpusWriter writer(
+      manifest, {roots::CorpusFormat::kNcd1, std::uint64_t{1} << 18});
+  sim::generate_ditl(world(), root_system, ditl,
+                     [&](const roots::TraceRecord& rec) { writer.add(rec); });
+  std::optional<ChromiumResult> result;
+  if (writer.finish()) {
+    const auto corpus = roots::CorpusView::open(manifest);
+    if (corpus && corpus->stats().members_skipped == 0) {
+      ChromiumOptions chromium;
+      chromium.sample_rate = sample_rate;
+      chromium.threads = options.threads;
+      result = ChromiumCounter(chromium).process_corpus(*corpus);
+    }
+  }
+  const std::filesystem::path dir =
+      std::filesystem::path(manifest).parent_path();
+  for (const roots::CorpusMember& member : writer.manifest().members) {
+    std::filesystem::remove(dir / member.file);
+  }
+  std::filesystem::remove(manifest);
+  return result;
+}
+
 Scenario ScenarioBuilder::build() const {
   Scenario scenario;
   sim::WorldConfig config = config_;
@@ -62,9 +95,7 @@ Scenario ScenarioBuilder::build() const {
   if (auth_faults_) {
     world.authoritative_mutable().set_faults(*auth_faults_);
   }
-  if (with_activity_) {
-    scenario.activity = std::make_unique<sim::WorldActivityModel>(&world);
-  }
+  scenario.activity = std::make_unique<sim::WorldActivityModel>(&world);
   scenario.google_dns = std::make_unique<googledns::GooglePublicDns>(
       &world.pops(), &world.catchment(), &world.authoritative(),
       google_config_, scenario.activity.get());

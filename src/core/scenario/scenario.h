@@ -2,15 +2,17 @@
 
 // One-stop wiring of a measurement scenario: the synthetic world plus the
 // substrate a campaign probes (activity model, Google Public DNS front
-// end, probe environment). bench/common.cc and every example used to
-// duplicate this fifteen-line block; the builder owns it once, with
-// paper-parameter defaults.
+// end, probe environment), owned once by ScenarioBuilder with paper-parameter
+// defaults, and the DNS-logs crawl over that world (Scenario::dns_logs)
+// that the benches, the examples and the end-to-end tests share.
 
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 
 #include "core/cacheprobe/cacheprobe.h"
+#include "core/chromium/chromium.h"
 #include "core/serve/service.h"
 #include "core/snapshot/snapshot.h"
 #include "dnssrv/authoritative.h"
@@ -62,6 +64,15 @@ struct Scenario {
   /// configures the tier (shard count, epoch window, instrumentation).
   std::unique_ptr<serve::Service> serve_epochs(
       int epochs = 0, serve::ServiceOptions options = {}) const;
+
+  /// The DNS-logs technique over this world: generates the sampled DITL
+  /// capture (RootSystem::ditl_2020 of the world seed) into an NCD1
+  /// corpus at `manifest`, the shape a DITL collection arrives in (a new
+  /// member every 2^18 records), scans it at `options.threads`, and
+  /// removes every member and the manifest. Returns nullopt when the
+  /// corpus cannot be written or a member is skipped.
+  std::optional<ChromiumResult> dns_logs(double sample_rate,
+                                         const std::string& manifest) const;
 };
 
 /// Fluent assembly of a Scenario. Defaults are the paper's parameters at
@@ -97,11 +108,6 @@ class ScenarioBuilder {
     auth_faults_ = faults;
     return *this;
   }
-  /// Skip the analytic activity model (explicit-cache-only scenarios).
-  ScenarioBuilder& without_activity_model() {
-    with_activity_ = false;
-    return *this;
-  }
   /// Default campaign-epoch count for Scenario::run_epochs.
   ScenarioBuilder& epochs(int count) {
     epochs_ = count;
@@ -117,7 +123,6 @@ class ScenarioBuilder {
   CacheProbeOptions options_{};
   googledns::GoogleDnsConfig google_config_{};
   std::optional<dnssrv::UpstreamFaults> auth_faults_;
-  bool with_activity_ = true;
   int threads_ = -1;  // < 0: leave options.threads as given
   int epochs_ = 1;
 };

@@ -42,7 +42,7 @@ struct WorldConfig {
   /// Relative amplitude of the human diurnal cycle: client query rates
   /// swing by ±amplitude around the mean, peaking in the local evening.
   /// Bots are flat. Defaults to 0 (stationary) — the §6 temporal-signal
-  /// experiments (bench_diurnal) turn it on explicitly.
+  /// experiments (`bench_paper diurnal`) turn it on explicitly.
   double diurnal_amplitude = 0.0;
   double diurnal_peak_local_hour = 20.0;
 

@@ -332,6 +332,7 @@ TEST(Corpus, WriteCorpusSplitsNearEqually) {
     EXPECT_NEAR(static_cast<double>(member.records),
                 static_cast<double>(per), 1.0);
   }
+  scan_testing::remove_corpus(manifest_path);
 }
 
 /// One seeded manifest mutant: one to three edits, each a bit flip, a
@@ -494,6 +495,7 @@ TEST(Corpus, ParityWithSmallChunksForcesManyTasks) {
   // Tiny chunks: the task count must reflect the partition, not the
   // worker count (both passes run the same task set).
   EXPECT_GE(telemetry.tasks, 2 * f.records.size() / 64);
+  scan_testing::remove_corpus(manifest_path);
 }
 
 TEST(Corpus, EmptyMemberInMultiFileSet) {
@@ -523,6 +525,7 @@ TEST(Corpus, EmptyMemberInMultiFileSet) {
         ChromiumCounter(scan_options(threads)).process_corpus(*corpus);
     expect_identical(result, f.reference, "empty middle member");
   }
+  scan_testing::remove_corpus("corpus_empty.manifest");
 }
 
 TEST(Corpus, MissingMemberIsSkippedAndCounted) {
@@ -546,6 +549,7 @@ TEST(Corpus, MissingMemberIsSkippedAndCounted) {
   EXPECT_EQ(result.records_skipped, manifest->members[1].records);
   EXPECT_EQ(result.records_scanned,
             f.records.size() - manifest->members[1].records);
+  scan_testing::remove_corpus(manifest_path);
 }
 
 TEST(Corpus, CrcVerificationCatchesCorruption) {
@@ -575,6 +579,7 @@ TEST(Corpus, CrcVerificationCatchesCorruption) {
   EXPECT_EQ(checked->stats().crc_mismatches, 1u);
   EXPECT_EQ(checked->stats().members_skipped, 1u);
   EXPECT_EQ(checked->stats().members_opened, 1u);
+  scan_testing::remove_corpus(manifest_path);
 }
 
 TEST(Corpus, MixedFormatMembersScanIdentically) {
@@ -614,6 +619,11 @@ TEST(Corpus, MixedFormatMembersScanIdentically) {
     const auto result =
         ChromiumCounter(scan_options(threads)).process_corpus(*corpus);
     expect_identical(result, f.reference, "mixed ncd1+ncp1");
+  }
+  for (const char* manifest :
+       {"corpus_mixed.manifest", "corpus_mixed_a.manifest",
+        "corpus_mixed_b.manifest"}) {
+    scan_testing::remove_corpus(manifest);
   }
 }
 

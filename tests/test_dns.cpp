@@ -218,9 +218,11 @@ TEST(Wire, LongTxtSplitsIntoCharacterStrings) {
 TEST(Wire, CompressionShrinksRepeatedNames) {
   DnsMessage msg = make_response(sample_query(), RCode::kNoError);
   for (int i = 0; i < 4; ++i) {
-    msg.answers.push_back(ResourceRecord{
-        *DnsName::parse("www.google.com"), RecordType::kA, kClassIn, 300,
-        AData{net::Ipv4Addr(0x01020304u + static_cast<std::uint32_t>(i))}});
+    ResourceRecord& answer = msg.answers.emplace_back();
+    answer.name = *DnsName::parse("www.google.com");
+    answer.ttl = 300;
+    answer.rdata =
+        AData{net::Ipv4Addr(0x01020304u + static_cast<std::uint32_t>(i))};
   }
   const auto wire = encode(msg);
   // Without compression each answer owner name costs 16 bytes; compressed
@@ -436,11 +438,11 @@ std::vector<DnsMessage> probe_corpus() {
       } else {
         const std::size_t answers = 1 + rng.below(3);
         for (std::size_t a = 0; a < answers; ++a) {
-          msg.answers.push_back(ResourceRecord{
-              qname, RecordType::kA, kClassIn,
-              static_cast<std::uint32_t>(30 + rng.below(300)),
-              AData{net::Ipv4Addr(
-                  static_cast<std::uint32_t>(rng.below(1u << 31)))}});
+          ResourceRecord& answer = msg.answers.emplace_back();
+          answer.name = qname;
+          answer.ttl = static_cast<std::uint32_t>(30 + rng.below(300));
+          answer.rdata = AData{
+              net::Ipv4Addr(static_cast<std::uint32_t>(rng.below(1u << 31)))};
         }
         if (rng.below(4) == 0) {
           const DnsName owner = probe_name(rng, apex);

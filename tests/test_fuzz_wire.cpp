@@ -30,10 +30,10 @@ DnsMessage base_message(net::Rng& rng) {
                       static_cast<std::uint8_t>(rng.below(25)))));
   if (rng.bernoulli(0.5)) {
     msg.header.qr = true;
-    msg.answers.push_back(ResourceRecord{
-        *DnsName::parse("www.example.com"), RecordType::kA, kClassIn,
-        static_cast<std::uint32_t>(rng.below(3600)),
-        AData{net::Ipv4Addr(static_cast<std::uint32_t>(rng()))}});
+    ResourceRecord& answer = msg.answers.emplace_back();
+    answer.name = *DnsName::parse("www.example.com");
+    answer.ttl = static_cast<std::uint32_t>(rng.below(3600));
+    answer.rdata = AData{net::Ipv4Addr(static_cast<std::uint32_t>(rng()))};
     msg.answers.push_back(ResourceRecord{
         *DnsName::parse("alias.example.com"), RecordType::kTxt, kClassIn,
         60, TxtData{"some text payload"}});

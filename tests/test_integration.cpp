@@ -5,10 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <memory>
-#include <string>
-#include <utility>
 
 #include "apnic/apnic.h"
 #include "cdn/cdn.h"
@@ -16,12 +13,8 @@
 #include "core/chromium/chromium.h"
 #include "core/compare/compare.h"
 #include "core/datasets/datasets.h"
+#include "core/scenario/scenario.h"
 #include "dns_testing.h"
-#include "roots/corpus.h"
-#include "roots/root_server.h"
-#include "scan_testing.h"
-#include "sim/activity.h"
-#include "sim/ditl.h"
 #include "sim/world.h"
 
 namespace netclients {
@@ -31,48 +24,21 @@ struct Study {
   Study() {
     sim::WorldConfig config;
     config.scale = 1.0 / 512;
-    world = sim::World::generate(config);
-    activity = std::make_unique<sim::WorldActivityModel>(&world);
-    gdns = std::make_unique<googledns::GooglePublicDns>(
-        &world.pops(), &world.catchment(), &world.authoritative(),
-        googledns::GoogleDnsConfig{}, activity.get());
-    core::ProbeEnvironment probe_env;
-    probe_env.authoritative = &world.authoritative();
-    probe_env.google_dns = gdns.get();
-    probe_env.geodb = &world.geodb();
-    probe_env.vantage_points = anycast::default_vantage_fleet();
-    probe_env.domains = world.domains();
-    probe_env.slash24_begin = 1u << 16;
-    probe_env.slash24_end = world.address_space_end();
-    core::CacheProbeCampaign campaign(std::move(probe_env));
-    probing = campaign.run().result;
-
-    // The capture streamed into an NCD1 corpus, the shape DITL arrives in.
-    const roots::RootSystem roots = roots::RootSystem::ditl_2020(config.seed);
-    sim::DitlOptions ditl;
-    ditl.sample_rate = 1.0 / 16;  // sampled capture, counts scaled back
-    const std::string manifest = "integration_ditl.manifest";
-    roots::CorpusWriter writer(
-        manifest, {roots::CorpusFormat::kNcd1, std::uint64_t{1} << 20});
-    sim::generate_ditl(world, roots, ditl, [&](const roots::TraceRecord& rec) {
-      writer.add(rec);
-    });
-    EXPECT_TRUE(writer.finish());
-    core::ChromiumOptions chromium_options;
-    chromium_options.sample_rate = ditl.sample_rate;
-    if (const auto corpus = roots::CorpusView::open(manifest)) {
-      chromium =
-          core::ChromiumCounter(chromium_options).process_corpus(*corpus);
-    }
-    core::scan_testing::remove_corpus(manifest);
-
-    ms = cdn::observe_cdn(world, {});
-    apnic_est = apnic::estimate_population(world, {});
+    scenario = core::ScenarioBuilder().world_config(config).build();
+    probing = scenario.campaign().run().result;
+    // The capture streamed into an NCD1 corpus, the shape DITL arrives in,
+    // sampled at 1/16 (counts scaled back), scanned and removed.
+    const auto logs =
+        scenario.dns_logs(1.0 / 16, "integration_ditl.manifest");
+    EXPECT_TRUE(logs.has_value());
+    if (logs) chromium = *logs;
+    ms = cdn::observe_cdn(world(), {});
+    apnic_est = apnic::estimate_population(world(), {});
   }
 
-  sim::World world;
-  std::unique_ptr<sim::WorldActivityModel> activity;
-  std::unique_ptr<googledns::GooglePublicDns> gdns;
+  const sim::World& world() const { return scenario.world(); }
+
+  core::Scenario scenario;
   core::CampaignResult probing;
   core::ChromiumResult chromium;
   cdn::CdnObservation ms;
@@ -132,9 +98,9 @@ TEST(EndToEnd, CacheProbingUpperBoundIsGenerous) {
 
 TEST(EndToEnd, UnionBeatsEitherTechniqueAtAsLevel) {
   const auto probing_as = core::to_as_dataset(
-      "cache probing", study().probing.to_prefix_dataset("p"), study().world);
+      "cache probing", study().probing.to_prefix_dataset("p"), study().world());
   const auto logs_as = core::to_as_dataset(
-      "DNS logs", study().chromium.to_prefix_dataset("l"), study().world);
+      "DNS logs", study().chromium.to_prefix_dataset("l"), study().world());
   const auto union_as =
       core::AsDataset::union_of("union", probing_as, logs_as);
   EXPECT_GT(union_as.size(), probing_as.size());
@@ -143,7 +109,7 @@ TEST(EndToEnd, UnionBeatsEitherTechniqueAtAsLevel) {
 
 TEST(EndToEnd, ApnicMissesAsesTheTechniquesFind) {
   const auto probing_as = core::to_as_dataset(
-      "cache probing", study().probing.to_prefix_dataset("p"), study().world);
+      "cache probing", study().probing.to_prefix_dataset("p"), study().world());
   std::size_t missed_by_apnic = 0;
   for (const auto& [asn, v] : probing_as.entries()) {
     missed_by_apnic += !study().apnic_est.users_by_as.contains(asn);
@@ -156,8 +122,8 @@ TEST(EndToEnd, GroundTruthEcsRecoveredByMsCdnDomain) {
   // §4: cache probing recovers 91% of the ground-truth ECS prefixes of the
   // Microsoft-hosted domain (clients using Google Public DNS).
   int ms_domain = -1;
-  for (std::size_t d = 0; d < study().world.domains().size(); ++d) {
-    if (study().world.domains()[d].is_microsoft_cdn) {
+  for (std::size_t d = 0; d < study().world().domains().size(); ++d) {
+    if (study().world().domains()[d].is_microsoft_cdn) {
       ms_domain = static_cast<int>(d);
     }
   }
@@ -179,7 +145,7 @@ TEST(EndToEnd, ResolverCentricDatasetsAgree) {
   // DNS logs and Microsoft resolvers both observe recursive resolvers, so
   // their AS sets overlap far more than either does with APNIC (B.3).
   const auto logs_as = core::to_as_dataset(
-      "DNS logs", study().chromium.to_prefix_dataset("l"), study().world);
+      "DNS logs", study().chromium.to_prefix_dataset("l"), study().world());
   core::AsDataset resolvers_as("Microsoft resolvers");
   {
     core::PrefixDataset resolver_prefixes("r");
@@ -187,7 +153,7 @@ TEST(EndToEnd, ResolverCentricDatasetsAgree) {
       resolver_prefixes.add(idx, clients);
     }
     resolvers_as = core::to_as_dataset("Microsoft resolvers",
-                                       resolver_prefixes, study().world);
+                                       resolver_prefixes, study().world());
   }
   std::size_t in_resolvers = 0, in_apnic = 0;
   for (const auto& [asn, v] : logs_as.entries()) {
@@ -202,7 +168,7 @@ TEST(EndToEnd, WirePacketFlowThroughFullStack) {
   // front end, a prober discovers its PoP via myaddr and snoops the
   // client's scope block there, where clients are planted — all as wire
   // packets written and read by the oracle codec.
-  const sim::World& world = study().world;
+  const sim::World& world = study().world();
   dns_testing::PlantedActivity planted;
   auto gdns = std::make_unique<googledns::GooglePublicDns>(
       &world.pops(), &world.catchment(), &world.authoritative(),

@@ -111,8 +111,8 @@ TEST(Rank, DayNightContrastSeparatesHumanFromFlat) {
   // A diurnal world: plant two /24s at the same longitude, one human-like
   // (oscillating via a custom model) and one flat, and check the
   // phase-locked contrast separates them. We reuse the real world model
-  // for an end-to-end version of this in bench_diurnal; here we drive the
-  // Google front end with the sim's own activity model.
+  // for an end-to-end version of this in `bench_paper diurnal`; here we
+  // drive the Google front end with the sim's own activity model.
   sim::WorldConfig config;
   config.scale = 1.0 / 512;
   config.diurnal_amplitude = 0.65;

@@ -72,9 +72,10 @@ bool write_wire_seeds(const std::filesystem::path& dir) {
     msg.header.aa = true;
     msg.edns->ecs->scope_prefix_length = 20;
     for (std::uint32_t i = 0; i < 3; ++i) {
-      msg.answers.push_back(dns::ResourceRecord{
-          www, dns::RecordType::kA, dns::kClassIn, 300 + i,
-          dns::AData{net::Ipv4Addr(0x0A000001u + i)}});
+      dns::ResourceRecord& answer = msg.answers.emplace_back();
+      answer.name = www;
+      answer.ttl = 300 + i;
+      answer.rdata = dns::AData{net::Ipv4Addr(0x0A000001u + i)};
     }
     ok &= dump(dir, "response_compressed", dns::encode(msg));
   }
