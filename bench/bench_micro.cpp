@@ -2,9 +2,9 @@
 // the measurement pipelines: prefix-trie longest-prefix match, the DNS
 // wire path (the in-place query writer and MessageView::parse), anycast
 // catchment scoring, the campaign's probe path (a warm Google-DNS probe and
-// an event-engine batch drain), and the DITL capture's per-record kernels
-// (name parsing, CRC-32, corpus encoding). Each case's real time per
-// iteration is also exported as the gauge
+// one batch of chains run by the per-PoP prober), and the DITL capture's
+// per-record kernels (name parsing, CRC-32, corpus encoding). Each case's
+// real time per iteration is also exported as the gauge
 // `bench.micro.ns_per_op.<case>` (a `/` in the case name becomes `.`).
 
 #include <benchmark/benchmark.h>
@@ -155,9 +155,8 @@ void BM_GoogleDnsProbe(benchmark::State& state) {
 BENCHMARK(BM_GoogleDnsProbe);
 
 /// One op = a batch of 256 campaign-shaped chains (5 redundant attempts,
-/// up to 3 loops) submitted to the event engine at window 64 and drained:
-/// the pending queue, the decision plane and the completion timeline.
-void BM_EventProberDrain(benchmark::State& state) {
+/// up to 3 loops) run to resolution by one `Prober::run` call.
+void BM_ProberRun(benchmark::State& state) {
   static const ProbeSubstrate substrate;
   constexpr std::size_t kBatch = 256;
   constexpr double kRate = 50;  // the campaign's prefixes/s per domain
@@ -170,33 +169,27 @@ void BM_EventProberDrain(benchmark::State& state) {
   context.dns = &gdns;
   context.domains = &domains;
   context.pop = 0;
-  std::uint64_t resolved = 0;
-  const auto prober = core::engine::make_prober(
-      context, core::engine::EngineOptions{},
-      [&](const core::engine::ProbeOutcome&) { ++resolved; });
-  core::engine::ProbeRequest request;
-  request.domain_indices = {0};
-  request.redundancy = 5;
-  request.attempt_spacing_seconds = 0.002;
-  request.attempt_loop_stride = 131;
-  request.max_loops = kLoops;
-  request.loop_stride_seconds = kBatch / kRate;
+  core::engine::Prober prober(context);
+  core::engine::ChainPlan plan;
+  plan.domain_indices = {0};
+  plan.redundancy = 5;
+  plan.attempt_spacing_seconds = 0.002;
+  plan.attempt_loop_stride = 131;
+  plan.max_loops = kLoops;
+  plan.loop_stride_seconds = kBatch / kRate;
+  std::vector<core::engine::Chain> chains(kBatch);
   double base = 0;  // each batch starts after the last one's final loop
   for (auto _ : state) {
     for (std::size_t j = 0; j < kBatch; ++j) {
-      request.tag = j;
-      request.scope = substrate.scopes[j];
-      request.schedule_time = base + static_cast<double>(j) / kRate;
-      prober->submit(request);
+      chains[j] = {substrate.scopes[j], base + static_cast<double>(j) / kRate};
     }
-    prober->drain();
-    base += kLoops * request.loop_stride_seconds;
+    benchmark::DoNotOptimize(prober.run(plan, chains));
+    base += kLoops * plan.loop_stride_seconds;
   }
-  benchmark::DoNotOptimize(resolved);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kBatch));
 }
-BENCHMARK(BM_EventProberDrain);
+BENCHMARK(BM_ProberRun);
 
 /// Chromium-probe-shaped names: one label of 7-15 random lowercase
 /// letters, mixed case so parsing also lowercases.

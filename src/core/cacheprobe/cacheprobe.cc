@@ -40,12 +40,6 @@ struct CampaignMetrics {
   obs::Histogram& assigned_per_pop_domain = obs::Registry::global().histogram(
       "cacheprobe.campaign.assigned_per_pop_domain",
       {0, 10, 100, 1000, 10000, 100000, 1000000});
-  // Probe-engine telemetry (`engine.*`): per-evaluation chain latencies on
-  // the virtual clock, plus per-stage event-loop counters and gauges
-  // published by publish_engine_stats below.
-  obs::Histogram& engine_latency_ms = obs::Registry::global().histogram(
-      "engine.completion.latency_ms",
-      {50, 100, 250, 500, 1000, 2500, 5000, 10000, 30000});
 
   static CampaignMetrics& get() {
     static CampaignMetrics metrics;
@@ -53,32 +47,20 @@ struct CampaignMetrics {
   }
 };
 
-/// Registers the merged event-loop tallies of one stage. Counter names
-/// register only when nonzero (totals are REPRO_THREADS-independent, so
-/// the exported name set stays deterministic); the virtual-elapsed gauge
-/// is per stage, the in-flight peak a process-wide high-water mark.
-void publish_engine_stats(const engine::EngineStats& merged,
-                          const char* virtual_gauge_name) {
-  auto& registry = obs::Registry::global();
-  const auto bump = [&](const char* name, std::uint64_t value) {
-    if (value) registry.counter(name).add(value);
-  };
-  bump("engine.evaluations", merged.evaluations);
-  bump("engine.window.stalls", merged.window_stalls);
-  bump("engine.breaker.drained", merged.breaker_drained);
-  registry.gauge(virtual_gauge_name).set(merged.virtual_elapsed_seconds);
-  auto& peak = registry.gauge("engine.inflight.peak");
-  peak.set(std::max(peak.value(),
-                    static_cast<double>(merged.peak_in_flight)));
+/// Registers a stage's merged chain-evaluation count. The name registers
+/// only when nonzero (the total is REPRO_THREADS-independent, so the
+/// exported name set stays deterministic).
+void publish_evaluations(std::uint64_t evaluations) {
+  if (evaluations) {
+    obs::Registry::global().counter("engine.evaluations").add(evaluations);
+  }
 }
 
-/// The per-shard prober for one (PoP, vantage) pair, built from the probe
-/// policy. All engine state (window, event heap, breaker, escalation) is
-/// confined to the shard.
-std::unique_ptr<engine::Prober> make_shard_prober(
-    const ProbeEnvironment& env, const ProbePolicy& policy, anycast::PopId pop,
-    int vp_id, obs::ShardDelta* metrics,
-    engine::Prober::CompletionFn on_complete) {
+/// The prober of one (PoP, vantage) pair, built from the probe policy. Its
+/// breaker and escalation state are confined to the shard.
+engine::Prober shard_prober(const ProbeEnvironment& env,
+                            const ProbePolicy& policy, anycast::PopId pop,
+                            int vp_id) {
   engine::ProberContext context;
   context.dns = env.google_dns;
   context.domains = &env.domains;
@@ -87,9 +69,7 @@ std::unique_ptr<engine::Prober> make_shard_prober(
   context.transport = policy.transport;
   context.retry = policy.retry;
   context.breaker = policy.breaker;
-  context.metrics = metrics;
-  context.completion_latency_ms = &CampaignMetrics::get().engine_latency_ms;
-  return engine::make_prober(context, policy.engine, std::move(on_complete));
+  return engine::Prober(context);
 }
 
 }  // namespace
@@ -272,50 +252,43 @@ CalibrationResult calibrate(const ProbeEnvironment& env,
   CampaignMetrics::get().calibration_sampled.add(sample.size());
 
   // Calibration probes the four Alexa domains (§3.1.1); the Microsoft CDN
-  // domain is reserved for validation.
-  std::vector<int> calibration_domains;
+  // domain is reserved for validation. Every sample becomes one chain (the
+  // four domains at one schedule slot, first hit wins), and every PoP
+  // probes the same chains. The schedule is accumulated, not computed as
+  // s / rate: the oracles read the probe time (the fault draw by its
+  // millisecond), so the rounding of the sum is part of the pinned
+  // results.
+  const ProbePolicy& policy = options.probe;
+  engine::ChainPlan plan;
+  plan.redundancy = policy.redundant_queries;
   for (std::size_t d = 0; d < env.domains.size(); ++d) {
     if (!env.domains[d].is_microsoft_cdn) {
-      calibration_domains.push_back(static_cast<int>(d));
+      plan.domain_indices.push_back(static_cast<int>(d));
     }
+  }
+  std::vector<engine::Chain> chains(sample.size());
+  double t = 0;
+  for (std::size_t s = 0; s < sample.size(); ++s) {
+    chains[s] = {net::Prefix::from_slash24_index(sample[s].first), t};
+    t += 1.0 / options.prefixes_per_second_per_domain;
   }
 
   // One shard per PoP: each shard drives its own vantage point's flows and
   // its own PoP's cache pools, so shards never contend on substrate state.
-  // Every sample becomes one submitted chain (the four domains at one
-  // schedule slot, first hit wins); outcomes land in a tag-indexed slot
-  // array, so the post-drain walk reproduces the serial sample order
-  // whatever order completions fired in.
-  const ProbePolicy& policy = options.probe;
   struct PopCalibration {
     std::vector<double> distances;
     double radius = 0;
     resilience::RetryStats retry_stats;
-    engine::EngineStats engine_stats;
+    std::uint64_t evaluations = 0;
     obs::ShardDelta metrics;  // merged in PoP order below
   };
   std::vector<PopCalibration> shards = exec::parallel_map(
       pops.probed_pops.size(), options.threads, [&](std::size_t i) {
         const auto& [pop, vp_id] = pops.probed_pops[i];
         PopCalibration shard;
-        std::vector<engine::ProbeOutcome> outcomes(sample.size());
-        auto prober = make_shard_prober(
-            env, policy, pop, vp_id, &shard.metrics,
-            [&](const engine::ProbeOutcome& outcome) {
-              outcomes[outcome.tag] = outcome;
-            });
-        engine::ProbeRequest request;
-        request.domain_indices = calibration_domains;
-        request.redundancy = policy.redundant_queries;
-        double t = 0;
-        for (std::size_t s = 0; s < sample.size(); ++s) {
-          request.tag = s;
-          request.scope = net::Prefix::from_slash24_index(sample[s].first);
-          request.schedule_time = t;
-          prober->submit(request);
-          t += 1.0 / options.prefixes_per_second_per_domain;
-        }
-        prober->drain();
+        engine::Prober prober = shard_prober(env, policy, pop, vp_id);
+        const std::vector<engine::ProbeOutcome> outcomes =
+            prober.run(plan, chains);
         for (std::size_t s = 0; s < sample.size(); ++s) {
           if (!outcomes[s].hit) continue;
           shard.distances.push_back(net::haversine_km(
@@ -323,8 +296,8 @@ CalibrationResult calibrate(const ProbeEnvironment& env,
           shard.metrics.observe(CampaignMetrics::get().hit_distance_km,
                                 shard.distances.back());
         }
-        shard.retry_stats = prober->stats();
-        shard.engine_stats = prober->engine_stats();
+        shard.retry_stats = prober.stats();
+        shard.evaluations = prober.evaluations();
         if (shard.distances.size() >= 10) {
           std::vector<double> sorted = shard.distances;
           std::sort(sorted.begin(), sorted.end());
@@ -341,17 +314,17 @@ CalibrationResult calibrate(const ProbeEnvironment& env,
   // Ordered merge in PoP order (probed_pops is sorted).
   std::vector<resilience::RetryStats> shard_stats;
   shard_stats.reserve(shards.size());
-  engine::EngineStats engine_stats;
+  std::uint64_t evaluations = 0;
   for (std::size_t i = 0; i < shards.size(); ++i) {
     const PopId pop = pops.probed_pops[i].first;
     result.hit_distances_km[pop] = std::move(shards[i].distances);
     result.service_radius_km[pop] = shards[i].radius;
     shard_stats.push_back(shards[i].retry_stats);
-    engine_stats.merge(shards[i].engine_stats);
+    evaluations += shards[i].evaluations;
     shards[i].metrics.merge();
   }
   resilience::RetryStats::merge_shards(shard_stats).publish();
-  publish_engine_stats(engine_stats, "engine.calibration.virtual_seconds");
+  publish_evaluations(evaluations);
   return result;
 }
 
@@ -427,10 +400,9 @@ CampaignResult run_campaign(
   // order shards run in. Per-PoP work is heavy-tailed, so shards start
   // largest-first (total assigned candidates, ties by PoP index): the
   // heaviest PoPs never start last and set the makespan. Within a shard
-  // the probe engine pipelines each domain's chain list; outcomes land in
-  // a tag-indexed slot array and the post-drain walk emits hits in (loop,
-  // submission) order — the sequence a window of one records them in —
-  // so results are byte-identical at any window size.
+  // the prober runs each domain's chain list to resolution, and the walk
+  // after it emits hits in (loop, submission) order, the order the prober
+  // evaluated them in.
   std::vector<std::size_t> load(assignments.size(), 0);
   for (std::size_t i = 0; i < assignments.size(); ++i) {
     for (const auto& assigned : assignments[i]) load[i] += assigned.size();
@@ -447,7 +419,7 @@ CampaignResult run_campaign(
     std::uint64_t probes_sent = 0;
     std::uint64_t rate_limited = 0;
     resilience::RetryStats retry_stats;
-    engine::EngineStats engine_stats;
+    std::uint64_t evaluations = 0;
     obs::ShardDelta metrics;  // merged in PoP order below
   };
   std::vector<PopShard> by_rank = exec::parallel_map(
@@ -455,12 +427,8 @@ CampaignResult run_campaign(
         const std::size_t i = order[rank];
         const auto& [pop, vp_id] = pops.probed_pops[i];
         PopShard shard;
-        std::vector<engine::ProbeOutcome> outcomes;
-        auto prober = make_shard_prober(
-            env, policy, pop, vp_id, &shard.metrics,
-            [&](const engine::ProbeOutcome& outcome) {
-              outcomes[outcome.tag] = outcome;
-            });
+        engine::Prober prober = shard_prober(env, policy, pop, vp_id);
+        std::vector<engine::Chain> chains;
         for (std::size_t d = 0; d < env.domains.size(); ++d) {
           const std::vector<net::Prefix>& assigned = assignments[i][d];
           shard.metrics.observe(
@@ -477,27 +445,24 @@ CampaignResult run_campaign(
           // One chain per assigned candidate: `redundant_queries` attempts
           // back-to-back (2 ms apart, keeping the flow's timestamps
           // monotone within the 20 ms per-prefix budget of the 50 pps
-          // loop), re-queued every cycle until it hits or the loop budget
-          // runs out. The engine owns the loops; drain per domain, since
-          // the serial order probed one domain's list to completion before
-          // the next.
-          outcomes.assign(assigned.size(), {});
-          engine::ProbeRequest request;
-          request.domain_indices = {static_cast<int>(d)};
-          request.redundancy = policy.redundant_queries;
-          request.attempt_spacing_seconds = 0.002;
-          request.attempt_loop_stride = 131;
-          request.max_loops = loops;
-          request.loop_stride_seconds = cycle_seconds;
+          // loop), repeated every cycle until it hits or the loop budget
+          // runs out. One run per domain: each domain's list is probed to
+          // completion before the next.
+          engine::ChainPlan plan;
+          plan.domain_indices = {static_cast<int>(d)};
+          plan.redundancy = policy.redundant_queries;
+          plan.attempt_spacing_seconds = 0.002;
+          plan.attempt_loop_stride = 131;
+          plan.max_loops = loops;
+          plan.loop_stride_seconds = cycle_seconds;
+          chains.resize(assigned.size());
           for (std::size_t j = 0; j < assigned.size(); ++j) {
-            request.tag = j;
-            request.scope = assigned[j];
-            request.schedule_time =
-                static_cast<double>(j) /
-                options.prefixes_per_second_per_domain;
-            prober->submit(request);
+            chains[j] = {assigned[j],
+                         static_cast<double>(j) /
+                             options.prefixes_per_second_per_domain};
           }
-          prober->drain();
+          const std::vector<engine::ProbeOutcome> outcomes =
+              prober.run(plan, chains);
           for (int loop = 0; loop < loops; ++loop) {
             for (std::size_t j = 0; j < assigned.size(); ++j) {
               const engine::ProbeOutcome& outcome = outcomes[j];
@@ -515,9 +480,9 @@ CampaignResult run_campaign(
             shard.rate_limited += outcome.rate_limited;
           }
         }
-        shard.probes_sent = prober->probes_sent();
-        shard.retry_stats = prober->stats();
-        shard.engine_stats = prober->engine_stats();
+        shard.probes_sent = prober.probes_sent();
+        shard.retry_stats = prober.stats();
+        shard.evaluations = prober.evaluations();
         return shard;
       });
   std::vector<PopShard> shards(by_rank.size());
@@ -533,12 +498,12 @@ CampaignResult run_campaign(
       std::accumulate(load.begin(), load.end(), std::uint64_t{0});
   std::vector<resilience::RetryStats> shard_stats;
   shard_stats.reserve(shards.size());
-  engine::EngineStats engine_stats;
+  std::uint64_t evaluations = 0;
   for (PopShard& shard : shards) {
     result.probes_sent += shard.probes_sent;
     result.rate_limited += shard.rate_limited;
     shard_stats.push_back(shard.retry_stats);
-    engine_stats.merge(shard.engine_stats);
+    evaluations += shard.evaluations;
     shard.metrics.merge();
     for (CacheHit& hit : shard.hits) {
       const net::Prefix active_prefix(
@@ -551,7 +516,6 @@ CampaignResult run_campaign(
     }
   }
   result.retry_stats = resilience::RetryStats::merge_shards(shard_stats);
-  result.virtual_duration_seconds = engine_stats.virtual_elapsed_seconds;
   if (!pops.probed_pops.empty()) {
     result.average_assigned_per_pop = mean_assigned_per_pop(
         total_assigned, pops.probed_pops.size(), env.domains.size());
@@ -562,15 +526,8 @@ CampaignResult run_campaign(
   metrics.campaign_rate_limited.add(result.rate_limited);
   metrics.campaign_assigned.add(total_assigned);
   result.retry_stats.publish();
-  publish_engine_stats(engine_stats, "engine.campaign.virtual_seconds");
+  publish_evaluations(evaluations);
   return result;
-}
-
-CampaignResult run_full_campaign(const ProbeEnvironment& env,
-                                 const CacheProbeOptions& options) {
-  const PopDiscoveryResult pops = discover_pops(env);
-  const CalibrationResult calibration = calibrate(env, options, pops);
-  return run_campaign(env, options, pops, calibration);
 }
 
 CampaignArtifacts CacheProbeCampaign::run(unsigned stages,

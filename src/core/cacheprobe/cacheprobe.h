@@ -8,7 +8,6 @@
 #include "anycast/pop.h"
 #include "anycast/vantage.h"
 #include "core/datasets/datasets.h"
-#include "core/engine/engine.h"
 #include "core/resilience/resilience.h"
 #include "dnssrv/authoritative.h"
 #include "geo/geodb.h"
@@ -36,8 +35,8 @@ struct ProbeEnvironment {
 };
 
 /// Everything about how a single probe goes out: transport, redundancy,
-/// per-transport timeouts with retry/backoff, circuit breaking, and the
-/// execution engine that drives the chains. The single source of truth —
+/// per-transport timeouts with retry/backoff, and circuit breaking. The
+/// single source of truth —
 /// the loose `transport`/`redundant_queries` aliases that used to sit
 /// directly in CacheProbeOptions are gone (§3.1.1 defaults).
 struct ProbePolicy {
@@ -45,10 +44,6 @@ struct ProbePolicy {
   int redundant_queries = 5;  // cover multiple independent cache pools
   resilience::RetryPolicy retry;
   resilience::BreakerPolicy breaker;
-  /// How chains execute: the in-flight window of the event-driven
-  /// virtual-time engine. Results are byte-identical at any window; only
-  /// the modeled wall clock differs.
-  engine::EngineOptions engine;
 };
 
 /// Tuning of the cache-probing campaign; defaults are the paper's (§3.1.1).
@@ -124,10 +119,6 @@ struct CampaignResult {
   /// Resilience tallies (retries, timeouts, breaker trips, requeues)
   /// merged across PoP shards; all-zero on a fault-free substrate.
   resilience::RetryStats retry_stats;
-  /// Modeled wall time of the campaign: max over PoP shards of the probe
-  /// engine's virtual clock (PoPs probe concurrently). Independent of
-  /// REPRO_THREADS.
-  double virtual_duration_seconds = 0;
 
   /// Lower bound on active /24s: one per disjoint hit prefix (§4).
   std::uint64_t slash24_lower_bound() const { return active.size(); }
@@ -185,10 +176,6 @@ CampaignResult run_campaign(
     const std::vector<std::vector<ProbeCandidate>>* scopes_by_domain =
         nullptr);
 
-/// Convenience: stages 2–4 (stage 1 runs inside stage 4).
-CampaignResult run_full_campaign(const ProbeEnvironment& env,
-                                 const CacheProbeOptions& options = {});
-
 /// Which pipeline stages CacheProbeCampaign::run executes. Bits compose
 /// with `|`; stages not selected read their prerequisites from the reused
 /// artifacts argument instead of recomputing them.
@@ -197,7 +184,7 @@ enum StageMask : unsigned {
   kStagePops = 1u << 1,         // PoP discovery
   kStageCalibration = 1u << 2,  // service-radius calibration
   kStageCampaign = 1u << 3,     // the probing campaign itself
-  /// Stages 2–4, the old run_full: the campaign discovers scopes
+  /// Stages 2–4, run()'s default: the campaign discovers scopes
   /// internally, so kStageScopes is only needed to *inspect* candidates.
   kStagesProbing = kStagePops | kStageCalibration | kStageCampaign,
   kStagesAll = kStageScopes | kStagesProbing,

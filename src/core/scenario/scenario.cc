@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <utility>
 
 #include "anycast/vantage.h"
 #include "net/rng.h"
@@ -38,7 +39,8 @@ std::vector<snapshot::EpochRecord> Scenario::run_epochs(int epochs) const {
           epoch_config, activity.get());
       epoch_env.google_dns = epoch_dns.get();
     }
-    const CampaignResult result = run_full_campaign(epoch_env, epoch_options);
+    const CampaignResult result =
+        CacheProbeCampaign(std::move(epoch_env), epoch_options).run().result;
     records.push_back(snapshot::make_epoch(
         result, world(), static_cast<std::uint32_t>(e), epoch_options));
   }

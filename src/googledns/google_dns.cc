@@ -192,7 +192,6 @@ ProbeResult GooglePublicDns::probe(PopId pop, const dns::DnsName& domain,
   PopState& pop_state = states_.at(static_cast<std::size_t>(pop));
   ProbeResult result;
   result.pop = pop;
-  result.rtt_seconds = config_.rtt_for(transport);
   ProbeMetrics::get().sent.add();
   if (!limiter(pop_state, vp_id, transport, domain).allow(now)) {
     ProbeMetrics::get().rate_limited.add();
@@ -220,7 +219,6 @@ ProbeResult GooglePublicDns::probe(PopId pop, const dns::DnsName& domain,
     if (failure_draw < faults.timeout_probability) {
       fault_counter("googledns.fault.timeout").add();
       result.status = ProbeStatus::kTimeout;
-      result.rtt_seconds = 0;  // nothing came back to clock an RTT against
       return result;
     }
     if (failure_draw <

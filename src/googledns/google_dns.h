@@ -65,18 +65,8 @@ struct GoogleDnsConfig {
   // the probing campaign runs in a later epoch than scope discovery,
   // producing Table 2's drift.
   std::uint32_t epoch = 1;
-  // Service time of an answered (or refused) probe, per transport — the
-  // virtual-time cost the async engine charges for a completed round trip.
-  // TCP rides a handshake on top of the UDP path. Timed-out probes cost
-  // the retry policy's timeout instead, so these only price answers.
-  double udp_rtt_seconds = 0.03;
-  double tcp_rtt_seconds = 0.05;
   // Injectable failure modes; all-zero by default (perfect substrate).
   FailureInjection faults;
-
-  double rtt_for(Transport transport) const {
-    return transport == Transport::kTcp ? tcp_rtt_seconds : udp_rtt_seconds;
-  }
 };
 
 /// How one cache-snooping probe ended.
@@ -89,10 +79,6 @@ struct ProbeResult {
   std::uint8_t return_scope = 0;    // valid when cache_hit
   std::uint32_t remaining_ttl = 0;  // valid when cache_hit
   anycast::PopId pop = anycast::kNoPop;
-  /// Virtual service time of this probe: one transport RTT when an answer
-  /// (or refusal) came back, 0 on timeout — the prober charges its policy
-  /// timeout for those instead.
-  double rtt_seconds = 0;
 
   /// Hard failures the retry policy acts on (rate limiting is normal
   /// operation: the paper's answer to it was transport choice, not retry).

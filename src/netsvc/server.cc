@@ -98,19 +98,19 @@ std::span<const std::uint8_t> Server::process(
 
 double Server::service_delay(net::SimTime now, std::size_t question_count) {
   // Slots whose completion deadline has passed are free again.
-  slots_.drain_until(now, [](double, std::uint8_t) {});
+  while (!slots_.empty() && slots_.top() <= now) slots_.pop();
   double issue_at = now;
   if (static_cast<int>(slots_.size()) >= std::max(1, options_.window)) {
     // Window full: the request queues until the earliest in-flight
     // service completes (that slot is consumed by this request).
-    issue_at = slots_.next_deadline();
+    issue_at = slots_.top();
     slots_.pop();
     ++stats_.window_stalls;
   }
   const double done_at = issue_at + options_.base_service_seconds +
                          static_cast<double>(question_count) *
                              options_.per_query_service_seconds;
-  slots_.push(done_at, 0);
+  slots_.push(done_at);
   return (done_at - now) + options_.reply_latency;
 }
 

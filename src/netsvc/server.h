@@ -13,24 +13,25 @@
 // that would not fit the UDP payload cap are replaced by a TC=1 header
 // so the client escalates the chunk to TCP.
 //
-// Timing rides the virtual clock, modeled exactly like the probe
-// engine's timing plane (core/engine): the server owns a bounded window
-// of service slots tracked on an `engine::Timeline`. A request issues
-// when a slot is free (or at the earliest slot-completion deadline when
-// the window is full — counted as a window stall), completes after a
-// batch-size-dependent service time, and its reply leaves at completion.
-// Per-connection backpressure bounds how many replies may be in flight
-// per TCP connection; excess requests are dropped (skip-and-count — the
-// client's retry policy owns recovery). Every decision is a pure
-// function of the deterministic bus delivery order, so serving runs are
-// byte-identical at any REPRO_THREADS.
+// Timing rides the bus's virtual clock: the server owns a bounded window
+// of service slots, kept as a min-heap of slot-completion deadlines. A
+// request issues when a slot is free (or at the earliest slot-completion
+// deadline when the window is full — counted as a window stall),
+// completes after a batch-size-dependent service time, and its reply
+// leaves at completion; the client's timeouts and retries run against
+// that delay. Per-connection backpressure bounds how many replies may be
+// in flight per TCP connection; excess requests are dropped
+// (skip-and-count — the client's retry policy owns recovery). Every
+// decision is a pure function of the deterministic bus delivery order, so
+// serving runs are byte-identical at any REPRO_THREADS.
 
 #include <cstdint>
+#include <functional>
+#include <queue>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
-#include "core/engine/timeline.h"
 #include "core/serve/service.h"
 #include "dns/packet.h"
 #include "net/ipv4.h"
@@ -118,8 +119,8 @@ class Server {
   dns::WireArena arena_;
   QueryView query_;                                  // reused per request
   std::vector<core::serve::LookupResult> results_;   // reused per request
-  /// Completion deadlines of occupied service slots.
-  core::engine::Timeline<std::uint8_t> slots_;
+  /// Completion deadlines of occupied service slots, earliest on top.
+  std::priority_queue<double, std::vector<double>, std::greater<>> slots_;
   /// Outstanding reply deadlines per TCP connection (pruned as the
   /// clock passes them).
   std::unordered_map<std::uint64_t, std::vector<double>> conn_outstanding_;

@@ -248,7 +248,6 @@ TEST(ProbePolicy, DefaultsMatchThePaper) {
   const CacheProbeOptions defaults;
   EXPECT_EQ(defaults.probe.transport, googledns::Transport::kTcp);
   EXPECT_EQ(defaults.probe.redundant_queries, 5);
-  EXPECT_GE(defaults.probe.engine.window, 1);
 }
 
 TEST(Campaign, UdpCampaignIsRateLimited) {
