@@ -1,11 +1,12 @@
 // Microbenchmarks (google-benchmark) for the hot data structures under
 // the measurement pipelines: prefix-trie longest-prefix match, the DNS
 // wire path (the in-place query writer and MessageView::parse), anycast
-// catchment scoring, the campaign's probe path (a warm Google-DNS probe and
-// one batch of chains run by the per-PoP prober), and the DITL capture's
-// per-record kernels (name parsing, CRC-32, corpus encoding). Each case's
-// real time per iteration is also exported as the gauge
-// `bench.micro.ns_per_op.<case>` (a `/` in the case name becomes `.`).
+// catchment scoring, the campaign's probe path (a Google-DNS probe of a
+// prebuilt target, building one target, and one batch of chains run by
+// the per-PoP prober), and the DITL capture's per-record kernels (name
+// parsing, CRC-32, corpus encoding). Each case's real time per iteration
+// is also exported as the gauge `bench.micro.ns_per_op.<case>` (a `/` in
+// the case name becomes `.`).
 
 #include <benchmark/benchmark.h>
 
@@ -98,9 +99,9 @@ BENCHMARK(BM_CatchmentScore);
 class FixedRateActivity final : public googledns::ClientActivityModel {
  public:
   explicit FixedRateActivity(double rate) : rate_(rate) {}
-  double arrival_rate(anycast::PopId, const dns::DnsName&,
-                      net::Prefix) const override {
-    return rate_;
+  googledns::ArrivalRate rate(anycast::PopId, const dns::DnsName&,
+                              net::Prefix) const override {
+    return {.flat = rate_};
   }
 
  private:
@@ -132,30 +133,52 @@ struct ProbeSubstrate {
   std::vector<net::Prefix> scopes;
 };
 
-/// One PoP and one domain over a sweep of /24 scopes with the scope memo
-/// warm: the steady-state cost of one campaign probe (flow limiter, memo
-/// hit, explicit-pool lookup, analytic occupancy draw).
+/// One PoP and one domain over a sweep of /24 scope targets built before
+/// the timed loop: the steady-state cost of one campaign probe attempt
+/// (flow limiter, pool hash, rate evaluation, analytic occupancy draw).
 void BM_GoogleDnsProbe(benchmark::State& state) {
   static const ProbeSubstrate substrate;
   googledns::GooglePublicDns gdns(&substrate.pops, &substrate.catchment,
                                   &substrate.auth, {}, &substrate.activity);
+  std::vector<googledns::ProbeTarget> targets;
+  for (const net::Prefix& scope : substrate.scopes) {
+    targets.push_back(gdns.target(0, substrate.name, scope,
+                                  gdns.upstream_scope(substrate.name, scope)));
+  }
   double t = 0;
-  const auto probe = [&](net::Prefix scope) {
-    t += 0.001;  // one flow at 1,000 qps, under the TCP limit
-    return gdns.probe(0, substrate.name, scope, t,
-                      googledns::Transport::kTcp, 0, 0);
-  };
-  for (const net::Prefix& scope : substrate.scopes) probe(scope);
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        probe(substrate.scopes[i++ % substrate.scopes.size()]));
+    t += 0.001;  // one flow at 1,000 qps, under the TCP limit
+    benchmark::DoNotOptimize(gdns.probe(0, targets[i++ % targets.size()], t,
+                                        googledns::Transport::kTcp, 0, 0));
   }
 }
 BENCHMARK(BM_GoogleDnsProbe);
 
+/// Building one probe target from its upstream scope (the PoP check, the
+/// entry block and the activity model's rate), over the same sweep.
+void BM_GoogleDnsTarget(benchmark::State& state) {
+  static const ProbeSubstrate substrate;
+  const googledns::GooglePublicDns gdns(&substrate.pops, &substrate.catchment,
+                                        &substrate.auth, {},
+                                        &substrate.activity);
+  std::vector<googledns::UpstreamScope> upstream;
+  for (const net::Prefix& scope : substrate.scopes) {
+    upstream.push_back(gdns.upstream_scope(substrate.name, scope));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const std::size_t j = i++ % substrate.scopes.size();
+    benchmark::DoNotOptimize(gdns.target(0, substrate.name,
+                                         substrate.scopes[j], upstream[j]));
+  }
+}
+BENCHMARK(BM_GoogleDnsTarget);
+
 /// One op = a batch of 256 campaign-shaped chains (5 redundant attempts,
-/// up to 3 loops) run to resolution by one `Prober::run` call.
+/// up to 3 loops) run to resolution by one `Prober::run` call. The chains'
+/// upstream scopes are resolved once, before the timed loop, as the
+/// campaign's table is before its fan-out.
 void BM_ProberRun(benchmark::State& state) {
   static const ProbeSubstrate substrate;
   constexpr std::size_t kBatch = 256;
@@ -177,11 +200,16 @@ void BM_ProberRun(benchmark::State& state) {
   plan.attempt_loop_stride = 131;
   plan.max_loops = kLoops;
   plan.loop_stride_seconds = kBatch / kRate;
+  std::vector<googledns::UpstreamScope> upstream(kBatch);
+  for (std::size_t j = 0; j < kBatch; ++j) {
+    upstream[j] = gdns.upstream_scope(substrate.name, substrate.scopes[j]);
+  }
   std::vector<core::engine::Chain> chains(kBatch);
   double base = 0;  // each batch starts after the last one's final loop
   for (auto _ : state) {
     for (std::size_t j = 0; j < kBatch; ++j) {
-      chains[j] = {substrate.scopes[j], base + static_cast<double>(j) / kRate};
+      chains[j] = {substrate.scopes[j], base + static_cast<double>(j) / kRate,
+                   &upstream[j]};
     }
     benchmark::DoNotOptimize(prober.run(plan, chains));
     base += kLoops * plan.loop_stride_seconds;

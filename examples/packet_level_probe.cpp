@@ -30,11 +30,12 @@ struct NeighbourActivity final : googledns::ClientActivityModel {
   anycast::PopId pop = anycast::kNoPop;
   dns::DnsName domain;
   net::Prefix block;
-  double rate = 0;
+  double queries_per_second = 0;
 
-  double arrival_rate(anycast::PopId p, const dns::DnsName& d,
-                      net::Prefix b) const override {
-    return p == pop && b == block && d == domain ? rate : 0.0;
+  googledns::ArrivalRate rate(anycast::PopId p, const dns::DnsName& d,
+                              net::Prefix b) const override {
+    const bool neighbours = p == pop && b == block && d == domain;
+    return {.flat = neighbours ? queries_per_second : 0.0};
   }
 };
 
@@ -80,7 +81,7 @@ int main(int argc, char** argv) {
   neighbours.pop = catchment.pop_for(client_loc, client_addr.value());
   neighbours.domain = domain;
   neighbours.block = scope_block;
-  neighbours.rate = 0.1;
+  neighbours.queries_per_second = 0.1;
   googledns::GooglePublicDns gdns(&pops, &catchment, &auth, config,
                                   &neighbours);
 

@@ -99,6 +99,33 @@ namespace {
 /// list — is identical for every REPRO_THREADS value.
 constexpr std::size_t kScopeScanChunk = 1 << 14;
 
+/// Upstream-scope table entries per shard; fixed for the same reason.
+constexpr std::size_t kUpstreamChunk = 1 << 10;
+
+/// The upstream's scope for each of `entries` (domain, query scope)
+/// pairs, `entry(e)` naming the e-th: one wire round trip per entry of a
+/// known zone, filled in parallel over fixed chunks before a per-PoP
+/// fan-out. A scope depends on (domain, block, epoch), not on the PoP, so
+/// every PoP's chains read the one table. The stage only stores these
+/// values and hands them to the prober; it never reads them.
+template <typename Entry>
+std::vector<googledns::UpstreamScope> upstream_table(
+    const ProbeEnvironment& env, std::size_t entries, int threads,
+    Entry entry) {
+  std::vector<googledns::UpstreamScope> table(entries);
+  exec::parallel_for_chunks(
+      0, entries, kUpstreamChunk, threads, [&](exec::ChunkRange range) {
+        for (std::size_t e = range.begin; e < range.end; ++e) {
+          const auto [domain_index, scope] = entry(e);
+          table[e] = env.google_dns->upstream_scope(
+              env.domains[static_cast<std::size_t>(domain_index)].name,
+              scope);
+        }
+        return range.end - range.begin;
+      });
+  return table;
+}
+
 }  // namespace
 
 std::vector<ProbeCandidate> discover_scopes(const ProbeEnvironment& env,
@@ -266,10 +293,19 @@ CalibrationResult calibrate(const ProbeEnvironment& env,
       plan.domain_indices.push_back(static_cast<int>(d));
     }
   }
+  const std::size_t plan_domains = plan.domain_indices.size();
+  const std::vector<googledns::UpstreamScope> upstream = upstream_table(
+      env, sample.size() * plan_domains, options.threads,
+      [&](std::size_t e) {
+        return std::pair{plan.domain_indices[e % plan_domains],
+                         net::Prefix::from_slash24_index(
+                             sample[e / plan_domains].first)};
+      });
   std::vector<engine::Chain> chains(sample.size());
   double t = 0;
   for (std::size_t s = 0; s < sample.size(); ++s) {
-    chains[s] = {net::Prefix::from_slash24_index(sample[s].first), t};
+    chains[s] = {net::Prefix::from_slash24_index(sample[s].first), t,
+                 &upstream[s * plan_domains]};
     t += 1.0 / options.prefixes_per_second_per_domain;
   }
 
@@ -330,8 +366,9 @@ CalibrationResult calibrate(const ProbeEnvironment& env,
 
 namespace {
 
-/// One probed PoP's assigned candidate scopes, one list per domain.
-using PopAssignment = std::vector<std::vector<net::Prefix>>;
+/// One probed PoP's assigned candidates, one list of indices into the
+/// domain's candidate list per domain.
+using PopAssignment = std::vector<std::vector<std::uint32_t>>;
 
 /// Assigns each probed PoP the candidates MaxMind places possibly within
 /// its service radius (location + reported error radius). Sharded per PoP;
@@ -352,13 +389,15 @@ std::vector<PopAssignment> assign_candidates(
                 : options.default_service_radius_km;
         PopAssignment assigned(candidates_by_domain.size());
         for (std::size_t d = 0; d < candidates_by_domain.size(); ++d) {
-          for (const ProbeCandidate& candidate : candidates_by_domain[d]) {
+          const std::vector<ProbeCandidate>& candidates =
+              candidates_by_domain[d];
+          for (std::size_t c = 0; c < candidates.size(); ++c) {
             const auto rec =
-                env.geodb->lookup(candidate.scope.first_slash24_index());
+                env.geodb->lookup(candidates[c].scope.first_slash24_index());
             if (!rec) continue;  // not geolocatable: not assigned anywhere
             if (net::haversine_km(rec->location, pop_location) <=
                 radius + rec->error_radius_km) {
-              assigned[d].push_back(candidate.scope);
+              assigned[d].push_back(static_cast<std::uint32_t>(c));
             }
           }
         }
@@ -392,6 +431,18 @@ CampaignResult run_campaign(
 
   const std::vector<PopAssignment> assignments = assign_candidates(
       env, options, pops, calibration, candidates_by_domain);
+
+  // Every candidate's upstream scope, one table per domain, index-aligned
+  // with its candidate list.
+  std::vector<std::vector<googledns::UpstreamScope>> upstream;
+  upstream.reserve(candidates_by_domain.size());
+  for (std::size_t d = 0; d < candidates_by_domain.size(); ++d) {
+    const std::vector<ProbeCandidate>& candidates = candidates_by_domain[d];
+    upstream.push_back(upstream_table(
+        env, candidates.size(), options.threads, [&](std::size_t c) {
+          return std::pair{static_cast<int>(d), candidates[c].scope};
+        }));
+  }
 
   // One shard per PoP — the paper's own fan-out unit (22 PoPs probed at
   // once). Probe outcomes are pure functions of (entry, time) oracles, a
@@ -430,7 +481,7 @@ CampaignResult run_campaign(
         engine::Prober prober = shard_prober(env, policy, pop, vp_id);
         std::vector<engine::Chain> chains;
         for (std::size_t d = 0; d < env.domains.size(); ++d) {
-          const std::vector<net::Prefix>& assigned = assignments[i][d];
+          const std::vector<std::uint32_t>& assigned = assignments[i][d];
           shard.metrics.observe(
               CampaignMetrics::get().assigned_per_pop_domain,
               static_cast<double>(assigned.size()));
@@ -457,9 +508,11 @@ CampaignResult run_campaign(
           plan.loop_stride_seconds = cycle_seconds;
           chains.resize(assigned.size());
           for (std::size_t j = 0; j < assigned.size(); ++j) {
-            chains[j] = {assigned[j],
+            const std::uint32_t c = assigned[j];
+            chains[j] = {candidates_by_domain[d][c].scope,
                          static_cast<double>(j) /
-                             options.prefixes_per_second_per_domain};
+                             options.prefixes_per_second_per_domain,
+                         &upstream[d][c]};
           }
           const std::vector<engine::ProbeOutcome> outcomes =
               prober.run(plan, chains);
@@ -469,7 +522,7 @@ CampaignResult run_campaign(
               if (!outcome.hit || outcome.loop != loop) continue;
               CacheHit hit;
               hit.domain_index = static_cast<int>(d);
-              hit.query_scope = assigned[j];
+              hit.query_scope = chains[j].scope;
               hit.return_scope = outcome.return_scope;
               hit.pop = pop;
               hit.when = outcome.when;

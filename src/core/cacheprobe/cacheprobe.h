@@ -23,7 +23,11 @@ namespace netclients::core {
 /// has: query access to the domains' authoritatives (scope pre-pass), query
 /// access to Google Public DNS, a MaxMind-style geolocation database, a
 /// vantage-point fleet, and the public /24 space bounds. It never touches
-/// the simulator's ground truth.
+/// the simulator's ground truth. Before each per-PoP fan-out a stage asks
+/// the Google front end for the upstream's scope of every (domain, scope)
+/// it will probe (`GooglePublicDns::upstream_scope`, a query to the
+/// authoritative); it stores those values and hands them to the prober
+/// without reading them.
 struct ProbeEnvironment {
   const dnssrv::AuthoritativeServer* authoritative = nullptr;
   googledns::GooglePublicDns* google_dns = nullptr;

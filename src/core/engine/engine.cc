@@ -15,6 +15,8 @@ Prober::Prober(const ProberContext& context)
 std::vector<ProbeOutcome> Prober::run(const ChainPlan& plan,
                                       std::span<const Chain> chains) {
   std::vector<ProbeOutcome> outcomes(chains.size());
+  const std::size_t domains = plan.domain_indices.size();
+  targets_.assign(chains.size() * domains, googledns::ProbeTarget{});
   // Chains still un-hit after the previous loop, in submission order.
   std::vector<std::size_t> open(chains.size());
   std::iota(open.begin(), open.end(), std::size_t{0});
@@ -24,7 +26,8 @@ std::vector<ProbeOutcome> Prober::run(const ChainPlan& plan,
     for (const std::size_t i : open) {
       const double t =
           chains[i].schedule_time + loop * plan.loop_stride_seconds;
-      const Evaluation evaluation = evaluate(plan, chains[i].scope, loop, t);
+      const Evaluation evaluation =
+          evaluate(plan, chains[i], &targets_[i * domains], loop, t);
       ProbeOutcome& outcome = outcomes[i];
       outcome.rate_limited += evaluation.rate_limited;
       if (evaluation.hit || last) {
@@ -51,20 +54,25 @@ resilience::RetryStats Prober::stats() const {
   return out;
 }
 
-Prober::Evaluation Prober::evaluate(const ChainPlan& plan, net::Prefix scope,
-                                    int loop, double t) {
+Prober::Evaluation Prober::evaluate(const ChainPlan& plan, const Chain& chain,
+                                    googledns::ProbeTarget* targets, int loop,
+                                    double t) {
   ++evaluations_;
   Evaluation out;
   // Breaker gate, once per (chain, loop). While the PoP's breaker is open
   // the chain is skipped (the breaker counts it); it stays un-hit, so a
   // later loop revisits it within the loop budget.
   if (!breaker_.allow(t)) return out;
-  for (int domain_index : plan.domain_indices) {
-    const dns::DnsName& domain =
-        (*context_.domains)[static_cast<std::size_t>(domain_index)].name;
+  for (std::size_t k = 0; k < plan.domain_indices.size(); ++k) {
+    googledns::ProbeTarget& target = targets[k];
+    if (target.domain == nullptr) {
+      const auto d = static_cast<std::size_t>(plan.domain_indices[k]);
+      target = context_.dns->target(context_.pop, (*context_.domains)[d].name,
+                                    chain.scope, chain.upstream[k]);
+    }
     for (int attempt = 0; attempt < plan.redundancy; ++attempt) {
       const auto probe = probe_with_retries(
-          domain, scope, t + attempt * plan.attempt_spacing_seconds,
+          target, t + attempt * plan.attempt_spacing_seconds,
           loop * plan.attempt_loop_stride + attempt);
       if (probe.status == googledns::ProbeStatus::kRateLimited) {
         ++out.rate_limited;
@@ -87,9 +95,8 @@ Prober::Evaluation Prober::evaluate(const ChainPlan& plan, net::Prefix scope,
 /// One redundancy attempt (original timing and attempt id); injected
 /// timeouts/SERVFAILs are retried with per-transport timeout plus jittered
 /// exponential backoff, up to the policy's attempt budget.
-googledns::ProbeResult Prober::probe_with_retries(const dns::DnsName& domain,
-                                                  net::Prefix scope, double t,
-                                                  int attempt_id) {
+googledns::ProbeResult Prober::probe_with_retries(
+    const googledns::ProbeTarget& target, double t, int attempt_id) {
   const int max_attempts = std::max(1, context_.retry.max_attempts);
   googledns::ProbeResult result;
   for (int try_index = 0;; ++try_index) {
@@ -100,7 +107,7 @@ googledns::ProbeResult Prober::probe_with_retries(const dns::DnsName& domain,
     // it never probes extra pools or a newer cache, either of which would
     // let injected loss *increase* recall. The fault oracle re-rolls via
     // `try_index`.
-    result = context_.dns->probe(context_.pop, domain, scope, t, transport_,
+    result = context_.dns->probe(context_.pop, target, t, transport_,
                                  context_.vp_id, attempt_id, try_index);
     if (result.status == googledns::ProbeStatus::kOk) {
       consecutive_soft_failures_ = 0;
@@ -131,8 +138,9 @@ googledns::ProbeResult Prober::probe_with_retries(const dns::DnsName& domain,
       return result;
     }
     ++stats_.retries;
+    const net::Prefix scope = target.query_scope;
     const std::uint64_t key = net::stable_seed(
-        domain.hash(), std::uint64_t{scope.base().value()},
+        target.domain->hash(), std::uint64_t{scope.base().value()},
         std::uint64_t{scope.length()},
         static_cast<std::uint64_t>(context_.pop),
         static_cast<std::uint64_t>(static_cast<std::uint32_t>(attempt_id)));

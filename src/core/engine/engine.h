@@ -10,8 +10,11 @@
 // Decisions must follow one fixed order because oracle calls against
 // GooglePublicDns are order-sensitive (per-flow token buckets) and the
 // circuit breaker is sequential state (see DESIGN.md "Probe engine").
-// All prober state is confined to one PoP shard, so REPRO_THREADS
-// determinism is inherited from the per-PoP fan-out.
+// Each (chain, domain) pair is resolved into a GooglePublicDns probe target
+// once, from the upstream scope its chain carries, and every attempt,
+// retry and loop probes that target. All prober state is confined to one
+// PoP shard, so REPRO_THREADS determinism is inherited from the per-PoP
+// fan-out.
 
 #include <cstdint>
 #include <span>
@@ -46,6 +49,10 @@ struct ChainPlan {
 struct Chain {
   net::Prefix scope;
   double schedule_time = 0;
+  /// The upstream's scope for `scope` under each plan domain, in
+  /// `domain_indices` order. Owned by the stage, which fills its
+  /// PoP-independent table before the per-PoP fan-out.
+  const googledns::UpstreamScope* upstream = nullptr;
 };
 
 /// How a chain resolved: at its first hit, or when the loop budget ran out.
@@ -100,11 +107,10 @@ class Prober {
     bool hard_failure = false;
   };
 
-  Evaluation evaluate(const ChainPlan& plan, net::Prefix scope, int loop,
-                      double t);
-  googledns::ProbeResult probe_with_retries(const dns::DnsName& domain,
-                                            net::Prefix scope, double t,
-                                            int attempt_id);
+  Evaluation evaluate(const ChainPlan& plan, const Chain& chain,
+                      googledns::ProbeTarget* targets, int loop, double t);
+  googledns::ProbeResult probe_with_retries(
+      const googledns::ProbeTarget& target, double t, int attempt_id);
   void note_soft_failure();
 
   ProberContext context_;
@@ -114,6 +120,11 @@ class Prober {
   std::uint64_t probes_sent_ = 0;
   std::uint64_t evaluations_ = 0;
   resilience::RetryStats stats_;
+  /// Each (chain, plan domain)'s target, built on the chain's first
+  /// evaluation that reaches the domain and reused across attempts,
+  /// retries and loops; a null `domain` marks one not built yet. Owned
+  /// across `run` calls so each call reuses the storage.
+  std::vector<googledns::ProbeTarget> targets_;
 };
 
 }  // namespace netclients::core::engine

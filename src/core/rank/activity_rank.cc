@@ -13,6 +13,18 @@ ActivityRanker::ActivityRanker(googledns::GooglePublicDns* google_dns,
       domains_(std::move(domains)),
       options_(options) {}
 
+std::vector<googledns::ProbeTarget> ActivityRanker::targets_of(
+    net::Prefix prefix, anycast::PopId pop) const {
+  std::vector<googledns::ProbeTarget> targets;
+  targets.reserve(domains_.size());
+  for (const sim::DomainInfo& domain : domains_) {
+    targets.push_back(google_dns_->target(
+        pop, domain.name, prefix,
+        google_dns_->upstream_scope(domain.name, prefix)));
+  }
+  return targets;
+}
+
 PrefixActivity ActivityRanker::rank_prefix(net::Prefix prefix,
                                            anycast::PopId pop,
                                            int vp_id) const {
@@ -22,6 +34,7 @@ PrefixActivity ActivityRanker::rank_prefix(net::Prefix prefix,
   out.hit_rate.assign(domains_.size(), 0.0);
 
   const int pools = google_dns_->config().pools_per_pop;
+  const std::vector<googledns::ProbeTarget> targets = targets_of(prefix, pop);
   for (std::size_t d = 0; d < domains_.size(); ++d) {
     const double ttl = domains_[d].ttl_seconds;
     int hits = 0;
@@ -32,8 +45,8 @@ PrefixActivity ActivityRanker::rank_prefix(net::Prefix prefix,
                        static_cast<double>(d) * 0.05;
       for (int attempt = 0; attempt < options_.redundant_queries; ++attempt) {
         const auto probe = google_dns_->probe(
-            pop, domains_[d].name, prefix, t + attempt * 0.002,
-            options_.transport, vp_id, 977 * round + attempt);
+            pop, targets[d], t + attempt * 0.002, options_.transport, vp_id,
+            977 * round + attempt);
         if (probe.cache_hit && probe.return_scope > 0) {
           ++hits;
           age_total += std::max(0.5, ttl - probe.remaining_ttl);
@@ -66,9 +79,10 @@ PrefixActivity ActivityRanker::rank_prefix(net::Prefix prefix,
   return out;
 }
 
-double ActivityRanker::estimate_at(net::Prefix prefix, anycast::PopId pop,
-                                   int vp_id, net::SimTime start, int rounds,
-                                   double round_spacing_seconds) const {
+double ActivityRanker::estimate_at(
+    const std::vector<googledns::ProbeTarget>& targets, anycast::PopId pop,
+    int vp_id, net::SimTime start, int rounds,
+    double round_spacing_seconds) const {
   const int pools = google_dns_->config().pools_per_pop;
   double estimate = 0;
   for (std::size_t d = 0; d < domains_.size(); ++d) {
@@ -80,8 +94,8 @@ double ActivityRanker::estimate_at(net::Prefix prefix, anycast::PopId pop,
                        static_cast<double>(d) * 0.05;
       for (int attempt = 0; attempt < options_.redundant_queries; ++attempt) {
         const auto probe = google_dns_->probe(
-            pop, domains_[d].name, prefix, t + attempt * 0.002,
-            options_.transport, vp_id, 1583 * round + attempt);
+            pop, targets[d], t + attempt * 0.002, options_.transport, vp_id,
+            1583 * round + attempt);
         if (probe.cache_hit && probe.return_scope > 0) {
           ++hits;
           age_total += std::max(0.5, ttl - probe.remaining_ttl);
@@ -107,13 +121,14 @@ ActivityRanker::DiurnalProfile ActivityRanker::diurnal_profile(
   DiurnalProfile profile;
   profile.prefix = prefix;
   profile.rate_by_slot.assign(static_cast<std::size_t>(slots), 0.0);
+  const std::vector<googledns::ProbeTarget> targets = targets_of(prefix, pop);
   // For each time-of-day slot, probe `days` rounds exactly one day apart —
   // independent cache windows that all sample the same local phase.
   for (int slot = 0; slot < slots; ++slot) {
     const double slot_start =
         options_.start_time + slot * (net::kDay / slots);
     profile.rate_by_slot[static_cast<std::size_t>(slot)] =
-        estimate_at(prefix, pop, vp_id, slot_start, days, net::kDay);
+        estimate_at(targets, pop, vp_id, slot_start, days, net::kDay);
   }
   double lo = profile.rate_by_slot[0], hi = profile.rate_by_slot[0];
   double mean = 0;
@@ -143,10 +158,11 @@ double ActivityRanker::day_night_contrast(net::Prefix prefix,
     while (t < 0) t += 86400.0;
     return t;
   };
+  const std::vector<googledns::ProbeTarget> targets = targets_of(prefix, pop);
   const double evening = estimate_at(
-      prefix, pop, vp_id, day_base + utc_of_local_hour(20.0), days, 86400.0);
+      targets, pop, vp_id, day_base + utc_of_local_hour(20.0), days, 86400.0);
   const double dawn = estimate_at(
-      prefix, pop, vp_id, day_base + utc_of_local_hour(8.0), days, 86400.0);
+      targets, pop, vp_id, day_base + utc_of_local_hour(8.0), days, 86400.0);
   const double total = evening + dawn;
   return total > 0 ? (evening - dawn) / total : 0.0;
 }

@@ -87,9 +87,14 @@ class ActivityRanker {
                             int days = 12) const;
 
  private:
-  double estimate_at(net::Prefix prefix, anycast::PopId pop, int vp_id,
-                     net::SimTime start, int rounds,
-                     double round_spacing_seconds) const;
+  /// One probe target per domain for `prefix` at `pop`, built once per
+  /// public call and probed by all its rounds, so each domain's upstream
+  /// round trip and activity rate are resolved once.
+  std::vector<googledns::ProbeTarget> targets_of(net::Prefix prefix,
+                                                 anycast::PopId pop) const;
+  double estimate_at(const std::vector<googledns::ProbeTarget>& targets,
+                     anycast::PopId pop, int vp_id, net::SimTime start,
+                     int rounds, double round_spacing_seconds) const;
 
   googledns::GooglePublicDns* google_dns_;
   std::vector<sim::DomainInfo> domains_;

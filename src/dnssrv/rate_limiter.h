@@ -1,8 +1,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
-#include <cstdint>
 
 #include "core/obs/obs.h"
 #include "net/sim_time.h"
@@ -20,17 +18,8 @@ class TokenBucket {
   TokenBucket(double rate_per_second, double burst)
       : rate_(rate_per_second), burst_(burst), tokens_(burst) {}
 
-  TokenBucket(const TokenBucket& other)
-      : rate_(other.rate_),
-        burst_(other.burst_),
-        tokens_(other.tokens_),
-        last_(other.last_),
-        allowed_(other.allowed_.load(std::memory_order_relaxed)),
-        rejected_(other.rejected_.load(std::memory_order_relaxed)) {}
-
   /// Consumes one token if available. Callers must pass non-decreasing
-  /// times. The bucket state is thread-confined to the flow's shard;
-  /// only the diagnostic counters are safe to read from elsewhere.
+  /// times. The bucket is thread-confined to the flow's shard.
   bool allow(net::SimTime now) {
     // Fleet-wide limiter telemetry across every flow's bucket (integer
     // counters: deterministic in total from concurrent shards).
@@ -41,11 +30,9 @@ class TokenBucket {
     refill(now);
     if (tokens_ >= 1.0) {
       tokens_ -= 1.0;
-      allowed_.fetch_add(1, std::memory_order_relaxed);
       allowed_total.add();
       return true;
     }
-    rejected_.fetch_add(1, std::memory_order_relaxed);
     dropped_total.add();
     return false;
   }
@@ -55,12 +42,6 @@ class TokenBucket {
     return tokens_;
   }
 
-  std::uint64_t allowed() const {
-    return allowed_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t rejected() const {
-    return rejected_.load(std::memory_order_relaxed);
-  }
   double rate() const { return rate_; }
 
  private:
@@ -80,8 +61,6 @@ class TokenBucket {
   double burst_;
   double tokens_;
   net::SimTime last_ = 0;
-  std::atomic<std::uint64_t> allowed_{0};
-  std::atomic<std::uint64_t> rejected_{0};
 };
 
 }  // namespace netclients::dnssrv

@@ -15,8 +15,10 @@ namespace {
 
 // Per-probe outcome telemetry. Counters only (integer-commutative, so
 // concurrent PoP shards stay deterministic in total); every counter is
-// bumped at most once per probe call, never on memo fills or other
-// interleaving-dependent events.
+// bumped at most once per probe call, never on interleaving-dependent
+// events. `round_trips` counts upstream fetches, one per target the
+// callers resolve plus the wire front end's answers: a fact about the
+// input at any thread count.
 struct ProbeMetrics {
   obs::Counter& sent = obs::Registry::global().counter("googledns.probe.sent");
   obs::Counter& rate_limited =
@@ -30,6 +32,8 @@ struct ProbeMetrics {
   obs::Counter& hit_analytic =
       obs::Registry::global().counter("googledns.probe.hit_analytic");
   obs::Counter& miss = obs::Registry::global().counter("googledns.probe.miss");
+  obs::Counter& round_trips =
+      obs::Registry::global().counter("googledns.upstream.round_trips");
 
   static ProbeMetrics& get() {
     static ProbeMetrics metrics;
@@ -95,9 +99,10 @@ dnssrv::TokenBucket& GooglePublicDns::limiter(
 std::optional<dnssrv::EcsAnswer> GooglePublicDns::upstream_resolve(
     const dns::DnsName& domain, net::Prefix source) const {
   // One RFC 1035 round trip. The reply arena is per-thread so concurrent
-  // PoP shards never share write state, and the reply view borrows it
-  // only within this frame.
+  // callers never share write state, and the reply view borrows it only
+  // within this frame.
   thread_local dns::WireArena reply_arena;
+  ProbeMetrics::get().round_trips.add();
   const auto id = static_cast<std::uint16_t>(net::stable_seed(
       config_.seed ^ 0x3135u, domain.hash(),
       std::uint64_t{source.base().value()}, std::uint64_t{source.length()},
@@ -185,11 +190,45 @@ bool GooglePublicDns::analytic_present(PopId pop, int pool_index,
   return true;
 }
 
-ProbeResult GooglePublicDns::probe(PopId pop, const dns::DnsName& domain,
-                                   net::Prefix query_scope, net::SimTime now,
-                                   Transport transport, int vp_id,
-                                   int attempt, int retry) {
+UpstreamScope GooglePublicDns::upstream_scope(const dns::DnsName& domain,
+                                              net::Prefix query_scope) const {
+  const dnssrv::ZoneConfig* zone = upstream_->zone(domain);
+  if (!zone) return {};
+  // The authoritative's wire reply scopes its answer exactly as scope_for
+  // would (scope 0 for ECS-oblivious zones).
+  const auto answer = upstream_resolve(domain, query_scope);
+  return {zone, answer ? answer->scope_length : std::uint8_t{255}};
+}
+
+ProbeTarget GooglePublicDns::target(PopId pop, const dns::DnsName& domain,
+                                    net::Prefix query_scope,
+                                    const UpstreamScope& upstream) const {
+  (void)states_.at(static_cast<std::size_t>(pop));
+  ProbeTarget target;
+  target.domain = &domain;
+  target.query_scope = query_scope;
+  target.zone = upstream.zone;
+  target.entry_scope = upstream.scope;
+  // The scope the authoritative *currently* assigns to this block. Client
+  // queries landing here were cached under that scope's block. RFC 7871:
+  // a cached entry answers a query only when the entry's scope block
+  // contains the query's source prefix — so if the scope drifted to be
+  // more specific than our (previously discovered) query scope, every
+  // probe misses and no rate is needed.
+  if (!target.zone || target.entry_scope > query_scope.length()) {
+    return target;
+  }
+  target.entry_block = query_scope.widen_to(target.entry_scope);
+  if (activity_) target.rate = activity_->rate(pop, domain, target.entry_block);
+  return target;
+}
+
+ProbeResult GooglePublicDns::probe(PopId pop, const ProbeTarget& target,
+                                   net::SimTime now, Transport transport,
+                                   int vp_id, int attempt, int retry) {
   PopState& pop_state = states_.at(static_cast<std::size_t>(pop));
+  const dns::DnsName& domain = *target.domain;
+  const net::Prefix query_scope = target.query_scope;
   ProbeResult result;
   result.pop = pop;
   ProbeMetrics::get().sent.add();
@@ -238,50 +277,16 @@ ProbeResult GooglePublicDns::probe(PopId pop, const dns::DnsName& domain,
               in_window(faults.eviction_windows, now) &&
               evict_draw < faults.eviction_probability;
   }
-  // The prober cannot choose the pool its query lands in; redundant
-  // attempts hash to (possibly repeated) pools.
-  const int pool_index = static_cast<int>(
-      net::stable_seed(config_.seed ^ 0x9001u, static_cast<std::uint64_t>(pop),
-                       static_cast<std::uint64_t>(vp_id),
-                       static_cast<std::uint64_t>(attempt),
-                       std::hash<dns::DnsName>{}(domain),
-                       std::uint64_t{query_scope.base().value()}) %
-      static_cast<std::uint64_t>(config_.pools_per_pop));
 
-  // The scope the authoritative *currently* assigns to this block. Client
-  // queries landing here were cached under that scope's block. RFC 7871:
-  // a cached entry answers a query only when the entry's scope block
-  // contains the query's source prefix — so if the scope drifted to be
-  // more specific than our (previously discovered) query scope, we miss.
-  // The memo holds the zone too, so a known zone is looked up once per
-  // (domain, scope), not once per probe.
-  const std::uint64_t memo_key = net::stable_seed(
-      domain.hash(), std::uint64_t{query_scope.base().value()},
-      std::uint64_t{query_scope.length()});
-  auto memo = pop_state.scope_memo.find(memo_key);
-  if (memo == pop_state.scope_memo.end()) {
-    const dnssrv::ZoneConfig* zone = upstream_->zone(domain);
-    if (!zone) {
-      ProbeMetrics::get().unknown_zone.add();
-      return result;  // unknown zone: nothing could be cached
-    }
-    // The authoritative's wire reply scopes its answer exactly as
-    // scope_for would (scope 0 for ECS-oblivious zones).
-    const auto answer = upstream_resolve(domain, query_scope);
-    memo = pop_state.scope_memo
-               .emplace(memo_key,
-                        ScopeMemo{zone, answer ? answer->scope_length
-                                               : std::uint8_t{255}})
-               .first;
+  if (!target.zone) {
+    ProbeMetrics::get().unknown_zone.add();
+    return result;  // unknown zone: nothing could be cached
   }
-  const dnssrv::ZoneConfig& zone = *memo->second.zone;
-  const std::uint8_t entry_scope = memo->second.scope;
-  if (entry_scope == 0) ProbeMetrics::get().scope_zero.add();
-  if (entry_scope > query_scope.length()) {
+  if (target.entry_scope == 0) ProbeMetrics::get().scope_zero.add();
+  if (target.entry_scope > query_scope.length()) {
     ProbeMetrics::get().scope_drift_miss.add();
     return result;
   }
-  const net::Prefix entry_block = query_scope.widen_to(entry_scope);
 
   // Eviction storm: the entry this probe would have found is gone from its
   // pool, whatever the occupancy model says.
@@ -292,24 +297,45 @@ ProbeResult GooglePublicDns::probe(PopId pop, const dns::DnsName& domain,
   }
 
   // Analytic occupancy from the world's client activity. The rate is
-  // sampled at probe time, so diurnal worlds expose time-of-day structure
-  // to the prober (the §6 temporal signal).
-  if (activity_) {
-    const double rate =
-        activity_->arrival_rate_at(pop, domain, entry_block, now) /
-        static_cast<double>(config_.pools_per_pop);
+  // evaluated at probe time, so diurnal worlds expose time-of-day
+  // structure to the prober (the §6 temporal signal).
+  const double rate = target.rate.at(now) /
+                      static_cast<double>(config_.pools_per_pop);
+  if (rate > 0) {
+    // The prober cannot choose the pool its query lands in; redundant
+    // attempts hash to (possibly repeated) pools.
+    const int pool_index = static_cast<int>(
+        net::stable_seed(config_.seed ^ 0x9001u,
+                         static_cast<std::uint64_t>(pop),
+                         static_cast<std::uint64_t>(vp_id),
+                         static_cast<std::uint64_t>(attempt), domain.hash(),
+                         std::uint64_t{query_scope.base().value()}) %
+        static_cast<std::uint64_t>(config_.pools_per_pop));
+    const std::uint32_t ttl = target.zone->ttl_seconds;
     double age = 0;
-    if (analytic_present(pop, pool_index, domain, entry_block,
-                         zone.ttl_seconds, rate, now, &age)) {
+    if (analytic_present(pop, pool_index, domain, target.entry_block, ttl,
+                         rate, now, &age)) {
       ProbeMetrics::get().hit_analytic.add();
       result.cache_hit = true;
-      result.return_scope = entry_scope;
-      result.remaining_ttl = static_cast<std::uint32_t>(
-          std::max(0.0, zone.ttl_seconds - age));
+      result.return_scope = target.entry_scope;
+      result.remaining_ttl =
+          static_cast<std::uint32_t>(std::max(0.0, ttl - age));
     }
   }
   if (!result.cache_hit) ProbeMetrics::get().miss.add();
   return result;
+}
+
+ProbeResult GooglePublicDns::probe(PopId pop, const dns::DnsName& domain,
+                                   net::Prefix query_scope, net::SimTime now,
+                                   Transport transport, int vp_id,
+                                   int attempt, int retry) {
+  // An out-of-table PoP throws before the round trip counts.
+  (void)states_.at(static_cast<std::size_t>(pop));
+  return probe(pop,
+               target(pop, domain, query_scope,
+                      upstream_scope(domain, query_scope)),
+               now, transport, vp_id, attempt, retry);
 }
 
 std::span<const std::uint8_t> GooglePublicDns::handle_wire(

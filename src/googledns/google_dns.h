@@ -87,17 +87,51 @@ struct ProbeResult {
   }
 };
 
+/// What the authoritative says about one (domain, query scope) at the
+/// configured epoch: the domain's zone and the scope its wire reply gives
+/// the block. It depends on neither the PoP nor the time, so one value
+/// serves every PoP's probes of that target.
+struct UpstreamScope {
+  /// Null for an unknown zone: nothing could be cached.
+  const dnssrv::ZoneConfig* zone = nullptr;
+  /// 255 when the upstream gave no scope.
+  std::uint8_t scope = 255;
+};
+
+/// Everything about one probe target (PoP, domain, query scope) that no
+/// probe of it changes: the zone, the upstream's scope, the block the
+/// clients' cache entry is keyed by, and the clients' arrival rate there,
+/// kept as a value each probe evaluates at its own time. Borrows `domain`
+/// and `zone`.
+struct ProbeTarget {
+  const dns::DnsName* domain = nullptr;
+  net::Prefix query_scope;
+  const dnssrv::ZoneConfig* zone = nullptr;
+  std::uint8_t entry_scope = 255;
+  /// `query_scope` widened to `entry_scope`; meaningful only when the zone
+  /// is known and the scope has not drifted narrower than the query.
+  net::Prefix entry_block;
+  /// The PoP's client arrival rate for the entry (all pools together);
+  /// zero where no probe could reach the occupancy model.
+  ArrivalRate rate;
+};
+
 /// Model of Google Public DNS: an anycast fleet of PoPs, each with several
 /// independent cache pools, honoring client-supplied ECS prefixes and
 /// answering non-recursive (RD=0) queries strictly from cache.
 ///
+/// A probe comes in two parts. `upstream_scope` and `target` resolve, once
+/// per target, what no probe changes; they are const and may run on any
+/// thread. `probe(pop, target, ...)` is the per-attempt part: the PoP's
+/// flow limiter, the fault draws, the pool hash and the occupancy draw.
+///
 /// Concurrency discipline (see DESIGN.md "Concurrency model"): `probe`
 /// and `handle_wire` may be called concurrently as long as concurrent
-/// calls target *distinct PoPs*. Everything the front end mutates —
-/// token-bucket flows and the scope memo — lives in that PoP's own state,
-/// created up front for every PopTable entry, so concurrent calls for
-/// different PoPs share only read-only data and take no locks. A PoP id
-/// outside the table throws std::out_of_range.
+/// calls target *distinct PoPs*. What the front end mutates — the
+/// token-bucket flows — lives in that PoP's own state, created up front
+/// for every PopTable entry, so concurrent calls for different PoPs share
+/// only read-only data and take no locks. A PoP id outside the table
+/// throws std::out_of_range before any counter moves.
 ///
 /// Cache occupancy has one source: the ClientActivityModel. A probe
 /// samples whether a Poisson client-arrival process at the model's rate
@@ -116,13 +150,34 @@ class GooglePublicDns {
   anycast::PopId pop_for(net::LatLon location, std::uint64_t route_key,
                          const anycast::RouteBias& bias = {}) const;
 
-  /// A cache-snooping probe: RD=0, ECS = `query_scope`, sent over
-  /// `transport` by vantage `vp_id` to PoP `pop`. `attempt` selects which
-  /// cache pool the query lands in (the paper sends 5 redundant queries to
-  /// cover multiple pools). `retry` is the resilience layer's retry index
-  /// for this attempt: it re-rolls the fault oracle (loss is transient)
-  /// but NOT the pool hash — a retried flow keeps its 5-tuple and lands
-  /// in the same pool, so retries can only recover masked answers.
+  /// The zone of `domain` and the scope the authoritative currently gives
+  /// `query_scope`: one RFC 1035 round trip for a known zone, none for an
+  /// unknown one.
+  UpstreamScope upstream_scope(const dns::DnsName& domain,
+                               net::Prefix query_scope) const;
+
+  /// The target `pop`'s probes of `domain` with ECS = `query_scope` share,
+  /// given the upstream's answer for it. Asks the activity model for the
+  /// rate only where a probe could reach the occupancy draw. Borrows
+  /// `domain` and `upstream.zone`.
+  ProbeTarget target(anycast::PopId pop, const dns::DnsName& domain,
+                     net::Prefix query_scope,
+                     const UpstreamScope& upstream) const;
+
+  /// A cache-snooping probe of `target`: RD=0, ECS = the target's query
+  /// scope, sent over `transport` by vantage `vp_id` to PoP `pop` (the
+  /// PoP the target was built for). `attempt` selects which cache pool the
+  /// query lands in (the paper sends 5 redundant queries to cover multiple
+  /// pools). `retry` is the resilience layer's retry index for this
+  /// attempt: it re-rolls the fault oracle (loss is transient) but NOT the
+  /// pool hash — a retried flow keeps its 5-tuple and lands in the same
+  /// pool, so retries can only recover masked answers.
+  ProbeResult probe(anycast::PopId pop, const ProbeTarget& target,
+                    net::SimTime now, Transport transport, int vp_id,
+                    int attempt, int retry = 0);
+
+  /// One probe of a fresh target: `target(pop, domain, query_scope,
+  /// upstream_scope(domain, query_scope))`, then the probe above.
   ProbeResult probe(anycast::PopId pop, const dns::DnsName& domain,
                     net::Prefix query_scope, net::SimTime now,
                     Transport transport, int vp_id, int attempt,
@@ -151,12 +206,6 @@ class GooglePublicDns {
   static const dns::DnsName& myaddr_name();
 
  private:
-  struct ScopeMemo {
-    const dnssrv::ZoneConfig* zone = nullptr;
-    /// 255 when the upstream gave no scope.
-    std::uint8_t scope = 0;
-  };
-
   /// Everything the front end mutates on behalf of one PoP. Padded to a
   /// cache line so shards probing neighbouring PoPs never share one.
   struct alignas(64) PopState {
@@ -164,10 +213,6 @@ class GooglePublicDns {
     /// separate query loop per domain, each its own flow; Google's limits
     /// apply per flow. Each loop's timestamps are monotone.
     std::unordered_map<std::uint64_t, dnssrv::TokenBucket> limiters;
-    /// The zone and the upstream's current scope per (domain, block) at
-    /// the configured epoch; probes revisit each dozens of times. Only
-    /// known zones are memoized, so a zone added later is still seen.
-    std::unordered_map<std::uint64_t, ScopeMemo> scope_memo;
   };
 
   dnssrv::TokenBucket& limiter(PopState& state, int vp_id,
@@ -177,6 +222,7 @@ class GooglePublicDns {
   /// An upstream fetch, one RFC 1035 round trip: `dns::write_query` into
   /// a stack buffer, AuthoritativeServer::handle_wire into a thread_local
   /// arena, zero-copy parse of the reply. Nullopt for an unknown zone.
+  /// Counts itself in `googledns.upstream.round_trips`.
   std::optional<dnssrv::EcsAnswer> upstream_resolve(const dns::DnsName& domain,
                                                     net::Prefix source) const;
 

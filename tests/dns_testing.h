@@ -168,10 +168,10 @@ class PlantedActivity final : public googledns::ClientActivityModel {
              net::Prefix block, double rate) {
     rates_[key(pop, domain, block)] = rate;
   }
-  double arrival_rate(anycast::PopId pop, const dns::DnsName& domain,
-                      net::Prefix block) const override {
+  googledns::ArrivalRate rate(anycast::PopId pop, const dns::DnsName& domain,
+                              net::Prefix block) const override {
     const auto it = rates_.find(key(pop, domain, block));
-    return it == rates_.end() ? 0.0 : it->second;
+    return {.flat = it == rates_.end() ? 0.0 : it->second};
   }
 
  private:

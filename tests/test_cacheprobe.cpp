@@ -10,6 +10,7 @@
 
 #include "anycast/vantage.h"
 #include "core/cacheprobe/cacheprobe.h"
+#include "core/obs/obs.h"
 #include "sim/activity.h"
 #include "sim/world.h"
 
@@ -286,6 +287,41 @@ TEST(Campaign, StageMaskReusesPriorArtifacts) {
   EXPECT_EQ(staged.result.probes_sent, whole.result.probes_sent);
   EXPECT_EQ(staged.result.slash24_upper_bound(),
             whole.result.slash24_upper_bound());
+}
+
+TEST(CacheProbe, UpstreamRoundTripsEqualTableSize) {
+  // Calibration and the campaign each resolve every (domain, scope) they
+  // probe once, in one table that all PoPs read: the upstream round trips
+  // are the sample times the four calibration domains, then one per
+  // candidate, at any thread count.
+  obs::Counter& round_trips =
+      obs::Registry::global().counter("googledns.upstream.round_trips");
+  for (const int threads : {1, 4}) {
+    Pipeline p(4096);
+    CacheProbeOptions options;
+    options.threads = threads;
+    const ProbeEnvironment env = p.environment();
+    const PopDiscoveryResult pops = discover_pops(env);
+    ASSERT_GT(pops.probed_pops.size(), 1u);
+
+    std::uint64_t before = round_trips.value();
+    const CalibrationResult calibration = calibrate(env, options, pops);
+    ASSERT_GT(calibration.sampled_prefixes, 0u);
+    EXPECT_EQ(round_trips.value() - before, calibration.sampled_prefixes * 4)
+        << threads << " threads";
+
+    std::vector<std::vector<ProbeCandidate>> scopes;
+    std::uint64_t candidates = 0;
+    for (std::size_t d = 0; d < env.domains.size(); ++d) {
+      scopes.push_back(discover_scopes(env, options, static_cast<int>(d)));
+      candidates += scopes.back().size();
+    }
+    ASSERT_GT(candidates, 0u);
+    before = round_trips.value();
+    run_campaign(env, options, pops, calibration, &scopes);
+    EXPECT_EQ(round_trips.value() - before, candidates)
+        << threads << " threads";
+  }
 }
 
 }  // namespace

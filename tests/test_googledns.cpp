@@ -20,6 +20,8 @@
 #include "dns_testing.h"
 #include "googledns/google_dns.h"
 #include "net/rng.h"
+#include "sim/activity.h"
+#include "sim/world.h"
 
 namespace netclients::googledns {
 namespace {
@@ -27,9 +29,9 @@ namespace {
 class FixedRateActivity final : public ClientActivityModel {
  public:
   explicit FixedRateActivity(double rate) : rate_(rate) {}
-  double arrival_rate(anycast::PopId, const dns::DnsName&,
-                      net::Prefix) const override {
-    return rate_;
+  ArrivalRate rate(anycast::PopId, const dns::DnsName&,
+                   net::Prefix) const override {
+    return {.flat = rate_};
   }
 
  private:
@@ -191,8 +193,9 @@ TEST(GoogleDns, UnknownDomainNeverHits) {
 }
 
 TEST(GoogleDns, UnknownZoneCountedPerProbeAndSeenOnceAdded) {
-  // The scope memo holds only known zones: every probe of an unknown
-  // domain counts, and a zone added later is seen by the next probe.
+  // Every probe of an unknown domain counts, and since each probe of a
+  // fresh target asks the authoritative again, a zone added later is seen
+  // by the next probe.
   Fixture f(10.0);  // analytic activity everywhere
   auto& registry = obs::Registry::global();
   obs::Counter& unknown = registry.counter("googledns.probe.unknown_zone");
@@ -218,6 +221,68 @@ TEST(GoogleDns, UnknownZoneCountedPerProbeAndSeenOnceAdded) {
       f.gdns->probe(0, name, scope, 52.0, Transport::kTcp, 0, 0).cache_hit);
   EXPECT_EQ(unknown.value() - unknown_before, 2u);
   EXPECT_EQ(sent.value() - sent_before, 3u);
+}
+
+TEST(GoogleDns, ReusedTargetMatchesFreshTargetOverTime) {
+  // A diurnal world: the clients' rate swings over the day, so one target
+  // probed across two days must answer exactly as a fresh target built
+  // for each probe does. A target that froze the rate at its first probe
+  // would drift from the fresh ones. Both front ends see the same probe
+  // stream, so their flow limiters evolve in lockstep.
+  sim::WorldConfig config;
+  config.scale = 1.0 / 2048;
+  config.diurnal_amplitude = 0.65;
+  const sim::World world = sim::World::generate(config);
+  const sim::WorldActivityModel activity(&world);
+  GooglePublicDns reused(&world.pops(), &world.catchment(),
+                         &world.authoritative(), {}, &activity);
+  GooglePublicDns fresh(&world.pops(), &world.catchment(),
+                        &world.authoritative(), {}, &activity);
+  const dns::DnsName& domain = world.domains()[0].name;
+  const double pools = reused.config().pools_per_pop;
+
+  // The first busy block whose clients refill a pool about once per TTL
+  // on average: probes at the peak and at the trough then differ.
+  const sim::Slash24Block* busy = nullptr;
+  ProbeTarget target;
+  for (const sim::Slash24Block& block : world.blocks()) {
+    if (block.users < 50 || block.gdns_pop == anycast::kNoPop) continue;
+    const net::Prefix slash24 = net::Prefix::from_slash24_index(block.index);
+    target = reused.target(block.gdns_pop, domain, slash24,
+                           reused.upstream_scope(domain, slash24));
+    if (target.zone == nullptr) continue;
+    const double per_ttl =
+        target.rate.mean * target.zone->ttl_seconds / pools;
+    if (per_ttl > 0.3 && per_ttl < 3.0) {
+      busy = &block;
+      break;
+    }
+  }
+  ASSERT_NE(busy, nullptr);
+  ASSERT_GT(target.rate.amplitude, 0);
+  EXPECT_NE(target.rate.at(0.0), target.rate.at(net::kDay / 2));
+
+  const anycast::PopId pop = busy->gdns_pop;
+  int hits = 0;
+  int probes = 0;
+  for (int slot = 0; slot < 96; ++slot) {
+    const double t = 1e5 + slot * 1800.0;
+    for (int attempt = 0; attempt < 5; ++attempt) {
+      const double now = t + attempt * 0.002;
+      const ProbeResult a =
+          reused.probe(pop, target, now, Transport::kTcp, 0, attempt);
+      const ProbeResult b = fresh.probe(pop, domain, target.query_scope, now,
+                                        Transport::kTcp, 0, attempt);
+      ASSERT_EQ(a.status, b.status) << "slot " << slot;
+      ASSERT_EQ(a.cache_hit, b.cache_hit) << "slot " << slot;
+      EXPECT_EQ(a.return_scope, b.return_scope);
+      EXPECT_EQ(a.remaining_ttl, b.remaining_ttl) << "slot " << slot;
+      hits += a.cache_hit;
+      ++probes;
+    }
+  }
+  EXPECT_GT(hits, 0);
+  EXPECT_LT(hits, probes);
 }
 
 TEST(GoogleDns, AnalyticHighRateHits) {
@@ -439,9 +504,9 @@ TEST(GoogleDns, UpstreamProbeStreamPinned) {
 
 TEST(GoogleDns, HandleWireByteIdenticalToStructuredPath) {
   // Two fixtures fed the identical query stream, one through handle_wire,
-  // one through the reference server: the probe state (rate limiting,
-  // the scope memo) evolves in lockstep, so every reply must be the
-  // oracle's bytes. The corner cases come first, for the snooped zone and
+  // one through the reference server: the probe state (the rate limiters'
+  // flows) evolves in lockstep, so every reply must be the oracle's
+  // bytes. The corner cases come first, for the snooped zone and
   // the myaddr name, then a random stream. Clients at a flat rate make
   // about half the snoops hit, and injected faults give SERVFAILs.
   GoogleDnsConfig config;
@@ -597,12 +662,18 @@ TEST(GoogleDns, OutOfRangePopIdIsRejected) {
   const anycast::PopId past_end = static_cast<anycast::PopId>(f.pops.size());
   obs::Counter& sent =
       obs::Registry::global().counter("googledns.probe.sent");
+  obs::Counter& round_trips =
+      obs::Registry::global().counter("googledns.upstream.round_trips");
   const auto sent0 = sent.value();
+  const auto round_trips0 = round_trips.value();
   const net::Ipv4Addr client = *net::Ipv4Addr::parse("100.64.5.9");
   dns::WireArena arena;
   for (const anycast::PopId pop : {anycast::kNoPop, past_end}) {
     EXPECT_THROW(f.gdns->probe(pop, f.domain, net::Prefix::slash24_of(client),
                                1.0, Transport::kTcp, 0, 0),
+                 std::out_of_range);
+    EXPECT_THROW(f.gdns->target(pop, f.domain,
+                                net::Prefix::slash24_of(client), {}),
                  std::out_of_range);
 
     anycast::RouteBias misroute;
@@ -624,6 +695,7 @@ TEST(GoogleDns, OutOfRangePopIdIsRejected) {
     }
   }
   EXPECT_EQ(sent.value(), sent0);
+  EXPECT_EQ(round_trips.value(), round_trips0);
 }
 
 }  // namespace

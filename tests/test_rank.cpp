@@ -22,10 +22,10 @@ class PlantedActivity final : public googledns::ClientActivityModel {
   void plant(net::Prefix block, double rate) {
     rates_[block.base().value()] = rate;
   }
-  double arrival_rate(anycast::PopId, const dns::DnsName&,
-                      net::Prefix block) const override {
+  googledns::ArrivalRate rate(anycast::PopId, const dns::DnsName&,
+                              net::Prefix block) const override {
     auto it = rates_.find(block.base().value());
-    return it == rates_.end() ? 0.0 : it->second;
+    return {.flat = it == rates_.end() ? 0.0 : it->second};
   }
 
  private:

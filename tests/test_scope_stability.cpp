@@ -17,9 +17,9 @@ namespace {
 
 class SaturatedActivity final : public googledns::ClientActivityModel {
  public:
-  double arrival_rate(anycast::PopId, const dns::DnsName&,
-                      net::Prefix) const override {
-    return 5.0;  // cache always warm: every probe that can hit, hits
+  googledns::ArrivalRate rate(anycast::PopId, const dns::DnsName&,
+                              net::Prefix) const override {
+    return {.flat = 5.0};  // cache always warm: every probe that can hit, hits
   }
 };
 

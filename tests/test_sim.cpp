@@ -228,9 +228,11 @@ TEST(Activity, ArrivalRateSumsBlocksServedByPop) {
   // block's own rate.
   for (const Slash24Block& block : w.blocks()) {
     if (block.users > 50) {
-      const double rate = model.arrival_rate(
-          block.gdns_pop, w.domains()[kDomainGoogle].name,
-          net::Prefix::from_slash24_index(block.index));
+      const double rate =
+          model
+              .rate(block.gdns_pop, w.domains()[kDomainGoogle].name,
+                    net::Prefix::from_slash24_index(block.index))
+              .at(0.0);
       EXPECT_NEAR(rate, w.gdns_rate(block, kDomainGoogle), 1e-12);
       return;
     }
@@ -241,9 +243,55 @@ TEST(Activity, ArrivalRateSumsBlocksServedByPop) {
 TEST(Activity, UnknownDomainHasZeroRate) {
   const World& w = small_world();
   const WorldActivityModel model(&w);
-  EXPECT_EQ(model.arrival_rate(0, *dns::DnsName::parse("nope.example"),
-                               *net::Prefix::parse("1.0.0.0/16")),
+  EXPECT_EQ(model
+                .rate(0, *dns::DnsName::parse("nope.example"),
+                      *net::Prefix::parse("1.0.0.0/16"))
+                .at(0.0),
             0);
+}
+
+TEST(Activity, DiurnalRateBitsPinned) {
+  // The rate a probe evaluates in a diurnal world, bit for bit, at /24 and
+  // /16 scope blocks (the /16 sums many blocks, so the summation order is
+  // pinned too) and at four times of day. The values are the ones the
+  // model gave when it memoized per-PoP Fourier sums and evaluated them
+  // per probe; the value it now hands out must evaluate to the same bits.
+  WorldConfig config;
+  config.scale = 1.0 / 2048;
+  config.diurnal_amplitude = 0.65;
+  const World world = World::generate(config);
+  const WorldActivityModel model(&world);
+  struct Pin {
+    std::uint32_t block;
+    anycast::PopId pop;
+    std::uint8_t scope_length;
+    int domain;
+    double t;
+    std::uint64_t bits;
+  };
+  const Pin pins[] = {
+      {65792, 3, 24, kDomainGoogle, 0.0, 0x3f832a2f1d0522b2ull},
+      {65792, 3, 24, kDomainGoogle, 26280.0, 0x3f77cb61ebda9cb3ull},
+      {65792, 3, 16, kDomainGoogle, 100123.4, 0x3fc5e5672453c9a8ull},
+      {65792, 3, 16, kDomainFacebook, 500000.0, 0x3f92ff83993560b4ull},
+      {65793, 4, 24, kDomainFacebook, 26280.0, 0x3f50fecb73751769ull},
+      {65793, 4, 16, kDomainGoogle, 0.0, 0x3fdf1579c91b76f6ull},
+      {65793, 4, 16, kDomainGoogle, 500000.0, 0x3fd0b1cda24a4307ull},
+      {65793, 4, 16, kDomainFacebook, 100123.4, 0x3fb6ee7c9fc91767ull},
+  };
+  for (const Pin& pin : pins) {
+    const net::Prefix block = net::Prefix::from_slash24_index(pin.block)
+                                  .widen_to(pin.scope_length);
+    const double rate =
+        model
+            .rate(pin.pop,
+                  world.domains()[static_cast<std::size_t>(pin.domain)].name,
+                  block)
+            .at(pin.t);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(rate), pin.bits)
+        << block.to_string() << " domain " << pin.domain << " t " << pin.t
+        << " rate " << rate;
+  }
 }
 
 TEST(Ditl, GroundTruthCoversEndpointsAndRecursers) {
