@@ -27,19 +27,6 @@ using namespace netclients;
 
 namespace {
 
-double truth_coverage(const sim::World& world,
-                      const core::CampaignResult& r) {
-  double covered = 0, total = 0;
-  for (const sim::Slash24Block& block : world.blocks()) {
-    if (block.clients() <= 0) continue;
-    total += block.clients();
-    if (r.active.covers(net::Prefix::from_slash24_index(block.index))) {
-      covered += block.clients();
-    }
-  }
-  return total > 0 ? 100.0 * covered / total : 0;
-}
-
 using bench::flag_value;
 
 }  // namespace
@@ -104,12 +91,15 @@ int main(int argc, char** argv) {
   const sim::World& world = scenario.world();
   std::fprintf(stderr, "[faults] world: %zu /24s\n", world.blocks().size());
 
-  // PoP discovery + calibration once, on the clean path — the sweep
-  // isolates fault impact to the campaign stage itself. Each faulty cell
-  // re-probes on top of these reused artifacts via run(kStageCampaign, .).
-  core::CacheProbeCampaign clean(scenario.env, scenario.options);
-  const core::CampaignArtifacts base =
-      clean.run(core::kStagePops | core::kStageCalibration);
+  // Scope discovery, PoP discovery and calibration once, on the clean
+  // path — the sweep isolates fault impact to the campaign stage itself.
+  // Scope discovery reads only the (fault-free) authoritative, so its
+  // lists are every cell's; each faulty cell re-probes on top of them.
+  const std::vector<std::vector<net::Prefix>> scopes =
+      core::discover_scopes(scenario.env, scenario.options);
+  const core::PopDiscoveryResult pops = core::discover_pops(scenario.env);
+  const core::CalibrationResult calibration =
+      core::calibrate(scenario.env, scenario.options, pops);
 
   std::FILE* csv = std::fopen(bench::out_path("faults_recall.csv").c_str(),
                               "w");
@@ -134,13 +124,9 @@ int main(int argc, char** argv) {
       opts.probe.retry.initial_backoff_seconds = retry_backoff;
       opts.probe.retry.udp_timeout_seconds = retry_timeout;
       opts.probe.retry.tcp_timeout_seconds = retry_timeout;
-      core::CacheProbeCampaign campaign(cell_env, opts);
-      core::CampaignArtifacts reuse;
-      reuse.pops = base.pops;
-      reuse.calibration = base.calibration;
-      const auto result =
-          campaign.run(core::kStageCampaign, std::move(reuse)).result;
-      const double recall = truth_coverage(world, result);
+      const core::CampaignResult result =
+          core::run_campaign(cell_env, opts, pops, calibration, &scopes);
+      const double recall = bench::truth_coverage(world, result);
       std::printf("  %-6.2f %-9d %12llu %10llu %9.1f%%\n", cell_loss,
                   attempts,
                   static_cast<unsigned long long>(result.probes_sent),

@@ -135,9 +135,8 @@ int main(int argc, char** argv) {
   const core::Scenario scenario(core::ScenarioBuilder()
                                     .scale_denominator(
                                         bench::scale_denominator())
-                                    .epochs(epochs)
                                     .build());
-  const auto chain = scenario.run_epochs();
+  const auto chain = scenario.run_epochs(epochs);
   serve::Service service;
   service.publish(std::span<const core::snapshot::EpochRecord>(chain));
 

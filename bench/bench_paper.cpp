@@ -117,7 +117,8 @@ Pipelines build_pipelines() {
 
   {
     obs::StageSpan span("bench.cache_probing_campaign");
-    core::CampaignArtifacts artifacts = p.scenario.campaign().run();
+    core::CampaignArtifacts artifacts =
+        core::run_probing(p.scenario.env, p.scenario.options);
     p.pops = std::move(artifacts.pops);
     p.calibration = std::move(artifacts.calibration);
     p.probing = std::move(artifacts.result);
@@ -1112,34 +1113,21 @@ void rank(Study& study) {
 // count). Run at a reduced scale so the sweep stays fast; REPRO_SCALE
 // overrides it.
 
-core::CampaignResult run_with(const core::Scenario& s,
-                              const core::CacheProbeOptions& opts,
-                              double* assigned = nullptr) {
-  core::CacheProbeCampaign campaign(s.env, opts);
-  auto result = campaign.run().result;
-  if (assigned) *assigned = result.average_assigned_per_pop;
-  return result;
-}
-
-double truth_coverage(const core::Scenario& s,
-                      const core::CampaignResult& r) {
-  double covered = 0, total = 0;
-  for (const sim::Slash24Block& block : s.world().blocks()) {
-    if (block.clients() <= 0) continue;
-    total += block.clients();
-    if (r.active.covers(net::Prefix::from_slash24_index(block.index))) {
-      covered += block.clients();
-    }
-  }
-  return total > 0 ? 100.0 * covered / total : 0;
-}
-
 void ablation(Study&) {
   const core::Scenario s = core::ScenarioBuilder()
                                .scale_denominator(bench::scale_denominator(256))
                                .build();
   std::fprintf(stderr, "[ablation] world: %zu /24s\n",
                s.world().blocks().size());
+  // Scope and PoP discovery read the authoritative, the catchment and the
+  // vantage fleet, which no cell varies, so both run once; calibration
+  // probes under the cell's options and runs per cell.
+  const auto scopes = core::discover_scopes(s.env, s.options);
+  const core::PopDiscoveryResult pops = core::discover_pops(s.env);
+  const auto run_with = [&](const core::CacheProbeOptions& opts) {
+    return core::run_campaign(s.env, opts, pops,
+                              core::calibrate(s.env, opts, pops), &scopes);
+  };
 
   // ---- 1. Redundant queries (the paper uses 5 to cover cache pools) ----
   std::printf("Ablation 1 — redundant queries per (PoP, prefix, domain)\n");
@@ -1149,10 +1137,10 @@ void ablation(Study&) {
     core::CacheProbeOptions opts;
     opts.probe.redundant_queries = redundant;
     opts.max_loops = 3;
-    const auto result = run_with(s, opts);
+    const auto result = run_with(opts);
     std::printf("  %-10d %12llu %13.1f%% %12llu\n", redundant,
                 static_cast<unsigned long long>(result.probes_sent),
-                truth_coverage(s, result),
+                bench::truth_coverage(s.world(), result),
                 static_cast<unsigned long long>(
                     result.slash24_upper_bound()));
   }
@@ -1166,22 +1154,21 @@ void ablation(Study&) {
   {
     core::CacheProbeOptions per_pop;
     per_pop.max_loops = 3;
-    double assigned = 0;
-    const auto result = run_with(s, per_pop, &assigned);
+    const auto result = run_with(per_pop);
     std::printf("  %-22s %16.1f %12llu %13.1f%%\n", "per-PoP (paper)",
-                assigned,
+                result.average_assigned_per_pop,
                 static_cast<unsigned long long>(result.probes_sent),
-                truth_coverage(s, result));
+                bench::truth_coverage(s.world(), result));
   }
   {
     core::CacheProbeOptions max_radius;
     max_radius.max_loops = 3;
     max_radius.use_max_radius_everywhere = true;
-    const auto result = run_with(s, max_radius, nullptr);
+    const auto result = run_with(max_radius);
     std::printf("  %-22s %16.1f %12llu %13.1f%%\n", "max radius everywhere",
                 result.average_assigned_per_pop,
                 static_cast<unsigned long long>(result.probes_sent),
-                truth_coverage(s, result));
+                bench::truth_coverage(s.world(), result));
   }
 
   // ---- 3. Transport ------------------------------------------------------
@@ -1193,12 +1180,12 @@ void ablation(Study&) {
     core::CacheProbeOptions opts;
     opts.probe.transport = transport;
     opts.max_loops = 3;
-    const auto result = run_with(s, opts);
+    const auto result = run_with(opts);
     std::printf("  %-6s %12llu %14llu %13.1f%%\n",
                 transport == googledns::Transport::kTcp ? "TCP" : "UDP",
                 static_cast<unsigned long long>(result.probes_sent),
                 static_cast<unsigned long long>(result.rate_limited),
-                truth_coverage(s, result));
+                bench::truth_coverage(s.world(), result));
   }
 
   // ---- 4. Campaign duration (loops over the assigned list) --------------
@@ -1208,10 +1195,10 @@ void ablation(Study&) {
   for (int loops : {1, 2, 4, 6}) {
     core::CacheProbeOptions opts;
     opts.max_loops = loops;
-    const auto result = run_with(s, opts);
+    const auto result = run_with(opts);
     std::printf("  %-6d %12llu %13.1f%%\n", loops,
                 static_cast<unsigned long long>(result.probes_sent),
-                truth_coverage(s, result));
+                bench::truth_coverage(s.world(), result));
   }
 }
 
@@ -1230,7 +1217,7 @@ void diurnal(Study&) {
   config.diurnal_amplitude = 0.65;
   const core::Scenario s = core::ScenarioBuilder().world_config(config).build();
   const sim::World& world = s.world();
-  const auto artifacts = s.campaign().run();
+  const auto artifacts = core::run_probing(s.env, s.options);
   const auto& pops = artifacts.pops;
   const auto& probing = artifacts.result;
   std::fprintf(stderr, "[diurnal] %zu active prefixes\n",

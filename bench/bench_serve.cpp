@@ -88,7 +88,6 @@ int main(int argc, char** argv) {
   const core::Scenario scenario = core::ScenarioBuilder()
                                       .scale_denominator(
                                           bench::scale_denominator())
-                                      .epochs(epochs_n)
                                       .build();
   std::fprintf(stderr, "[serve] world: %zu /24s, %d epoch(s)\n",
                scenario.world().blocks().size(), epochs_n);
@@ -96,7 +95,7 @@ int main(int argc, char** argv) {
   std::vector<snapshot::EpochRecord> records;
   {
     obs::StageSpan span("serve.bench.campaign_epochs");
-    records = scenario.run_epochs();
+    records = scenario.run_epochs(epochs_n);
   }
   {
     obs::StageSpan span("serve.bench.snapshot_write");

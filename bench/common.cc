@@ -52,4 +52,17 @@ std::string out_path(const std::string& name) {
   return "bench_out/" + name;
 }
 
+double truth_coverage(const sim::World& world,
+                      const core::CampaignResult& result) {
+  double covered = 0, total = 0;
+  for (const sim::Slash24Block& block : world.blocks()) {
+    if (block.clients() <= 0) continue;
+    total += block.clients();
+    if (result.active.covers(net::Prefix::from_slash24_index(block.index))) {
+      covered += block.clients();
+    }
+  }
+  return total > 0 ? 100.0 * covered / total : 0;
+}
+
 }  // namespace netclients::bench

@@ -8,12 +8,13 @@
 // default 64 — i.e. a 1/64-size Internet) and write paper-style tables on
 // stdout plus CSV series under bench_out/. Every bench also accepts
 // `--metrics-out <path>` (or the REPRO_METRICS_OUT env var) and writes the
-// run's metrics-registry snapshot there on exit — JSON by default, CSV for
-// *.csv paths.
+// run's metrics-registry snapshot there on exit as JSON.
 
 #include <string>
 
+#include "core/cacheprobe/cacheprobe.h"
 #include "core/obs/export.h"
+#include "sim/world.h"
 
 namespace netclients::bench {
 
@@ -38,5 +39,10 @@ std::string flag_string(int argc, char** argv, const char* name,
 
 /// Creates bench_out/ (if needed) and returns "bench_out/<name>".
 std::string out_path(const std::string& name);
+
+/// Recall against the world's ground truth, in percent: the share of the
+/// world's clients whose /24 the campaign's active set covers.
+double truth_coverage(const sim::World& world,
+                      const core::CampaignResult& result);
 
 }  // namespace netclients::bench

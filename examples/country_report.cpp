@@ -30,8 +30,8 @@ int main(int argc, char** argv) {
       core::ScenarioBuilder().scale_denominator(denominator).build();
   const sim::World& world = scenario.world();
 
-  core::CacheProbeCampaign campaign = scenario.campaign();
-  const auto probing = campaign.run().result;
+  const auto probing =
+      core::run_probing(scenario.env, scenario.options).result;
   const auto probing_as = core::to_as_dataset(
       "cache probing", probing.to_prefix_dataset("p"), world);
 

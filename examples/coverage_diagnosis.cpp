@@ -32,8 +32,8 @@ int main(int argc, char** argv) {
       core::ScenarioBuilder().scale_denominator(denominator).build();
   const sim::World& world = scenario.world();
 
-  core::CacheProbeCampaign campaign = scenario.campaign();
-  const auto artifacts = campaign.run();
+  const auto artifacts =
+      core::run_probing(scenario.env, scenario.options);
   const auto& pops = artifacts.pops;
   const auto& calibration = artifacts.calibration;
   const auto& result = artifacts.result;

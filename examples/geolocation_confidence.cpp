@@ -28,8 +28,8 @@ int main(int argc, char** argv) {
       core::ScenarioBuilder().scale_denominator(denominator).build();
   const sim::World& world = scenario.world();
 
-  core::CacheProbeCampaign campaign = scenario.campaign();
-  const auto result = campaign.run().result;
+  const auto result =
+      core::run_probing(scenario.env, scenario.options).result;
 
   std::vector<double> active_errors, inactive_errors;
   for (const sim::Slash24Block& block : world.blocks()) {

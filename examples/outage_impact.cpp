@@ -29,8 +29,8 @@ int main(int argc, char** argv) {
 
   // Build the activity map once (this is what an operator would keep
   // refreshed in production).
-  core::CacheProbeCampaign campaign = scenario.campaign();
-  const auto result = campaign.run().result;
+  const auto result =
+      core::run_probing(scenario.env, scenario.options).result;
   std::printf("activity map ready: [%llu, %llu] active /24s\n\n",
               static_cast<unsigned long long>(result.slash24_lower_bound()),
               static_cast<unsigned long long>(result.slash24_upper_bound()));

@@ -45,8 +45,8 @@ int main(int argc, char** argv) {
   }
 
   // The activity map.
-  core::CacheProbeCampaign campaign = scenario.campaign();
-  const auto probing = campaign.run().result;
+  const auto probing =
+      core::run_probing(scenario.env, scenario.options).result;
   const auto client_ases = core::to_as_dataset(
       "clients", probing.to_prefix_dataset("cache probing"), world);
 

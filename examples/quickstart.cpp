@@ -34,8 +34,8 @@ int main(int argc, char** argv) {
               world.total_users());
 
   // 2. Technique 1 — cache probing Google Public DNS.
-  core::CacheProbeCampaign campaign = scenario.campaign();
-  const auto artifacts = campaign.run();
+  const auto artifacts =
+      core::run_probing(scenario.env, scenario.options);
   const auto& pops = artifacts.pops;
   const auto& probing = artifacts.result;
   std::printf("cache probing: %zu vantage points reach %zu PoPs\n",

@@ -128,9 +128,9 @@ std::vector<googledns::UpstreamScope> upstream_table(
 
 }  // namespace
 
-std::vector<ProbeCandidate> discover_scopes(const ProbeEnvironment& env,
-                                            const CacheProbeOptions& options,
-                                            int domain_index) {
+std::vector<net::Prefix> discover_scopes(const ProbeEnvironment& env,
+                                         const CacheProbeOptions& options,
+                                         int domain_index) {
   obs::StageSpan span("cacheprobe.discover_scopes");
   const sim::DomainInfo& domain =
       env.domains[static_cast<std::size_t>(domain_index)];
@@ -142,7 +142,7 @@ std::vector<ProbeCandidate> discover_scopes(const ProbeEnvironment& env,
   // below drops those, mirroring the slight overlaps real unaligned
   // authoritative scopes produce anyway.
   struct ChunkScan {
-    std::vector<ProbeCandidate> out;
+    std::vector<net::Prefix> out;
     resilience::RetryStats stats;
     std::uint64_t skipped = 0;  // /24s abandoned after exhausted retries
   };
@@ -192,7 +192,7 @@ std::vector<ProbeCandidate> discover_scopes(const ProbeEnvironment& env,
           }
           const std::uint8_t scope_len = std::min<std::uint8_t>(*scope, 24);
           const net::Prefix candidate = slash24.widen_to(scope_len);
-          scan.out.push_back(ProbeCandidate{candidate});
+          scan.out.push_back(candidate);
           // All /24s inside the returned scope share the cache entry.
           idx = candidate.first_slash24_index() +
                 static_cast<std::uint32_t>(candidate.slash24_count());
@@ -200,17 +200,17 @@ std::vector<ProbeCandidate> discover_scopes(const ProbeEnvironment& env,
         return scan;
       });
 
-  std::vector<ProbeCandidate> candidates;
+  std::vector<net::Prefix> candidates;
   resilience::RetryStats edge_stats;
   std::uint64_t skipped = 0;
   std::uint32_t covered_to = 0;
   for (const ChunkScan& chunk : chunks) {
     edge_stats.merge(chunk.stats);
     skipped += chunk.skipped;
-    for (const ProbeCandidate& candidate : chunk.out) {
+    for (const net::Prefix& candidate : chunk.out) {
       const std::uint32_t end =
-          candidate.scope.first_slash24_index() +
-          static_cast<std::uint32_t>(candidate.scope.slash24_count());
+          candidate.first_slash24_index() +
+          static_cast<std::uint32_t>(candidate.slash24_count());
       if (end <= covered_to) continue;  // seam overlap: already covered
       candidates.push_back(candidate);
       covered_to = end;
@@ -222,6 +222,16 @@ std::vector<ProbeCandidate> discover_scopes(const ProbeEnvironment& env,
     obs::Registry::global().counter("cacheprobe.scopes.skipped").add(skipped);
   }
   return candidates;
+}
+
+std::vector<std::vector<net::Prefix>> discover_scopes(
+    const ProbeEnvironment& env, const CacheProbeOptions& options) {
+  std::vector<std::vector<net::Prefix>> scopes;
+  scopes.reserve(env.domains.size());
+  for (std::size_t d = 0; d < env.domains.size(); ++d) {
+    scopes.push_back(discover_scopes(env, options, static_cast<int>(d)));
+  }
+  return scopes;
 }
 
 PopDiscoveryResult discover_pops(const ProbeEnvironment& env) {
@@ -376,7 +386,7 @@ using PopAssignment = std::vector<std::vector<std::uint32_t>>;
 std::vector<PopAssignment> assign_candidates(
     const ProbeEnvironment& env, const CacheProbeOptions& options,
     const PopDiscoveryResult& pops, const CalibrationResult& calibration,
-    const std::vector<std::vector<ProbeCandidate>>& candidates_by_domain) {
+    const std::vector<std::vector<net::Prefix>>& candidates_by_domain) {
   return exec::parallel_map(
       pops.probed_pops.size(), options.threads, [&](std::size_t i) {
         const PopId pop = pops.probed_pops[i].first;
@@ -389,11 +399,11 @@ std::vector<PopAssignment> assign_candidates(
                 : options.default_service_radius_km;
         PopAssignment assigned(candidates_by_domain.size());
         for (std::size_t d = 0; d < candidates_by_domain.size(); ++d) {
-          const std::vector<ProbeCandidate>& candidates =
+          const std::vector<net::Prefix>& candidates =
               candidates_by_domain[d];
           for (std::size_t c = 0; c < candidates.size(); ++c) {
             const auto rec =
-                env.geodb->lookup(candidates[c].scope.first_slash24_index());
+                env.geodb->lookup(candidates[c].first_slash24_index());
             if (!rec) continue;  // not geolocatable: not assigned anywhere
             if (net::haversine_km(rec->location, pop_location) <=
                 radius + rec->error_radius_km) {
@@ -410,21 +420,18 @@ std::vector<PopAssignment> assign_candidates(
 CampaignResult run_campaign(
     const ProbeEnvironment& env, const CacheProbeOptions& options,
     const PopDiscoveryResult& pops, const CalibrationResult& calibration,
-    const std::vector<std::vector<ProbeCandidate>>* scopes_by_domain) {
+    const std::vector<std::vector<net::Prefix>>* scopes_by_domain) {
   obs::StageSpan span("cacheprobe.run_campaign");
   CampaignResult result;
   result.active_by_domain.resize(env.domains.size());
   const double duration = options.duration_hours * net::kHour;
 
   // Scope discovery once per domain (itself sharded over /24 ranges)
-  // unless the caller passed a prior kStageScopes artifact; the per-PoP
-  // assignment below reuses the lists read-only.
-  std::vector<std::vector<ProbeCandidate>> discovered;
+  // unless the caller passed the lists; the per-PoP assignment below only
+  // reads them.
+  std::vector<std::vector<net::Prefix>> discovered;
   if (scopes_by_domain == nullptr) {
-    discovered.reserve(env.domains.size());
-    for (std::size_t d = 0; d < env.domains.size(); ++d) {
-      discovered.push_back(discover_scopes(env, options, static_cast<int>(d)));
-    }
+    discovered = discover_scopes(env, options);
     scopes_by_domain = &discovered;
   }
   const auto& candidates_by_domain = *scopes_by_domain;
@@ -437,10 +444,10 @@ CampaignResult run_campaign(
   std::vector<std::vector<googledns::UpstreamScope>> upstream;
   upstream.reserve(candidates_by_domain.size());
   for (std::size_t d = 0; d < candidates_by_domain.size(); ++d) {
-    const std::vector<ProbeCandidate>& candidates = candidates_by_domain[d];
+    const std::vector<net::Prefix>& candidates = candidates_by_domain[d];
     upstream.push_back(upstream_table(
         env, candidates.size(), options.threads, [&](std::size_t c) {
-          return std::pair{static_cast<int>(d), candidates[c].scope};
+          return std::pair{static_cast<int>(d), candidates[c]};
         }));
   }
 
@@ -509,7 +516,7 @@ CampaignResult run_campaign(
           chains.resize(assigned.size());
           for (std::size_t j = 0; j < assigned.size(); ++j) {
             const std::uint32_t c = assigned[j];
-            chains[j] = {candidates_by_domain[d][c].scope,
+            chains[j] = {candidates_by_domain[d][c],
                          static_cast<double>(j) /
                              options.prefixes_per_second_per_domain,
                          &upstream[d][c]};
@@ -583,33 +590,13 @@ CampaignResult run_campaign(
   return result;
 }
 
-CampaignArtifacts CacheProbeCampaign::run(unsigned stages,
-                                          CampaignArtifacts reuse) const {
-  CampaignArtifacts artifacts = std::move(reuse);
-  if (stages & kStageScopes) {
-    artifacts.scopes_by_domain.clear();
-    artifacts.scopes_by_domain.reserve(env_.domains.size());
-    for (std::size_t d = 0; d < env_.domains.size(); ++d) {
-      artifacts.scopes_by_domain.push_back(
-          discover_scopes(env_, options_, static_cast<int>(d)));
-    }
-  }
-  if (stages & kStagePops) {
-    artifacts.pops = discover_pops(env_);
-  }
-  if (stages & kStageCalibration) {
-    artifacts.calibration = calibrate(env_, options_, artifacts.pops);
-  }
-  if (stages & kStageCampaign) {
-    // A prior kStageScopes artifact saves the campaign its internal scope
-    // discovery; a partial list (domain set changed between runs) is not
-    // reusable.
-    const bool scopes_usable =
-        artifacts.scopes_by_domain.size() == env_.domains.size();
-    artifacts.result =
-        run_campaign(env_, options_, artifacts.pops, artifacts.calibration,
-                     scopes_usable ? &artifacts.scopes_by_domain : nullptr);
-  }
+CampaignArtifacts run_probing(const ProbeEnvironment& env,
+                              const CacheProbeOptions& options) {
+  CampaignArtifacts artifacts;
+  artifacts.pops = discover_pops(env);
+  artifacts.calibration = calibrate(env, options, artifacts.pops);
+  artifacts.result =
+      run_campaign(env, options, artifacts.pops, artifacts.calibration);
   return artifacts;
 }
 

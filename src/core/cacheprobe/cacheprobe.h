@@ -80,12 +80,6 @@ struct CacheProbeOptions {
   int threads = 0;
 };
 
-/// A candidate probe target discovered by the scope pre-pass: one query per
-/// authoritative-returned scope rather than per /24.
-struct ProbeCandidate {
-  net::Prefix scope;  // query scope (== discovered response scope)
-};
-
 /// One cache hit observed by the campaign.
 struct CacheHit {
   int domain_index = 0;
@@ -146,16 +140,28 @@ double mean_assigned_per_pop(std::uint64_t total_assigned, std::size_t pops,
 // stage learns travels only through its returned value, never through
 // hidden mutable state — which is what lets shards run independently.
 // (`env.google_dns` is the measured system; probing it is the measurement
-// itself, not hidden pipeline state.)
+// itself, not hidden pipeline state.) The stages run in this order;
+// `run_probing` chains stages 2–4 for callers that want all three, and a
+// sweep of many campaigns over one environment calls them itself, running
+// stages 1 and 2 once: scope discovery reads only the authoritative (a
+// fault-free one answers every first attempt, so a cell's retry budget
+// goes unused) and PoP discovery only the catchment and the vantage fleet,
+// so neither answer moves with a cell's options or Google-side faults.
 
 /// Stage 1 — scope discovery (§3.1.1, validated in Appendix A.2): queries
 /// the authoritative for every /24 in the environment's range and collapses
-/// runs sharing a response scope into one candidate. Sharded over fixed
-/// /24 chunks; the ordered merge drops candidates a preceding chunk's
-/// final (overshooting) candidate already covers.
-std::vector<ProbeCandidate> discover_scopes(const ProbeEnvironment& env,
-                                            const CacheProbeOptions& options,
-                                            int domain_index);
+/// runs sharing a response scope into one candidate, the query scope (==
+/// the discovered response scope). Sharded over fixed /24 chunks; the
+/// ordered merge drops candidates a preceding chunk's final (overshooting)
+/// candidate already covers.
+std::vector<net::Prefix> discover_scopes(const ProbeEnvironment& env,
+                                         const CacheProbeOptions& options,
+                                         int domain_index);
+
+/// Stage 1 for every domain, in the environment's domain order: the lists
+/// `run_campaign` takes.
+std::vector<std::vector<net::Prefix>> discover_scopes(
+    const ProbeEnvironment& env, const CacheProbeOptions& options);
 
 /// Stage 2 — PoP discovery: `dig @8.8.8.8 o-o.myaddr...` from every VP.
 PopDiscoveryResult discover_pops(const ProbeEnvironment& env);
@@ -172,64 +178,26 @@ CalibrationResult calibrate(const ProbeEnvironment& env,
 /// redundant queries over TCP. Sharded per PoP (the paper fans out across
 /// 22 PoPs at once); per-shard hit lists and counters are merged in PoP
 /// order, so the result is byte-identical to a serial run. When
-/// `scopes_by_domain` is non-null (one candidate list per domain, e.g. a
-/// prior kStageScopes artifact) the internal scope discovery is skipped.
+/// `scopes_by_domain` is non-null (the lists of `discover_scopes(env,
+/// options)`) the internal scope discovery is skipped and the result
+/// equals the discovering call's.
 CampaignResult run_campaign(
     const ProbeEnvironment& env, const CacheProbeOptions& options,
     const PopDiscoveryResult& pops, const CalibrationResult& calibration,
-    const std::vector<std::vector<ProbeCandidate>>* scopes_by_domain =
-        nullptr);
+    const std::vector<std::vector<net::Prefix>>* scopes_by_domain = nullptr);
 
-/// Which pipeline stages CacheProbeCampaign::run executes. Bits compose
-/// with `|`; stages not selected read their prerequisites from the reused
-/// artifacts argument instead of recomputing them.
-enum StageMask : unsigned {
-  kStageScopes = 1u << 0,       // scope discovery for every domain
-  kStagePops = 1u << 1,         // PoP discovery
-  kStageCalibration = 1u << 2,  // service-radius calibration
-  kStageCampaign = 1u << 3,     // the probing campaign itself
-  /// Stages 2–4, run()'s default: the campaign discovers scopes
-  /// internally, so kStageScopes is only needed to *inspect* candidates.
-  kStagesProbing = kStagePops | kStageCalibration | kStageCampaign,
-  kStagesAll = kStageScopes | kStagesProbing,
-};
-
-/// Everything a campaign run produces, stage by stage. Benches reuse an
-/// earlier run's artifacts (e.g. clean PoPs + calibration) by passing them
-/// back into run() with a narrower stage mask.
+/// What the paper's first technique, ECS cache probing of Google Public
+/// DNS, produces: the reached PoPs, their calibrated radii and the
+/// campaign's hits.
 struct CampaignArtifacts {
-  /// Per-domain candidate lists (kStageScopes; indexes align with the
-  /// environment's domain list).
-  std::vector<std::vector<ProbeCandidate>> scopes_by_domain;
   PopDiscoveryResult pops;
   CalibrationResult calibration;
   CampaignResult result;
 };
 
-/// The paper's first technique: ECS cache probing of Google Public DNS.
-/// A thin handle bundling a ProbeEnvironment with options; one `run`
-/// entry point executes the selected stages via the functions above.
-class CacheProbeCampaign {
- public:
-  explicit CacheProbeCampaign(ProbeEnvironment env,
-                              CacheProbeOptions options = {})
-      : env_(std::move(env)), options_(options) {}
-
-  /// Runs the stages in `stages` and returns everything they produced.
-  /// Stages not selected pass `reuse`'s artifacts through unchanged and
-  /// selected stages consume them as prerequisites — so
-  /// `run(kStageCampaign, clean)` re-probes on top of clean PoPs and
-  /// calibration.
-  CampaignArtifacts run(unsigned stages = kStagesProbing,
-                        CampaignArtifacts reuse = {}) const;
-
-  const ProbeEnvironment& environment() const { return env_; }
-  const std::vector<sim::DomainInfo>& domains() const { return env_.domains; }
-  const CacheProbeOptions& options() const { return options_; }
-
- private:
-  ProbeEnvironment env_;
-  CacheProbeOptions options_;
-};
+/// Stages 2–4 in order (`discover_pops` → `calibrate` → `run_campaign`,
+/// which discovers scopes internally).
+CampaignArtifacts run_probing(const ProbeEnvironment& env,
+                              const CacheProbeOptions& options);
 
 }  // namespace netclients::core

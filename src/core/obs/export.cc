@@ -108,35 +108,6 @@ std::string to_json(const Snapshot& snapshot, const ExportOptions& options) {
   return out;
 }
 
-std::string to_csv(const Snapshot& snapshot, const ExportOptions& options) {
-  // Flat rows: kind,name,field,value. Histogram buckets get one row per
-  // bucket with the inclusive upper edge in `field` ("le=...").
-  std::string out = "kind,name,field,value\n";
-  for (const auto& [name, value] : snapshot.counters) {
-    out += "counter," + name + ",value," + fmt_u64(value) + "\n";
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    out += "gauge," + name + ",value," + fmt_double(value) + "\n";
-  }
-  for (const HistogramSnapshot& h : snapshot.histograms) {
-    out += "histogram," + h.name + ",count," + fmt_u64(h.count) + "\n";
-    out += "histogram," + h.name + ",sum," + fmt_double(h.sum) + "\n";
-    for (std::size_t b = 0; b < h.buckets.size(); ++b) {
-      const std::string le =
-          b < h.bounds.size() ? fmt_double(h.bounds[b]) : "+inf";
-      out += "histogram," + h.name + ",le=" + le + "," +
-             fmt_u64(h.buckets[b]) + "\n";
-    }
-  }
-  for (const SpanSnapshot& s : snapshot.spans) {
-    out += "span," + s.name + ",count," + fmt_u64(s.count) + "\n";
-    if (options.include_timings) {
-      out += "span," + s.name + ",total_ms," + fmt_double(s.total_ms) + "\n";
-    }
-  }
-  return out;
-}
-
 // ------------------------------------------------------------ JSON parser
 //
 // Minimal recursive-descent parser for the exporter's own output (plus
@@ -471,11 +442,7 @@ std::string validate_metrics_json(const std::string& text) {
 
 bool write_metrics(const std::string& path, const ExportOptions& options,
                    Registry& registry) {
-  const Snapshot snapshot = registry.snapshot();
-  const bool csv =
-      path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
-  const std::string body =
-      csv ? to_csv(snapshot, options) : to_json(snapshot, options);
+  const std::string body = to_json(registry.snapshot(), options);
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "[obs] cannot write metrics to %s\n", path.c_str());

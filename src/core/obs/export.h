@@ -1,10 +1,9 @@
 #pragma once
 
-// Snapshot exporters for the metrics registry: JSON (the stable
-// machine-readable schema CI's bench-smoke job checks) and CSV (flat rows
-// for spreadsheet-side diffing), plus a parser/validator for the JSON
-// schema and the `--metrics-out <path>` plumbing benches and examples
-// share.
+// The snapshot exporter for the metrics registry: JSON (the stable
+// machine-readable schema CI's bench-smoke job checks), plus a
+// parser/validator for that schema and the `--metrics-out <path>`
+// plumbing benches and examples share.
 //
 // JSON schema (`netclients.metrics.v1`):
 //
@@ -39,7 +38,6 @@ struct ExportOptions {
 };
 
 std::string to_json(const Snapshot& snapshot, const ExportOptions& = {});
-std::string to_csv(const Snapshot& snapshot, const ExportOptions& = {});
 
 /// Parses text produced by `to_json` back into a Snapshot (round-trip:
 /// parse(to_json(s)) == s when timings are included). Returns nullopt on
@@ -51,9 +49,8 @@ std::optional<Snapshot> parse_json(const std::string& text);
 /// empty string on success, else a description of the first problem.
 std::string validate_metrics_json(const std::string& text);
 
-/// Writes the registry snapshot to `path` — CSV when the path ends in
-/// ".csv", JSON otherwise. Returns false (after printing to stderr) when
-/// the file cannot be written.
+/// Writes the registry snapshot to `path` as JSON. Returns false (after
+/// printing to stderr) when the file cannot be written.
 bool write_metrics(const std::string& path, const ExportOptions& = {},
                    Registry& registry = Registry::global());
 

@@ -25,6 +25,49 @@ std::vector<googledns::ProbeTarget> ActivityRanker::targets_of(
   return targets;
 }
 
+template <typename RoundTime>
+ActivityRanker::DomainEstimate ActivityRanker::estimate_domain(
+    const googledns::ProbeTarget& target, std::size_t d, anycast::PopId pop,
+    int vp_id, int rounds, int attempt_stride, RoundTime round_time) const {
+  const int pools = google_dns_->config().pools_per_pop;
+  const double ttl = domains_[d].ttl_seconds;
+  int hits = 0;
+  double age_total = 0;
+  for (int round = 0; round < rounds; ++round) {
+    const double t = round_time(round) + static_cast<double>(d) * 0.05;
+    for (int attempt = 0; attempt < options_.redundant_queries; ++attempt) {
+      const auto probe =
+          google_dns_->probe(pop, target, t + attempt * 0.002,
+                             options_.transport, vp_id,
+                             attempt_stride * round + attempt);
+      if (probe.cache_hit && probe.return_scope > 0) {
+        ++hits;
+        age_total += std::max(0.5, ttl - probe.remaining_ttl);
+        break;
+      }
+    }
+  }
+  DomainEstimate out;
+  out.hit_rate = static_cast<double>(hits) / static_cast<double>(rounds);
+  if (hits == 0) return out;
+  const double saturation = 1.0 - 0.5 / static_cast<double>(rounds);
+  if (out.hit_rate >= saturation) {
+    // Busy prefixes are always cached, so the hit rate stops carrying
+    // signal; the *age* of the record still does (a Trufflehunter-style
+    // estimate [31]): at λ_pool·T >> 1 the expected age of a live entry
+    // approaches 1/λ_pool.
+    const double mean_age = age_total / hits;
+    out.rate = pools / mean_age;
+  } else {
+    // A round's redundant attempts cover ~k of the P pools, so the
+    // round-level hit probability is h ≈ 1 - exp(-λ k T / P) and
+    // λ̂ = -(P / (k T)) ln(1 - h).
+    const double k = std::min<double>(pools, options_.redundant_queries);
+    out.rate = -(pools / (k * ttl)) * std::log1p(-out.hit_rate);
+  }
+  return out;
+}
+
 PrefixActivity ActivityRanker::rank_prefix(net::Prefix prefix,
                                            anycast::PopId pop,
                                            int vp_id) const {
@@ -32,49 +75,16 @@ PrefixActivity ActivityRanker::rank_prefix(net::Prefix prefix,
   out.prefix = prefix;
   out.pop = pop;
   out.hit_rate.assign(domains_.size(), 0.0);
-
-  const int pools = google_dns_->config().pools_per_pop;
   const std::vector<googledns::ProbeTarget> targets = targets_of(prefix, pop);
   for (std::size_t d = 0; d < domains_.size(); ++d) {
     const double ttl = domains_[d].ttl_seconds;
-    int hits = 0;
-    double age_total = 0;
-    for (int round = 0; round < options_.rounds; ++round) {
-      const double t = options_.start_time +
-                       round * ttl * options_.round_spacing_ttls +
-                       static_cast<double>(d) * 0.05;
-      for (int attempt = 0; attempt < options_.redundant_queries; ++attempt) {
-        const auto probe = google_dns_->probe(
-            pop, targets[d], t + attempt * 0.002, options_.transport, vp_id,
-            977 * round + attempt);
-        if (probe.cache_hit && probe.return_scope > 0) {
-          ++hits;
-          age_total += std::max(0.5, ttl - probe.remaining_ttl);
-          break;
-        }
-      }
-    }
-    const double rate =
-        static_cast<double>(hits) / static_cast<double>(options_.rounds);
-    out.hit_rate[d] = rate;
-    if (hits == 0) continue;
-    const double saturation = 1.0 - 0.5 / static_cast<double>(options_.rounds);
-    double lambda_d = 0;
-    if (rate >= saturation) {
-      // Busy prefixes are always cached, so the hit rate stops carrying
-      // signal; the *age* of the record still does (a Trufflehunter-style
-      // estimate [31]): at λ_pool·T >> 1 the expected age of a live entry
-      // approaches 1/λ_pool.
-      const double mean_age = age_total / hits;
-      lambda_d = pools / mean_age;
-    } else {
-      // A round's redundant attempts cover ~k of the P pools, so the
-      // round-level hit probability is h ≈ 1 - exp(-λ k T / P) and
-      // λ̂ = -(P / (k T)) ln(1 - h).
-      const double k = std::min<double>(pools, options_.redundant_queries);
-      lambda_d = -(pools / (k * ttl)) * std::log1p(-rate);
-    }
-    out.estimated_rate += lambda_d / static_cast<double>(domains_.size());
+    const DomainEstimate estimate = estimate_domain(
+        targets[d], d, pop, vp_id, options_.rounds, 977, [&](int round) {
+          return options_.start_time +
+                 round * ttl * options_.round_spacing_ttls;
+        });
+    out.hit_rate[d] = estimate.hit_rate;
+    out.estimated_rate += estimate.rate / static_cast<double>(domains_.size());
   }
   return out;
 }
@@ -83,63 +93,16 @@ double ActivityRanker::estimate_at(
     const std::vector<googledns::ProbeTarget>& targets, anycast::PopId pop,
     int vp_id, net::SimTime start, int rounds,
     double round_spacing_seconds) const {
-  const int pools = google_dns_->config().pools_per_pop;
+  const auto round_time = [&](int round) {
+    return start + round * round_spacing_seconds;
+  };
   double estimate = 0;
   for (std::size_t d = 0; d < domains_.size(); ++d) {
-    const double ttl = domains_[d].ttl_seconds;
-    int hits = 0;
-    double age_total = 0;
-    for (int round = 0; round < rounds; ++round) {
-      const double t = start + round * round_spacing_seconds +
-                       static_cast<double>(d) * 0.05;
-      for (int attempt = 0; attempt < options_.redundant_queries; ++attempt) {
-        const auto probe = google_dns_->probe(
-            pop, targets[d], t + attempt * 0.002, options_.transport, vp_id,
-            1583 * round + attempt);
-        if (probe.cache_hit && probe.return_scope > 0) {
-          ++hits;
-          age_total += std::max(0.5, ttl - probe.remaining_ttl);
-          break;
-        }
-      }
-    }
-    if (hits == 0) continue;
-    const double rate = static_cast<double>(hits) / rounds;
-    if (rate >= 1.0 - 0.5 / rounds) {
-      estimate += pools / (age_total / hits);
-    } else {
-      const double k = std::min<double>(pools, options_.redundant_queries);
-      estimate += -(pools / (k * ttl)) * std::log1p(-rate);
-    }
+    estimate += estimate_domain(targets[d], d, pop, vp_id, rounds, 1583,
+                                round_time)
+                    .rate;
   }
   return estimate / static_cast<double>(domains_.size());
-}
-
-ActivityRanker::DiurnalProfile ActivityRanker::diurnal_profile(
-    net::Prefix prefix, anycast::PopId pop, int vp_id, int slots,
-    int days) const {
-  DiurnalProfile profile;
-  profile.prefix = prefix;
-  profile.rate_by_slot.assign(static_cast<std::size_t>(slots), 0.0);
-  const std::vector<googledns::ProbeTarget> targets = targets_of(prefix, pop);
-  // For each time-of-day slot, probe `days` rounds exactly one day apart —
-  // independent cache windows that all sample the same local phase.
-  for (int slot = 0; slot < slots; ++slot) {
-    const double slot_start =
-        options_.start_time + slot * (net::kDay / slots);
-    profile.rate_by_slot[static_cast<std::size_t>(slot)] =
-        estimate_at(targets, pop, vp_id, slot_start, days, net::kDay);
-  }
-  double lo = profile.rate_by_slot[0], hi = profile.rate_by_slot[0];
-  double mean = 0;
-  for (double r : profile.rate_by_slot) {
-    lo = std::min(lo, r);
-    hi = std::max(hi, r);
-    mean += r;
-  }
-  mean /= static_cast<double>(slots);
-  profile.swing = mean > 0 ? (hi - lo) / mean : 0;
-  return profile;
 }
 
 double ActivityRanker::day_night_contrast(net::Prefix prefix,

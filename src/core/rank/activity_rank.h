@@ -63,25 +63,11 @@ class ActivityRanker {
 
   /// §6's "infer which prefixes with client activity likely include
   /// (human) user activity, using ... patterns over time (e.g., diurnal
-  /// patterns)": estimates the prefix's activity at several times of day
-  /// and scores the relative swing. Human populations show a strong
-  /// day/night cycle; bot farms are flat.
-  struct DiurnalProfile {
-    net::Prefix prefix;
-    std::vector<double> rate_by_slot;  // λ̂ per time-of-day slot
-    /// (max - min) / mean across slots; ~0 for bots.
-    double swing = 0;
-  };
-  DiurnalProfile diurnal_profile(net::Prefix prefix, anycast::PopId pop,
-                                 int vp_id, int slots = 6,
-                                 int days = 12) const;
-
-  /// Phase-locked variant: using the prefix's (geolocated) longitude, the
-  /// prober knows *when* its local evening and pre-dawn are, and contrasts
+  /// patterns)": using the prefix's (geolocated) longitude, the prober
+  /// knows *when* its local evening and pre-dawn are, and contrasts
   /// activity estimates at exactly those phases:
   ///   contrast = (λ̂_evening − λ̂_dawn) / (λ̂_evening + λ̂_dawn).
-  /// Far more noise-robust than the unlocked swing: human prefixes score
-  /// strongly positive, bots near zero.
+  /// Human prefixes score strongly positive, bots (flat) near zero.
   double day_night_contrast(net::Prefix prefix, anycast::PopId pop,
                             int vp_id, double longitude_deg,
                             int days = 12) const;
@@ -92,6 +78,25 @@ class ActivityRanker {
   /// round trip and activity rate are resolved once.
   std::vector<googledns::ProbeTarget> targets_of(net::Prefix prefix,
                                                  anycast::PopId pop) const;
+
+  /// One domain's view of a prefix's client rate.
+  struct DomainEstimate {
+    double hit_rate = 0;  // fraction of rounds with a hit
+    double rate = 0;      // λ̂ (queries/sec); 0 when no round hit
+  };
+  /// Probes domain `d`'s target in `rounds` rounds, round r at
+  /// `round_time(r)` plus the domain's 50 ms offset, each round's redundant
+  /// attempts stopping at the first hit (attempt id `attempt_stride * r +
+  /// attempt`), and inverts the renewal model: from the first-hit record
+  /// age when every round hits, from the hit rate otherwise.
+  template <typename RoundTime>
+  DomainEstimate estimate_domain(const googledns::ProbeTarget& target,
+                                 std::size_t d, anycast::PopId pop,
+                                 int vp_id, int rounds, int attempt_stride,
+                                 RoundTime round_time) const;
+
+  /// The mean over domains of λ̂ from `rounds` rounds `round_spacing_seconds`
+  /// apart from `start`.
   double estimate_at(const std::vector<googledns::ProbeTarget>& targets,
                      anycast::PopId pop, int vp_id, net::SimTime start,
                      int rounds, double round_spacing_seconds) const;

@@ -13,7 +13,7 @@
 namespace netclients::core {
 
 std::vector<snapshot::EpochRecord> Scenario::run_epochs(int epochs) const {
-  if (epochs <= 0) epochs = std::max(1, epoch_count);
+  epochs = std::max(1, epochs);
   std::vector<snapshot::EpochRecord> records;
   records.reserve(epochs);
   for (int e = 0; e < epochs; ++e) {
@@ -21,12 +21,12 @@ std::vector<snapshot::EpochRecord> Scenario::run_epochs(int epochs) const {
     ProbeEnvironment epoch_env = env;
     std::unique_ptr<googledns::GooglePublicDns> epoch_dns;
     // Epoch 0 keeps the scenario's seed and front end (run_epochs(1) ==
-    // campaign().run()); each later epoch re-keys the probe streams AND stands
-    // up its own Google-DNS front end with a re-keyed cache timeline and
-    // an advanced authoritative epoch. The world's mean activity is
-    // unchanged, but which marginal blocks happen to hold a cache entry
-    // during the window differs — that sampling noise plus scope drift
-    // is the churn diff_epochs measures.
+    // run_probing(env, options)); each later epoch re-keys the probe
+    // streams AND stands up its own Google-DNS front end with a re-keyed
+    // cache timeline and an advanced authoritative epoch. The world's
+    // mean activity is unchanged, but which marginal blocks happen to hold
+    // a cache entry during the window differs — that sampling noise plus
+    // scope drift is the churn diff_epochs measures.
     if (e > 0) {
       epoch_options.seed = net::stable_seed(
           options.seed, 0x45504F43u /* "EPOC" */, static_cast<uint64_t>(e));
@@ -40,22 +40,11 @@ std::vector<snapshot::EpochRecord> Scenario::run_epochs(int epochs) const {
       epoch_env.google_dns = epoch_dns.get();
     }
     const CampaignResult result =
-        CacheProbeCampaign(std::move(epoch_env), epoch_options).run().result;
+        run_probing(epoch_env, epoch_options).result;
     records.push_back(snapshot::make_epoch(
         result, world(), static_cast<std::uint32_t>(e), epoch_options));
   }
   return records;
-}
-
-std::unique_ptr<serve::Service> Scenario::serve_epochs(
-    int epochs, serve::ServiceOptions options) const {
-  auto service = std::make_unique<serve::Service>(std::move(options));
-  // Epoch-by-epoch publishes (not the bulk seed): the serving tier sees
-  // the same rolling sequence of swaps a live deployment would.
-  for (auto& record : run_epochs(epochs)) {
-    service->publish(std::move(record));
-  }
-  return service;
 }
 
 std::optional<ChromiumResult> Scenario::dns_logs(
@@ -93,10 +82,7 @@ Scenario ScenarioBuilder::build() const {
   if (!config_set_) config.scale = 1.0 / scale_denominator_;
   scenario.world_ptr =
       std::make_unique<sim::World>(sim::World::generate(config));
-  sim::World& world = *scenario.world_ptr;
-  if (auth_faults_) {
-    world.authoritative_mutable().set_faults(*auth_faults_);
-  }
+  const sim::World& world = *scenario.world_ptr;
   scenario.activity = std::make_unique<sim::WorldActivityModel>(&world);
   scenario.google_dns = std::make_unique<googledns::GooglePublicDns>(
       &world.pops(), &world.catchment(), &world.authoritative(),
@@ -111,7 +97,6 @@ Scenario ScenarioBuilder::build() const {
   scenario.options = options_;
   if (threads_ >= 0) scenario.options.threads = threads_;
   scenario.google_config = google_config_;
-  scenario.epoch_count = epochs_;
   return scenario;
 }
 

@@ -13,9 +13,7 @@
 
 #include "core/cacheprobe/cacheprobe.h"
 #include "core/chromium/chromium.h"
-#include "core/serve/service.h"
 #include "core/snapshot/snapshot.h"
-#include "dnssrv/authoritative.h"
 #include "googledns/google_dns.h"
 #include "sim/activity.h"
 #include "sim/config.h"
@@ -34,36 +32,21 @@ struct Scenario {
   /// The front-end config the builder wired; run_epochs re-keys it per
   /// epoch to give each measurement window its own cache timeline.
   googledns::GoogleDnsConfig google_config;
-  /// Default epoch count for run_epochs (ScenarioBuilder::epochs).
-  int epoch_count = 1;
 
   sim::World& world() { return *world_ptr; }
   const sim::World& world() const { return *world_ptr; }
 
-  /// A campaign handle over this scenario's environment and options.
-  CacheProbeCampaign campaign() const {
-    return CacheProbeCampaign(env, options);
-  }
-
-  /// Runs the full campaign `epochs` times (0 = the builder's epoch
-  /// count) and persists each run as a snapshot EpochRecord. Epoch 0
-  /// probes the scenario's own front end with the scenario's seed —
-  /// run_epochs(1) reproduces a plain campaign().run() — and each later epoch
-  /// re-keys both the probe RNG streams and the Google-DNS cache
-  /// timeline (fresh GooglePublicDns with a re-keyed seed and an
-  /// advanced authoritative epoch), modelling independent measurement
-  /// windows over the same world: marginally active blocks drop in and
-  /// out and scope drift shifts attribution, so the inferred active
-  /// sets overlap heavily but not exactly — exactly the churn the
-  /// analytics in core/serve quantify.
-  std::vector<snapshot::EpochRecord> run_epochs(int epochs = 0) const;
-
-  /// run_epochs, served: runs the campaign epochs and publishes each
-  /// record into a fresh serving tier in epoch order — the end-to-end
-  /// "measure, then serve through snapshot handles" path. `options`
-  /// configures the tier (shard count, epoch window, instrumentation).
-  std::unique_ptr<serve::Service> serve_epochs(
-      int epochs = 0, serve::ServiceOptions options = {}) const;
+  /// Runs the full campaign `epochs` times (at least once) and persists
+  /// each run as a snapshot EpochRecord. Epoch 0 probes the scenario's own
+  /// front end with the scenario's seed — run_epochs(1) records
+  /// run_probing(env, options) — and each later epoch re-keys both the
+  /// probe RNG streams and the Google-DNS cache timeline (fresh
+  /// GooglePublicDns with a re-keyed seed and an advanced authoritative
+  /// epoch), modelling independent measurement windows over the same
+  /// world: marginally active blocks drop in and out and scope drift
+  /// shifts attribution, so the inferred active sets overlap heavily but
+  /// not exactly — exactly the churn the analytics in core/serve quantify.
+  std::vector<snapshot::EpochRecord> run_epochs(int epochs) const;
 
   /// The DNS-logs technique over this world: generates the sampled DITL
   /// capture (RootSystem::ditl_2020 of the world seed) into an NCD1
@@ -75,8 +58,9 @@ struct Scenario {
                                          const std::string& manifest) const;
 };
 
-/// Fluent assembly of a Scenario. Defaults are the paper's parameters at
-/// the examples' 1/256 world scale; benches pass their REPRO_SCALE.
+/// Fluent assembly of a Scenario, the one place that wires a
+/// ProbeEnvironment. Defaults are the paper's parameters at the examples'
+/// 1/256 world scale; benches pass their REPRO_SCALE.
 class ScenarioBuilder {
  public:
   /// World size as the denominator of the scale fraction.
@@ -103,16 +87,6 @@ class ScenarioBuilder {
     google_config_ = config;
     return *this;
   }
-  /// Deterministic fault injection on the scope-discovery edge.
-  ScenarioBuilder& authoritative_faults(const dnssrv::UpstreamFaults& faults) {
-    auth_faults_ = faults;
-    return *this;
-  }
-  /// Default campaign-epoch count for Scenario::run_epochs.
-  ScenarioBuilder& epochs(int count) {
-    epochs_ = count;
-    return *this;
-  }
 
   Scenario build() const;
 
@@ -122,9 +96,7 @@ class ScenarioBuilder {
   double scale_denominator_ = 256;
   CacheProbeOptions options_{};
   googledns::GoogleDnsConfig google_config_{};
-  std::optional<dnssrv::UpstreamFaults> auth_faults_;
   int threads_ = -1;  // < 0: leave options.threads as given
-  int epochs_ = 1;
 };
 
 }  // namespace netclients::core

@@ -278,15 +278,6 @@ double ClientIndex::as_volume(std::uint32_t asn) const {
   return it != as_.end() && it->asn == asn ? it->volume : 0;
 }
 
-double ClientIndex::country_volume(std::uint16_t country) const {
-  const auto it = std::lower_bound(
-      countries_.begin(), countries_.end(), country,
-      [](const snapshot::CountryAggregate& a, std::uint16_t key) {
-        return a.country < key;
-      });
-  return it != countries_.end() && it->country == country ? it->volume : 0;
-}
-
 std::vector<snapshot::AsAggregate> ClientIndex::top_as(std::size_t n) const {
   std::vector<snapshot::AsAggregate> top = as_;
   std::sort(top.begin(), top.end(),

@@ -105,7 +105,6 @@ class ClientIndex {
 
   // Aggregate views (keyed lookups are binary search).
   double as_volume(std::uint32_t asn) const;
-  double country_volume(std::uint16_t country) const;
   const std::vector<snapshot::AsAggregate>& as_aggregates() const {
     return as_;
   }

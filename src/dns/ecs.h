@@ -34,13 +34,6 @@ struct EcsOption {
     return net::Prefix(address, source_prefix_length);
   }
 
-  /// The prefix the response is scoped to. A scope of 0 means the answer is
-  /// not client-specific (cacheable for everyone) — the paper discards such
-  /// hits since they carry no per-prefix activity signal.
-  net::Prefix scope_prefix() const {
-    return net::Prefix(address, scope_prefix_length);
-  }
-
   std::string to_string() const {
     return source_prefix().to_string() + "/scope=" +
            std::to_string(scope_prefix_length);

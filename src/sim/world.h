@@ -130,9 +130,6 @@ class World {
   const anycast::CatchmentModel& catchment() const { return *catchment_; }
   const std::vector<DomainInfo>& domains() const { return domains_; }
   const dnssrv::AuthoritativeServer& authoritative() const { return auth_; }
-  /// Mutable access for test-harness fault injection only (the zone data
-  /// itself stays immutable after generate(); see dnssrv::UpstreamFaults).
-  dnssrv::AuthoritativeServer& authoritative_mutable() { return auth_; }
   const geo::GeoDatabase& geodb() const { return geodb_; }
   const asdb::AsdbDatabase& asdb() const { return asdb_; }
   const net::PrefixTrie<std::uint32_t>& prefix2as() const {

@@ -16,8 +16,6 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -28,6 +26,7 @@
 #include "net/sim_time.h"
 #include "roots/corpus.h"
 #include "roots/trace.h"
+#include "trace_testing.h"
 
 namespace netclients::core::scan_testing {
 
@@ -94,9 +93,7 @@ inline void write_manifest(
     roots::CorpusFormat format = roots::CorpusFormat::kNcd1) {
   roots::CorpusManifest manifest;
   for (const std::string& file : files) {
-    std::ifstream in(file, std::ios::binary);
-    const std::string bytes((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
+    const std::string bytes = roots::trace_testing::read_bytes(file);
     roots::CorpusMember member;
     member.file = file;
     member.format = format;

@@ -5,65 +5,40 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <unordered_set>
 
 #include "anycast/vantage.h"
 #include "core/cacheprobe/cacheprobe.h"
 #include "core/obs/obs.h"
-#include "sim/activity.h"
-#include "sim/world.h"
+#include "core/scenario/scenario.h"
 
 namespace netclients::core {
 namespace {
 
-struct Pipeline {
-  explicit Pipeline(double scale_denominator = 512,
-                    CacheProbeOptions options = {}) {
-    sim::WorldConfig config;
-    config.scale = 1.0 / scale_denominator;
-    world = sim::World::generate(config);
-    activity = std::make_unique<sim::WorldActivityModel>(&world);
-    gdns = std::make_unique<googledns::GooglePublicDns>(
-        &world.pops(), &world.catchment(), &world.authoritative(),
-        googledns::GoogleDnsConfig{}, activity.get());
-    campaign = std::make_unique<CacheProbeCampaign>(environment(), options);
-  }
+Scenario build(double scale_denominator = 512,
+               const CacheProbeOptions& options = {}) {
+  return ScenarioBuilder()
+      .scale_denominator(scale_denominator)
+      .probe_options(options)
+      .build();
+}
 
-  ProbeEnvironment environment() {
-    ProbeEnvironment env;
-    env.authoritative = &world.authoritative();
-    env.google_dns = gdns.get();
-    env.geodb = &world.geodb();
-    env.vantage_points = anycast::default_vantage_fleet();
-    env.domains = world.domains();
-    env.slash24_begin = 1u << 16;
-    env.slash24_end = world.address_space_end();
-    return env;
-  }
-
-  sim::World world;
-  std::unique_ptr<sim::WorldActivityModel> activity;
-  std::unique_ptr<googledns::GooglePublicDns> gdns;
-  std::unique_ptr<CacheProbeCampaign> campaign;
-};
-
-Pipeline& pipeline() {
-  static Pipeline p;
-  return p;
+const Scenario& scenario() {
+  static const Scenario s = build();
+  return s;
 }
 
 const CampaignArtifacts& full_run() {
-  static const CampaignArtifacts run = pipeline().campaign->run();
+  static const CampaignArtifacts run =
+      run_probing(scenario().env, scenario().options);
   return run;
 }
 
-// Scope discovery is a kStageScopes run; one shared artifact covers every
-// domain the scope tests inspect.
-const std::vector<ProbeCandidate>& scopes(int domain_index) {
-  static const CampaignArtifacts artifacts =
-      pipeline().campaign->run(kStageScopes);
-  return artifacts.scopes_by_domain[static_cast<std::size_t>(domain_index)];
+// One scope discovery covers every domain the scope tests inspect.
+const std::vector<net::Prefix>& scopes(int domain_index) {
+  static const std::vector<std::vector<net::Prefix>> lists =
+      discover_scopes(scenario().env, scenario().options);
+  return lists[static_cast<std::size_t>(domain_index)];
 }
 
 // ----------------------------------------------------------- scope discovery
@@ -76,33 +51,32 @@ TEST(ScopeDiscovery, CandidatesCoverTheScannedSpace) {
   const auto& candidates = scopes(0);
   ASSERT_FALSE(candidates.empty());
   std::uint32_t covered_to = 1u << 16;
-  for (const ProbeCandidate& c : candidates) {
-    EXPECT_LE(c.scope.first_slash24_index(), covered_to)
-        << "gap before " << c.scope.to_string();
-    const std::uint32_t end =
-        c.scope.first_slash24_index() +
-        static_cast<std::uint32_t>(c.scope.slash24_count());
-    EXPECT_GT(end, covered_to) << "non-advancing " << c.scope.to_string();
+  for (const net::Prefix& c : candidates) {
+    EXPECT_LE(c.first_slash24_index(), covered_to)
+        << "gap before " << c.to_string();
+    const std::uint32_t end = c.first_slash24_index() +
+                              static_cast<std::uint32_t>(c.slash24_count());
+    EXPECT_GT(end, covered_to) << "non-advancing " << c.to_string();
     covered_to = end;
   }
-  EXPECT_GE(covered_to, pipeline().world.address_space_end());
+  EXPECT_GE(covered_to, scenario().world().address_space_end());
 }
 
 TEST(ScopeDiscovery, CandidatesMostlyMatchAuthoritativeScopes) {
   const auto& candidates = scopes(1);
-  const auto& domain = pipeline().world.domains()[1].name;
+  const auto& domain = scenario().world().domains()[1].name;
   std::size_t checked = 0, exact = 0;
   for (std::size_t i = 0; i < candidates.size(); i += 7) {
-    const auto scope = pipeline().world.authoritative().scope_for(
-        domain, candidates[i].scope, 0);
+    const auto scope = scenario().world().authoritative().scope_for(
+        domain, candidates[i], 0);
     ASSERT_TRUE(scope.has_value());
     ++checked;
-    if (*scope == candidates[i].scope.length()) {
+    if (*scope == candidates[i].length()) {
       ++exact;
     } else {
       // Mismatches only come from the announcement clamp, which always
       // makes the re-queried scope more specific.
-      EXPECT_GT(*scope, candidates[i].scope.length());
+      EXPECT_GT(*scope, candidates[i].length());
     }
   }
   ASSERT_GT(checked, 50u);
@@ -113,7 +87,7 @@ TEST(ScopeDiscovery, FewerCandidatesThanSlash24s) {
   // The whole point of the pre-pass: one query per scope, not per /24.
   const auto& candidates = scopes(0);
   const std::uint32_t slash24s =
-      pipeline().world.address_space_end() - (1u << 16);
+      scenario().world().address_space_end() - (1u << 16);
   EXPECT_LT(candidates.size(), slash24s);
 }
 
@@ -137,7 +111,8 @@ TEST(PopDiscovery, RepresentativeVpActuallyReachesPop) {
   const auto fleet = anycast::default_vantage_fleet();
   for (const auto& [pop, vp_id] : pops.probed_pops) {
     const auto& vp = fleet[static_cast<std::size_t>(vp_id)];
-    EXPECT_EQ(pipeline().gdns->pop_for(vp.location, vp.address.value()), pop);
+    EXPECT_EQ(scenario().google_dns->pop_for(vp.location, vp.address.value()),
+              pop);
   }
 }
 
@@ -202,9 +177,9 @@ TEST(Campaign, HighPrecisionAgainstGroundTruth) {
   std::uint64_t scopes = 0, with_clients = 0;
   result.active.for_each([&](net::Prefix p) {
     ++scopes;
-    const auto [first, last] = pipeline().world.block_range(p);
+    const auto [first, last] = scenario().world().block_range(p);
     for (std::size_t b = first; b < last; ++b) {
-      if (pipeline().world.blocks()[b].clients() > 0) {
+      if (scenario().world().blocks()[b].clients() > 0) {
         ++with_clients;
         return;
       }
@@ -222,11 +197,11 @@ TEST(Campaign, RecallOnBusyGoogleDnsBlocks) {
     probed.insert(pop);
   }
   std::size_t busy = 0, found = 0;
-  for (const sim::Slash24Block& block : pipeline().world.blocks()) {
+  for (const sim::Slash24Block& block : scenario().world().blocks()) {
     if (block.users < 400 || !probed.contains(block.gdns_pop)) continue;
-    const sim::AsEntry& as = pipeline().world.ases()[block.as_index];
+    const sim::AsEntry& as = scenario().world().ases()[block.as_index];
     if (as.google_dns_share < 0.2) continue;
-    if (pipeline().world.country_domain_multiplier(block.country, 0) < 0.5) {
+    if (scenario().world().country_domain_multiplier(block.country, 0) < 0.5) {
       continue;
     }
     ++busy;
@@ -254,39 +229,63 @@ TEST(ProbePolicy, DefaultsMatchThePaper) {
 TEST(Campaign, UdpCampaignIsRateLimited) {
   // §3.1.1: probing over UDP trips a limit far below 1,500 qps — the
   // reason the real campaign uses TCP.
-  Pipeline p(4096);
   CacheProbeOptions options;
   options.probe.transport = googledns::Transport::kUdp;
   options.max_loops = 1;
-  CacheProbeCampaign campaign(p.environment(), options);
-  const auto result = campaign.run().result;
+  const Scenario s = build(4096, options);
+  const auto result = run_probing(s.env, s.options).result;
   EXPECT_GT(result.rate_limited, result.probes_sent / 2);
 }
 
 TEST(Campaign, DeterministicAcrossRuns) {
-  Pipeline a(4096), b(4096);
-  const auto result_a = a.campaign->run().result;
-  const auto result_b = b.campaign->run().result;
+  const Scenario a = build(4096), b = build(4096);
+  const auto result_a = run_probing(a.env, a.options).result;
+  const auto result_b = run_probing(b.env, b.options).result;
   EXPECT_EQ(result_a.hits.size(), result_b.hits.size());
   EXPECT_EQ(result_a.slash24_upper_bound(), result_b.slash24_upper_bound());
 }
 
-TEST(Campaign, StageMaskReusesPriorArtifacts) {
-  // run(kStageCampaign, prior) re-probes on top of the prior run's scopes,
-  // PoPs and calibration without recomputing them — and lands on the same
-  // result as the all-in-one run.
-  Pipeline p(4096);
-  CampaignArtifacts staged = p.campaign->run(kStagesAll & ~kStageCampaign);
-  ASSERT_EQ(staged.scopes_by_domain.size(), p.campaign->domains().size());
-  ASSERT_FALSE(staged.pops.probed_pops.empty());
-  staged = p.campaign->run(kStageCampaign, std::move(staged));
+std::vector<net::Prefix> active_prefixes(const CampaignResult& result) {
+  std::vector<net::Prefix> out;
+  result.active.for_each([&](net::Prefix p) { out.push_back(p); });
+  return out;
+}
 
-  Pipeline q(4096);
-  const CampaignArtifacts whole = q.campaign->run();
-  EXPECT_EQ(staged.result.hits.size(), whole.result.hits.size());
-  EXPECT_EQ(staged.result.probes_sent, whole.result.probes_sent);
-  EXPECT_EQ(staged.result.slash24_upper_bound(),
-            whole.result.slash24_upper_bound());
+TEST(Campaign, PassedScopesEqualInternalDiscovery) {
+  // A sweep discovers scopes once and passes them to every campaign: the
+  // result must be the discovering call's, hit for hit. Each run gets a
+  // fresh substrate so neither sees the other's probes.
+  for (const int threads : {1, 4}) {
+    CacheProbeOptions options;
+    options.threads = threads;
+    const Scenario a = build(4096, options), b = build(4096, options);
+    const PopDiscoveryResult pops = discover_pops(a.env);
+    const CalibrationResult calibration = calibrate(a.env, options, pops);
+    const CampaignResult discovering =
+        run_campaign(a.env, options, pops, calibration);
+
+    const auto scopes = discover_scopes(b.env, options);
+    ASSERT_EQ(scopes.size(), b.env.domains.size());
+    const CalibrationResult b_calibration = calibrate(b.env, options, pops);
+    const CampaignResult passed =
+        run_campaign(b.env, options, pops, b_calibration, &scopes);
+
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    ASSERT_GT(discovering.hits.size(), 0u);
+    ASSERT_EQ(passed.hits.size(), discovering.hits.size());
+    for (std::size_t i = 0; i < passed.hits.size(); ++i) {
+      const CacheHit& x = passed.hits[i];
+      const CacheHit& y = discovering.hits[i];
+      EXPECT_EQ(x.domain_index, y.domain_index) << "hit " << i;
+      EXPECT_EQ(x.query_scope, y.query_scope) << "hit " << i;
+      EXPECT_EQ(x.return_scope, y.return_scope) << "hit " << i;
+      EXPECT_EQ(x.pop, y.pop) << "hit " << i;
+      EXPECT_EQ(x.when, y.when) << "hit " << i;
+    }
+    EXPECT_EQ(passed.probes_sent, discovering.probes_sent);
+    EXPECT_EQ(passed.rate_limited, discovering.rate_limited);
+    EXPECT_EQ(active_prefixes(passed), active_prefixes(discovering));
+  }
 }
 
 TEST(CacheProbe, UpstreamRoundTripsEqualTableSize) {
@@ -297,10 +296,10 @@ TEST(CacheProbe, UpstreamRoundTripsEqualTableSize) {
   obs::Counter& round_trips =
       obs::Registry::global().counter("googledns.upstream.round_trips");
   for (const int threads : {1, 4}) {
-    Pipeline p(4096);
     CacheProbeOptions options;
     options.threads = threads;
-    const ProbeEnvironment env = p.environment();
+    const Scenario s = build(4096, options);
+    const ProbeEnvironment& env = s.env;
     const PopDiscoveryResult pops = discover_pops(env);
     ASSERT_GT(pops.probed_pops.size(), 1u);
 
@@ -310,12 +309,9 @@ TEST(CacheProbe, UpstreamRoundTripsEqualTableSize) {
     EXPECT_EQ(round_trips.value() - before, calibration.sampled_prefixes * 4)
         << threads << " threads";
 
-    std::vector<std::vector<ProbeCandidate>> scopes;
+    const auto scopes = discover_scopes(env, options);
     std::uint64_t candidates = 0;
-    for (std::size_t d = 0; d < env.domains.size(); ++d) {
-      scopes.push_back(discover_scopes(env, options, static_cast<int>(d)));
-      candidates += scopes.back().size();
-    }
+    for (const auto& list : scopes) candidates += list.size();
     ASSERT_GT(candidates, 0u);
     before = round_trips.value();
     run_campaign(env, options, pops, calibration, &scopes);

@@ -74,6 +74,7 @@ ChromiumOptions scan_options(int threads, std::size_t chunk_records = 0) {
   return options;
 }
 
+using roots::trace_testing::read_bytes;
 using scan_testing::expect_identical;
 
 // ---------------------------------------------------------- steal_map
@@ -219,12 +220,6 @@ TEST(CorpusManifest, WriteReportsAFullDisk) {
 
 // ---------------------------------------------------------- the corpus
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in),
-          std::istreambuf_iterator<char>()};
-}
-
 TEST(Corpus, WriterMembersEqualSingleFileWriters) {
   // Each member file is exactly what the single-file writer of its format
   // makes of the member's records, whatever cuts the members: a rotation
@@ -286,8 +281,8 @@ TEST(Corpus, WriterMembersEqualSingleFileWriters) {
                                                     expected[m])
                         : roots::trace_testing::write_trace(reference_path,
                                                             expected[m]));
-        const std::string bytes = read_file(member.file);
-        EXPECT_EQ(bytes, read_file(reference_path)) << member.file;
+        const std::string bytes = read_bytes(member.file);
+        EXPECT_EQ(bytes, read_bytes(reference_path)) << member.file;
         EXPECT_EQ(member.format, format);
         EXPECT_EQ(member.records, expected[m].size());
         EXPECT_EQ(member.bytes, bytes.size());

@@ -13,17 +13,16 @@
 #include <utility>
 #include <vector>
 
-#include "anycast/vantage.h"
 #include "core/cacheprobe/cacheprobe.h"
 #include "core/chromium/chromium.h"
 #include "core/exec/exec.h"
 #include "core/exec/steal.h"
 #include "core/obs/export.h"
 #include "core/obs/obs.h"
+#include "core/scenario/scenario.h"
 #include "roots/corpus.h"
 #include "roots/root_server.h"
 #include "scan_testing.h"
-#include "sim/activity.h"
 #include "sim/ditl.h"
 #include "sim/world.h"
 #include "world_testing.h"
@@ -145,28 +144,17 @@ struct RunArtifacts {
 };
 
 RunArtifacts run_pipeline(std::uint64_t seed, int threads) {
-  sim::WorldConfig config;
-  config.scale = 1.0 / 2048;
-  sim::World world = sim::World::generate(config);
-  sim::WorldActivityModel activity(&world);
-  googledns::GooglePublicDns gdns(&world.pops(), &world.catchment(),
-                                  &world.authoritative(), {}, &activity);
-  ProbeEnvironment env;
-  env.authoritative = &world.authoritative();
-  env.google_dns = &gdns;
-  env.geodb = &world.geodb();
-  env.vantage_points = anycast::default_vantage_fleet();
-  env.domains = world.domains();
-  env.slash24_begin = 1u << 16;
-  env.slash24_end = world.address_space_end();
   CacheProbeOptions options;
   options.seed = seed;
   options.threads = threads;
   options.max_loops = 2;
+  const Scenario scenario =
+      ScenarioBuilder().scale_denominator(2048).probe_options(options).build();
+  const ProbeEnvironment& env = scenario.env;
 
   RunArtifacts out;
-  for (const ProbeCandidate& c : discover_scopes(env, options, 0)) {
-    out.scopes.push_back(c.scope.to_string());
+  for (const net::Prefix& scope : discover_scopes(env, options, 0)) {
+    out.scopes.push_back(scope.to_string());
   }
   const auto pops = discover_pops(env);
   const auto calibration = calibrate(env, options, pops);

@@ -67,7 +67,8 @@ Scenario build_scenario(const RunConfig& cfg) {
 }
 
 CampaignResult run_campaign(const RunConfig& cfg) {
-  return build_scenario(cfg).campaign().run().result;
+  const Scenario scenario = build_scenario(cfg);
+  return run_probing(scenario.env, scenario.options).result;
 }
 
 // The campaign stage's exported evaluation and breaker-refusal counts.
@@ -78,12 +79,13 @@ struct CampaignCounts {
 
 CampaignCounts campaign_counts(const RunConfig& cfg) {
   const Scenario scenario = build_scenario(cfg);
-  const CampaignArtifacts probed =
-      scenario.campaign().run(kStagePops | kStageCalibration);
+  const PopDiscoveryResult pops = discover_pops(scenario.env);
+  const CalibrationResult calibration =
+      calibrate(scenario.env, scenario.options, pops);
   // Calibration publishes into the same metrics; isolate the campaign's
   // share.
   obs::Registry::global().reset();
-  scenario.campaign().run(kStageCampaign, probed);
+  core::run_campaign(scenario.env, scenario.options, pops, calibration);
   const obs::Snapshot snapshot = obs::Registry::global().snapshot();
   CampaignCounts out;
   for (const auto& [name, value] : snapshot.counters) {

@@ -213,11 +213,8 @@ TEST_P(TraceFuzz, MutatedTraceFilesNeverCrashTolerantReader) {
     }
     ASSERT_TRUE(roots::trace_testing::write_trace(path, records));
     // ...then random byte flips / truncation applied to the raw file.
-    std::vector<std::uint8_t> bytes;
-    {
-      std::ifstream in(path, std::ios::binary);
-      bytes.assign(std::istreambuf_iterator<char>(in), {});
-    }
+    const std::string raw = roots::trace_testing::read_bytes(path);
+    std::vector<std::uint8_t> bytes(raw.begin(), raw.end());
     const int mutations = 1 + static_cast<int>(rng.below(5));
     for (int m = 0; m < mutations && !bytes.empty(); ++m) {
       if (rng.bernoulli(0.3)) {

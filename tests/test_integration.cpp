@@ -25,7 +25,7 @@ struct Study {
     sim::WorldConfig config;
     config.scale = 1.0 / 512;
     scenario = core::ScenarioBuilder().world_config(config).build();
-    probing = scenario.campaign().run().result;
+    probing = core::run_probing(scenario.env, scenario.options).result;
     // The capture streamed into an NCD1 corpus, the shape DITL arrives in,
     // sampled at 1/16 (counts scaled back), scanned and removed.
     const auto logs =

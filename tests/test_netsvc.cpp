@@ -438,12 +438,11 @@ TEST(NetsvcStream, SendFrameSegmentsAndReassemblesOverTheBus) {
 class NetsvcSuite : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    scenario_ = new Scenario(ScenarioBuilder()
-                                 .scale_denominator(kScale)
-                                 .epochs(2)
-                                 .build());
+    scenario_ =
+        new Scenario(ScenarioBuilder().scale_denominator(kScale).build());
     epochs_ =
-        new std::vector<core::snapshot::EpochRecord>(scenario_->run_epochs());
+        new std::vector<core::snapshot::EpochRecord>(
+            scenario_->run_epochs(2));
   }
   static void TearDownTestSuite() {
     delete epochs_;

@@ -236,21 +236,6 @@ TEST(Obs, TiminglessExportDropsSpanDurationsOnly) {
   EXPECT_DOUBLE_EQ(parsed->spans[0].total_ms, 0.0);
 }
 
-TEST(Obs, CsvExportContainsOneRowPerScalar) {
-  const std::string csv = to_csv(example_snapshot());
-  std::istringstream lines(csv);
-  std::string line;
-  std::vector<std::string> rows;
-  while (std::getline(lines, line)) rows.push_back(line);
-  ASSERT_FALSE(rows.empty());
-  EXPECT_EQ(rows[0], "kind,name,field,value");
-  EXPECT_NE(csv.find("counter,probe.sent,value,12345678901234"),
-            std::string::npos);
-  EXPECT_NE(csv.find("histogram,probe.distance_km,le=+inf,1"),
-            std::string::npos);
-  EXPECT_NE(csv.find("span,stage.one,count,2"), std::string::npos);
-}
-
 // ------------------------------------------------------------- CLI plumbing
 
 TEST(Obs, MetricsOutGuardStripsFlagAndWritesFile) {

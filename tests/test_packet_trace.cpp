@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <string>
 #include <vector>
 
@@ -130,11 +129,7 @@ TEST(PacketTrace, DamagedTailSkipsAndCounts) {
   ASSERT_GT(f.records.size(), 8u);
   // Truncate the file mid-frame: everything before the cut survives, the
   // declared remainder is counted as skipped — never an error.
-  std::vector<char> bytes;
-  {
-    std::ifstream in(f.path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in), {});
-  }
+  const std::string bytes = roots::trace_testing::read_bytes(f.path);
   const std::string cut_path = "packet_trace_cut.trace";
   {
     std::ofstream out(cut_path, std::ios::binary | std::ios::trunc);
@@ -161,11 +156,7 @@ TEST(PacketTrace, CorruptPacketIsScannedNonMatchNotFramingError) {
   // framing still walks the full file, the packet just fails to parse in
   // the scan — records_scanned is unchanged, skip count stays zero.
   const auto& f = fixture();
-  std::vector<char> bytes;
-  {
-    std::ifstream in(f.path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in), {});
-  }
+  std::string bytes = roots::trace_testing::read_bytes(f.path);
   // First frame starts at 12; its packet bytes start 15 further in.
   // Zero the packet's header counts region to make it unparseable.
   for (std::size_t b = 12 + 15; b < 12 + 15 + 12 && b < bytes.size(); ++b) {
@@ -204,14 +195,10 @@ TEST(PacketTrace, OpenRejectsWrongMagicAndMissingFile) {
 TEST(PacketTrace, FuzzedFramesNeverCrash) {
   net::Rng rng(0x9C);
   const auto& f = fixture();
-  std::vector<char> clean;
-  {
-    std::ifstream in(f.path, std::ios::binary);
-    clean.assign(std::istreambuf_iterator<char>(in), {});
-  }
+  const std::string clean = roots::trace_testing::read_bytes(f.path);
   const std::string fuzz_path = "packet_trace_fuzz.trace";
   for (int iter = 0; iter < 40; ++iter) {
-    std::vector<char> bytes = clean;
+    std::string bytes = clean;
     const int mutations = 1 + static_cast<int>(rng.below(6));
     for (int m = 0; m < mutations && !bytes.empty(); ++m) {
       if (rng.bernoulli(0.3)) {

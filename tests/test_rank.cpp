@@ -6,12 +6,9 @@
 
 #include <cmath>
 #include <memory>
-#include <utility>
 
-#include "anycast/vantage.h"
 #include "core/rank/activity_rank.h"
-#include "sim/activity.h"
-#include "sim/world.h"
+#include "core/scenario/scenario.h"
 
 namespace netclients::core {
 namespace {
@@ -148,14 +145,10 @@ TEST(Rank, DayNightContrastSeparatesHumanFromFlat) {
 }
 
 TEST(Rank, StationaryWorldHasNoContrast) {
-  sim::WorldConfig config;
-  config.scale = 1.0 / 2048;  // diurnal_amplitude defaults to 0
-  const sim::World world = sim::World::generate(config);
-  sim::WorldActivityModel activity(&world);
-  googledns::GooglePublicDns gdns(&world.pops(), &world.catchment(),
-                                  &world.authoritative(),
-                                  googledns::GoogleDnsConfig{}, &activity);
-  ActivityRanker ranker(&gdns, world.domains());
+  // diurnal_amplitude defaults to 0.
+  const Scenario scenario = ScenarioBuilder().scale_denominator(2048).build();
+  const sim::World& world = scenario.world();
+  ActivityRanker ranker(scenario.google_dns.get(), world.domains());
   const sim::Slash24Block* busy = nullptr;
   for (const sim::Slash24Block& block : world.blocks()) {
     if (block.users > 300) {
@@ -171,27 +164,13 @@ TEST(Rank, StationaryWorldHasNoContrast) {
 }
 
 TEST(Rank, EndToEndRankingCorrelatesWithTruth) {
-  sim::WorldConfig config;
-  config.scale = 1.0 / 1024;
-  const sim::World world = sim::World::generate(config);
-  sim::WorldActivityModel activity(&world);
-  googledns::GooglePublicDns gdns(&world.pops(), &world.catchment(),
-                                  &world.authoritative(),
-                                  googledns::GoogleDnsConfig{}, &activity);
-  ProbeEnvironment probe_env;
-  probe_env.authoritative = &world.authoritative();
-  probe_env.google_dns = &gdns;
-  probe_env.geodb = &world.geodb();
-  probe_env.vantage_points = anycast::default_vantage_fleet();
-  probe_env.domains = world.domains();
-  probe_env.slash24_begin = 1u << 16;
-  probe_env.slash24_end = world.address_space_end();
-  CacheProbeCampaign campaign(std::move(probe_env));
-  const auto artifacts = campaign.run();
+  const Scenario scenario = ScenarioBuilder().scale_denominator(1024).build();
+  const sim::World& world = scenario.world();
+  const auto artifacts = run_probing(scenario.env, scenario.options);
   const auto& result = artifacts.result;
   ASSERT_GT(result.active.size(), 20u);
 
-  ActivityRanker ranker(&gdns, world.domains());
+  ActivityRanker ranker(scenario.google_dns.get(), world.domains());
   const auto ranked = ranker.rank(result, artifacts.pops);
   ASSERT_GT(ranked.size(), 20u);
   // Sorted descending by estimate.

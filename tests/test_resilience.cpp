@@ -186,7 +186,7 @@ CampaignResult run_campaign(const googledns::FailureInjection& faults,
                                 .probe_options(options)
                                 .threads(threads)
                                 .build();
-  return scenario.campaign().run().result;
+  return run_probing(scenario.env, scenario.options).result;
 }
 
 TEST(FaultFreeRuns, RetryPolicyCannotPerturbResults) {
@@ -207,7 +207,7 @@ TEST(FaultFreeRuns, RetryPolicyCannotPerturbResults) {
                                   .google_config(config)
                                   .probe_options(options)
                                   .build();
-    return scenario.campaign().run().result;
+    return run_probing(scenario.env, scenario.options).result;
   }();
   EXPECT_EQ(fingerprint(baseline), fingerprint(cranked));
   EXPECT_EQ(baseline.retry_stats.retries, 0u);

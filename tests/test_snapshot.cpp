@@ -36,11 +36,10 @@ constexpr double kScale = 2048;
 class SnapshotSuite : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    scenario_ = new Scenario(ScenarioBuilder()
-                                 .scale_denominator(kScale)
-                                 .epochs(2)
-                                 .build());
-    epochs_ = new std::vector<snapshot::EpochRecord>(scenario_->run_epochs());
+    scenario_ =
+        new Scenario(ScenarioBuilder().scale_denominator(kScale).build());
+    epochs_ =
+        new std::vector<snapshot::EpochRecord>(scenario_->run_epochs(2));
     bytes_ = new std::string(snapshot::encode(*epochs_));
   }
   static void TearDownTestSuite() {
@@ -122,10 +121,10 @@ TEST_F(SnapshotSuite, EncodeIsByteIdenticalAcrossThreadCounts) {
   // (already deterministic) records. Re-run the whole pipeline at 1 and
   // 4 threads and require identical bytes.
   const std::string serial = with_threads(1, [&] {
-    return snapshot::encode(scenario().run_epochs());
+    return snapshot::encode(scenario().run_epochs(2));
   });
   const std::string parallel = with_threads(4, [&] {
-    return snapshot::encode(scenario().run_epochs());
+    return snapshot::encode(scenario().run_epochs(2));
   });
   EXPECT_EQ(serial, parallel);
   EXPECT_EQ(serial, bytes());

@@ -14,7 +14,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <string>
 #include <vector>
 
@@ -74,8 +73,8 @@ const auto* const kCleanup =
     ::testing::AddGlobalTestEnvironment(new CleanupEnv);
 
 std::vector<std::uint8_t> slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), {}};
+  const std::string bytes = roots::trace_testing::read_bytes(path);
+  return {bytes.begin(), bytes.end()};
 }
 
 void spit(const std::string& path, const std::vector<std::uint8_t>& bytes) {

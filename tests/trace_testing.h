@@ -18,6 +18,15 @@
 
 namespace netclients::roots::trace_testing {
 
+/// The whole of `path` in one read (empty when it cannot be read). The
+/// suites damage and compare files of tens of megabytes, which a
+/// byte-at-a-time stream read takes seconds to load under
+/// ThreadSanitizer.
+inline std::string read_bytes(const std::string& path) {
+  const auto file = FileBytes::open(path, FileBytes::Backing::kBuffer);
+  return file ? std::string(file->data(), file->size()) : std::string();
+}
+
 /// Writes `records` as one NCD1 file: the bytes a one-member corpus holds.
 inline bool write_trace(const std::string& path,
                         const std::vector<TraceRecord>& records) {
